@@ -4,6 +4,13 @@ Modules own their parameters (seeded deterministic init), a forward pass
 built from tensor-engine ops, and a ``profile`` method that reports exact
 parameter and multiply-accumulate counts for a given input shape.
 
+Profile entries are named by module path, the same path ``named_params()``
+uses (``trunk.blocks.0.window_attn.mlp.fc1``); a module's own parameter
+keeps its parameter name (``trunk.blocks.0.window_attn.pos``).  Leaf
+modules hold the cost formulas.  By default a module chains its children
+in order, each on the previous one's output shape; modules whose forward
+reshapes between children override ``profile`` for that reshape only.
+
 MAC conventions (shared with the profiler): convolutions count
 out_elems * Cin * prod(kernel); matmuls count m*k*n per batch item;
 normalization, softmax, activations, elementwise adds, and data movement
@@ -75,9 +82,18 @@ class Module:
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
 
-    def profile(self, in_shape, prefix: str = ""):
-        """Return ([(name, param_count, mac_count)], out_shape)."""
-        raise NotImplementedError(type(self).__name__)
+    def profile(self, in_shape, path: str = ""):
+        """Return ([(name, param_count, mac_count)], out_shape) for the
+        module at `path`; by default the children in order."""
+        entries, shape = [], in_shape
+        for name, child in self.children():
+            e, shape = child.profile(shape, _join(path, name))
+            entries += e
+        return entries, shape
+
+
+def _join(path: str, name: str) -> str:
+    return f"{path}.{name}" if path else name
 
 
 def _init_uniform(shape, fan_in, seeds: SeedStream, dtype) -> T.Tensor:
@@ -85,50 +101,47 @@ def _init_uniform(shape, fan_in, seeds: SeedStream, dtype) -> T.Tensor:
     return T.uniform(shape, seeds.next(), -bound, bound, requires_grad=True, dtype=dtype)
 
 
-class Conv2d(Module):
-    def __init__(self, cin, cout, kernel, seeds, dtype, stride=1, padding=None, bias=True):
-        super().__init__()
-        self.cin, self.cout, self.kernel = cin, cout, kernel
-        self.stride = stride
-        self.padding = (kernel - 1) // 2 if padding is None else padding
-        fan = cin * kernel * kernel
-        self.w = self.add_param("w", _init_uniform((cout, cin, kernel, kernel), fan, seeds, dtype))
-        self.b = self.add_param("b", _init_uniform((cout,), fan, seeds, dtype)) if bias else None
+class _Conv(Module):
+    """Parameters and cost of an N-d convolution; kernel, stride and
+    padding are given per spatial axis or as one value for all of them."""
 
-    def forward(self, x):
-        return T.conv2d(x, self.w, self.b, stride=self.stride, padding=self.padding)
-
-    def profile(self, in_shape, prefix=""):
-        b, _, h, w = in_shape
-        ho = (h + 2 * self.padding - self.kernel) // self.stride + 1
-        wo = (w + 2 * self.padding - self.kernel) // self.stride + 1
-        params = self.cout * self.cin * self.kernel ** 2 + (self.cout if self.b is not None else 0)
-        macs = b * self.cout * ho * wo * self.cin * self.kernel ** 2
-        return [(prefix + "conv", params, macs)], (b, self.cout, ho, wo)
-
-
-class Conv3d(Module):
-    def __init__(self, cin, cout, kernel, seeds, dtype, stride=(1, 1, 1), padding=(0, 0, 0), bias=True):
+    def __init__(self, nd, cin, cout, kernel, stride, padding, bias, seeds, dtype):
         super().__init__()
         self.cin, self.cout = cin, cout
-        self.kernel, self.stride, self.padding = tuple(kernel), tuple(stride), tuple(padding)
-        fan = cin * int(np.prod(self.kernel))
+        self.kernel = T._per_axis(kernel, nd)
+        self.stride = T._per_axis(stride, nd)
+        self.padding = T._per_axis(padding, nd)
+        fan = cin * math.prod(self.kernel)
         self.w = self.add_param("w", _init_uniform((cout, cin) + self.kernel, fan, seeds, dtype))
         self.b = self.add_param("b", _init_uniform((cout,), fan, seeds, dtype)) if bias else None
 
-    def forward(self, x):
-        return T.conv3d(x, self.w, self.b, stride=self.stride, padding=self.padding)
-
-    def profile(self, in_shape, prefix=""):
+    def profile(self, in_shape, path=""):
         b = in_shape[0]
         out_sp = tuple(
             (n + 2 * p - k) // s + 1
             for n, k, s, p in zip(in_shape[2:], self.kernel, self.stride, self.padding)
         )
-        kprod = int(np.prod(self.kernel))
+        kprod = math.prod(self.kernel)
         params = self.cout * self.cin * kprod + (self.cout if self.b is not None else 0)
-        macs = b * self.cout * int(np.prod(out_sp)) * self.cin * kprod
-        return [(prefix + "conv", params, macs)], (b, self.cout) + out_sp
+        macs = b * self.cout * math.prod(out_sp) * self.cin * kprod
+        return [(path, params, macs)], (b, self.cout) + out_sp
+
+
+class Conv2d(_Conv):
+    def __init__(self, cin, cout, kernel, seeds, dtype, stride=1, padding=None, bias=True):
+        padding = (kernel - 1) // 2 if padding is None else padding
+        super().__init__(2, cin, cout, kernel, stride, padding, bias, seeds, dtype)
+
+    def forward(self, x):
+        return T.conv2d(x, self.w, self.b, stride=self.stride, padding=self.padding)
+
+
+class Conv3d(_Conv):
+    def __init__(self, cin, cout, kernel, seeds, dtype, stride=(1, 1, 1), padding=(0, 0, 0), bias=True):
+        super().__init__(3, cin, cout, kernel, stride, padding, bias, seeds, dtype)
+
+    def forward(self, x):
+        return T.conv3d(x, self.w, self.b, stride=self.stride, padding=self.padding)
 
 
 class Linear(Module):
@@ -150,11 +163,11 @@ class Linear(Module):
             out = T.reshape(out, lead + (self.nout,))
         return out
 
-    def profile(self, in_shape, prefix=""):
+    def profile(self, in_shape, path=""):
         lead = int(np.prod(in_shape[:-1]))
         params = self.nin * self.nout + (self.nout if self.b is not None else 0)
         macs = lead * self.nin * self.nout
-        return [(prefix + "linear", params, macs)], in_shape[:-1] + (self.nout,)
+        return [(path, params, macs)], in_shape[:-1] + (self.nout,)
 
 
 class LayerNorm(Module):
@@ -169,8 +182,8 @@ class LayerNorm(Module):
     def forward(self, x):
         return T.normalize(x, self.gamma, self.beta, axes=-1, eps=self.eps)
 
-    def profile(self, in_shape, prefix=""):
-        return [(prefix + "norm", 2 * self.dim, 0)], in_shape
+    def profile(self, in_shape, path=""):
+        return [(path, 2 * self.dim, 0)], in_shape
 
 
 class BatchNorm2d(Module):
@@ -199,8 +212,8 @@ class BatchNorm2d(Module):
         b = self.beta.data - self._buffers["running_mean"] * a
         return T.affine_const(x, a.astype(x.data.dtype), b.astype(x.data.dtype))
 
-    def profile(self, in_shape, prefix=""):
-        return [(prefix + "norm", 2 * self.channels, 0)], in_shape
+    def profile(self, in_shape, path=""):
+        return [(path, 2 * self.channels, 0)], in_shape
 
 
 class Mlp(Module):
@@ -211,11 +224,6 @@ class Mlp(Module):
 
     def forward(self, x):
         return self.fc2(T.gelu(self.fc1(x)))
-
-    def profile(self, in_shape, prefix=""):
-        p1, mid = self.fc1.profile(in_shape, prefix + "fc1.")
-        p2, out = self.fc2.profile(mid, prefix + "fc2.")
-        return p1 + p2, out
 
 
 class MultiheadSelfAttention(Module):
@@ -251,11 +259,11 @@ class MultiheadSelfAttention(Module):
         mixed = T.reshape(T.permute(mixed, (0, 2, 1, 3)), (bw, n, s))
         return self.out(mixed)
 
-    def profile(self, in_shape, prefix=""):
+    def profile(self, in_shape, path=""):
         bw, n, s = in_shape
         params = (s * 3 * s + 3 * s) + (s * s + s)
         macs = bw * (3 * n * s * s + n * n * s + n * n * s + n * s * s)
-        return [(prefix + "msa", params, macs)], in_shape
+        return [(path, params, macs)], in_shape
 
 
 class PartitionAttention(Module):
@@ -286,22 +294,13 @@ class PartitionAttention(Module):
             return T.window_reverse(tokens, self.size, b, c, h, w)
         return T.grid_reverse(tokens, self.size, b, c, h, w)
 
-    def profile(self, in_shape, prefix=""):
+    def profile(self, in_shape, path=""):
         b, c, h, w = in_shape
         m = self.size
         hp, wp = h + (-h) % m, w + (-w) % m
         groups = b * (hp // m) * (wp // m)
-        tok_shape = (groups, m * m, c)
-        entries = [(prefix + "pos", m * m * c, 0)]
-        e, _ = self.norm1.profile(tok_shape, prefix + "norm1.")
-        entries += e
-        e, _ = self.attn.profile(tok_shape, prefix + "attn.")
-        entries += e
-        e, _ = self.norm2.profile(tok_shape, prefix + "norm2.")
-        entries += e
-        e, _ = self.mlp.profile(tok_shape, prefix + "mlp.")
-        entries += e
-        return entries, in_shape
+        entries, _ = super().profile((groups, m * m, c), path)
+        return [(_join(path, "pos"), self.pos.size, 0)] + entries, in_shape
 
 
 class MBConv(Module):
@@ -324,18 +323,6 @@ class MBConv(Module):
         h = T.gelu(self.bn2(self.conv2(h)))
         return T.add(wide, self.conv3(h))
 
-    def profile(self, in_shape, prefix=""):
-        entries, s = self.conv1.profile(in_shape, prefix + "conv1.")
-        e, s = self.bn1.profile(s, prefix + "bn1.")
-        entries += e
-        e, s = self.conv2.profile(s, prefix + "conv2.")
-        entries += e
-        e, s = self.bn2.profile(s, prefix + "bn2.")
-        entries += e
-        e, s = self.conv3.profile(s, prefix + "conv3.")
-        entries += e
-        return entries, in_shape
-
 
 class MaxVitBlock(Module):
     """MBConv, then windowed local attention, then dilated grid attention;
@@ -352,14 +339,6 @@ class MaxVitBlock(Module):
         x = self.window_attn(x)
         return self.grid_attn(x)
 
-    def profile(self, in_shape, prefix=""):
-        entries, s = self.mbconv.profile(in_shape, prefix + "mbconv.")
-        e, s = self.window_attn.profile(s, prefix + "window.")
-        entries += e
-        e, s = self.grid_attn.profile(s, prefix + "grid.")
-        entries += e
-        return entries, in_shape
-
 
 class ConvBlock2d(Module):
     def __init__(self, channels, kernel, seeds, dtype):
@@ -369,11 +348,6 @@ class ConvBlock2d(Module):
 
     def forward(self, x):
         return T.relu(self.bn(self.conv(x)))
-
-    def profile(self, in_shape, prefix=""):
-        entries, s = self.conv.profile(in_shape, prefix + "conv.")
-        e, s = self.bn.profile(s, prefix + "bn.")
-        return entries + e, s
 
 
 class PatchEmbed(Module):
@@ -402,12 +376,12 @@ class PatchEmbed(Module):
             tok = T.add_bcast(tok, self.pos)
         return tok
 
-    def profile(self, in_shape, prefix=""):
+    def profile(self, in_shape, path=""):
         b = in_shape[0]
         n = self.tokens_h * self.tokens_w
         flat = (b, n, self.patch * self.patch * self.in_channels)
-        entries, out = self.proj.profile(flat, prefix + "proj.")
-        entries.append((prefix + "pos", self.pos.size, 0))
+        entries, out = self.proj.profile(flat, _join(path, "proj"))
+        entries.append((_join(path, "pos"), self.pos.size, 0))
         return entries, out
 
 
@@ -422,16 +396,6 @@ class VitBlock(Module):
     def forward(self, tokens):
         tokens = T.add(tokens, self.attn(self.norm1(tokens)))
         return T.add(tokens, self.mlp(self.norm2(tokens)))
-
-    def profile(self, in_shape, prefix=""):
-        entries, s = self.norm1.profile(in_shape, prefix + "norm1.")
-        e, s = self.attn.profile(s, prefix + "attn.")
-        entries += e
-        e, s = self.norm2.profile(s, prefix + "norm2.")
-        entries += e
-        e, s = self.mlp.profile(s, prefix + "mlp.")
-        entries += e
-        return entries, in_shape
 
 
 class VitUpsample(Module):
@@ -453,8 +417,8 @@ class VitUpsample(Module):
         x = T.reshape(x, (b * n, p * p, c))
         return T.window_reverse(x, p, b, c, self.tokens_h * p, self.tokens_w * p)
 
-    def profile(self, in_shape, prefix=""):
-        entries, _ = self.expand.profile(in_shape, prefix + "expand.")
+    def profile(self, in_shape, path=""):
+        entries, _ = self.expand.profile(in_shape, _join(path, "expand"))
         b = in_shape[0]
         out = (b, self.out_channels, self.tokens_h * self.patch, self.tokens_w * self.patch)
         return entries, out
@@ -481,11 +445,9 @@ class MNetMerge(Module):
         x = T.relu(self.conv1(x))
         return T.relu(self.conv2(x))
 
-    def profile(self, in_shape, prefix=""):
+    def profile(self, in_shape, path=""):
         b, two, t, c, h, w = in_shape
-        entries, s = self.conv1.profile((b, 2 * c, t, h, w), prefix + "conv1.")
-        e, s = self.conv2.profile(s, prefix + "conv2.")
-        return entries + e, s
+        return super().profile((b, 2 * c, t, h, w), path)
 
 
 class TemporalDownsample(Module):
@@ -512,13 +474,8 @@ class TemporalDownsample(Module):
         b, c, t, h, w = x.shape
         return T.reshape(x, (b, c, h, w)), skips
 
-    def profile(self, in_shape, prefix=""):
-        entries = []
-        s = in_shape
-        for i, conv in enumerate(self.convs):
-            e, s = conv.profile(s, f"{prefix}stage{i}.")
-            entries += e
-        b, c, t, h, w = s
+    def profile(self, in_shape, path=""):
+        entries, (b, c, t, h, w) = super().profile(in_shape, path)
         return entries, (b, c, h, w)
 
 
@@ -558,13 +515,13 @@ class TemporalUpsample(Module):
                 x = T.relu(x)
         return x
 
-    def profile(self, in_shape, prefix=""):
+    def profile(self, in_shape, path=""):
         b, c, h, w = in_shape
         entries = []
         s = (b, c, 1, h, w)
         for i, conv in enumerate(self.convs):
             s = (s[0], s[1], s[2] * 2, s[3], s[4])
-            e, s = conv.profile(s, f"{prefix}stage{i}.")
+            e, s = conv.profile(s, _join(path, f"convs.{i}"))
             entries += e
         return entries, s
 

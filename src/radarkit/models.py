@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .layers import (
     VitBlock,
     VitUpsample,
     ConvBlock2d,
+    _join,
     space_to_depth3d,
 )
 
@@ -134,14 +135,17 @@ def config_from_text(text: str) -> ModelConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in known:
             raise DataFormatError(f"model config line {lineno}: unknown key {key!r}")
-        if key in _CFG_INT_TUPLES:
-            kwargs[key] = tuple(int(x) for x in value.split(",") if x)
-        elif key == "variant":
-            kwargs[key] = value
-        elif key == "mlp_ratio":
-            kwargs[key] = float(value)
-        else:
-            kwargs[key] = int(value)
+        try:
+            if key in _CFG_INT_TUPLES:
+                kwargs[key] = tuple(int(x) for x in value.split(",") if x)
+            elif key == "variant":
+                kwargs[key] = value
+            elif key == "mlp_ratio":
+                kwargs[key] = float(value)
+            else:
+                kwargs[key] = int(value)
+        except ValueError:
+            raise DataFormatError(f"model config line {lineno}: invalid {key} {value!r}") from None
     return ModelConfig(**kwargs)
 
 
@@ -149,9 +153,28 @@ def config_from_text(text: str) -> ModelConfig:
 # trunks
 
 
-class CnnTrunk(Module):
+_BLOCKS = {
+    "cnn2d": lambda cfg, width, seeds, dtype: ConvBlock2d(width, cfg.stage_kernel, seeds, dtype),
+    "radarformer": lambda cfg, width, seeds, dtype: MaxVitBlock(
+        width,
+        cfg.heads,
+        cfg.mlp_hidden(width),
+        cfg.window_size,
+        cfg.grid_size,
+        cfg.stage_kernel,
+        seeds,
+        dtype,
+    ),
+}
+
+
+class StackedTrunk(Module):
+    """The variant's blocks at full resolution, stage by stage; a 1x1
+    convolution changes the width between stages."""
+
     def __init__(self, cfg: ModelConfig, seeds, dtype):
         super().__init__()
+        make_block = _BLOCKS[cfg.variant]
         self.blocks = []
         prev = cfg.stage_widths[0]
         for width, depth in zip(cfg.stage_widths, cfg.stage_depths):
@@ -159,55 +182,12 @@ class CnnTrunk(Module):
                 self.blocks.append(Conv2d(prev, width, 1, seeds, dtype))
                 prev = width
             for _ in range(depth):
-                self.blocks.append(ConvBlock2d(width, cfg.stage_kernel, seeds, dtype))
+                self.blocks.append(make_block(cfg, width, seeds, dtype))
 
     def forward(self, x):
         for block in self.blocks:
             x = block(x)
         return x
-
-    def profile(self, in_shape, prefix=""):
-        entries, s = [], in_shape
-        for i, block in enumerate(self.blocks):
-            e, s = block.profile(s, f"{prefix}block{i}.")
-            entries += e
-        return entries, s
-
-
-class MaxVitTrunk(Module):
-    def __init__(self, cfg: ModelConfig, seeds, dtype):
-        super().__init__()
-        self.blocks = []
-        prev = cfg.stage_widths[0]
-        for width, depth in zip(cfg.stage_widths, cfg.stage_depths):
-            if width != prev:
-                self.blocks.append(Conv2d(prev, width, 1, seeds, dtype))
-                prev = width
-            for _ in range(depth):
-                self.blocks.append(
-                    MaxVitBlock(
-                        width,
-                        cfg.heads,
-                        cfg.mlp_hidden(width),
-                        cfg.window_size,
-                        cfg.grid_size,
-                        cfg.stage_kernel,
-                        seeds,
-                        dtype,
-                    )
-                )
-
-    def forward(self, x):
-        for block in self.blocks:
-            x = block(x)
-        return x
-
-    def profile(self, in_shape, prefix=""):
-        entries, s = [], in_shape
-        for i, block in enumerate(self.blocks):
-            e, s = block.profile(s, f"{prefix}block{i}.")
-            entries += e
-        return entries, s
 
 
 class VitTrunk(Module):
@@ -237,17 +217,8 @@ class VitTrunk(Module):
     def forward(self, x):
         return self.upsample(self.encode(x))
 
-    def profile(self, in_shape, prefix=""):
-        entries, s = self.embed.profile(in_shape, prefix + "embed.")
-        for i, block in enumerate(self.blocks):
-            e, s = block.profile(s, f"{prefix}block{i}.")
-            entries += e
-        e, s = self.upsample.profile(s, prefix + "upsample.")
-        entries += e
-        return entries, s
 
-
-_TRUNKS = {"cnn2d": CnnTrunk, "transformer2d": VitTrunk, "radarformer": MaxVitTrunk}
+_TRUNKS = {"cnn2d": StackedTrunk, "transformer2d": VitTrunk, "radarformer": StackedTrunk}
 
 
 class RadarDetector(Module):
@@ -299,28 +270,6 @@ class RadarDetector(Module):
     def forward(self, cube: T.Tensor) -> T.Tensor:
         return T.sigmoid(self.forward_logits(cube))
 
-    def profile(self, in_shape, prefix=""):
-        entries, s = self.merge.profile(in_shape, prefix + "merge.")
-        e, s2d = self.down.profile(s, prefix + "down.")
-        entries += e
-        e, s2d = self.stem1.profile(s2d, prefix + "stem1.")
-        entries += e
-        e, s2d = self.stem_bn1.profile(s2d, prefix + "stem_bn1.")
-        entries += e
-        e, s2d = self.stem2.profile(s2d, prefix + "stem2.")
-        entries += e
-        e, s2d = self.stem_bn2.profile(s2d, prefix + "stem_bn2.")
-        entries += e
-        e, s2d = self.trunk.profile(s2d, prefix + "trunk.")
-        entries += e
-        e, s2d = self.head.profile(s2d, prefix + "head.")
-        entries += e
-        e, s2d = self.head_bn.profile(s2d, prefix + "head_bn.")
-        entries += e
-        e, out = self.up.profile(s2d, prefix + "up.")
-        entries += e
-        return entries, out
-
 
 def build_model(cfg: ModelConfig, dtype=np.float64) -> RadarDetector:
     return RadarDetector(cfg, dtype)
@@ -370,24 +319,24 @@ class Hourglass3d(Module):
     def forward(self, cube):
         return T.sigmoid(self.forward_logits(cube))
 
-    def profile(self, in_shape, prefix=""):
-        entries, s = self.merge.profile(in_shape, prefix + "merge.")
-        e, s = self.enc_t.profile(s, prefix + "enc_t.")
+    def profile(self, in_shape, path=""):
+        entries, s = self.merge.profile(in_shape, _join(path, "merge"))
+        e, s = self.enc_t.profile(s, _join(path, "enc_t"))
         entries += e
         b, c, t, h, w = s
         s = (b, 4 * c, t, h // 2, w // 2)
-        e, s = self.enc_s.profile(s, prefix + "enc_s.")
+        e, s = self.enc_s.profile(s, _join(path, "enc_s"))
         entries += e
         for i, conv in enumerate(self.bottleneck):
-            e, s = conv.profile(s, f"{prefix}bottleneck{i}.")
+            e, s = conv.profile(s, _join(path, f"bottleneck.{i}"))
             entries += e
-        e, s = self.dec_s.profile(s, prefix + "dec_s.")
+        e, s = self.dec_s.profile(s, _join(path, "dec_s"))
         entries += e
         b, c, t, h, w = s
         s = (b, c, 2 * t, 2 * h, 2 * w)
-        e, s = self.dec_t.profile(s, prefix + "dec_t.")
+        e, s = self.dec_t.profile(s, _join(path, "dec_t"))
         entries += e
-        e, s = self.head.profile(s, prefix + "head.")
+        e, s = self.head.profile(s, _join(path, "head"))
         entries += e
         return entries, s
 
@@ -506,9 +455,10 @@ def load_checkpoint(path, dtype=np.float64) -> RadarDetector:
         if version != _VERSION:
             raise DataFormatError(f"{path}: unsupported checkpoint version {version}")
         (cfg_len,) = struct.unpack("<I", _read_exact(fh, 4, path, "config length"))
+        cfg_blob = _read_exact(fh, cfg_len, path, "config")
         try:
-            cfg = config_from_text(_read_exact(fh, cfg_len, path, "config").decode("utf-8"))
-        except (ConfigError, UnicodeDecodeError) as e:
+            cfg = config_from_text(cfg_blob.decode("utf-8"))
+        except (ConfigError, DataFormatError, UnicodeDecodeError) as e:
             raise DataFormatError(f"{path}: invalid embedded config: {e}") from None
         model = build_model(cfg, dtype=dtype)
         params = dict(model.named_params())

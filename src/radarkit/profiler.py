@@ -7,17 +7,25 @@ normalization, softmax, activations, bias and elementwise adds, and data
 movement cost zero.  Parameter counts: conv Cout*Cin*prod(k) (+Cout with
 bias), linear in*out (+out), norms 2*width, embeddings their extent
 product.  Counts are pure functions of (config, input shape).
+
+Per-layer rows come from each model's ``profile()``: one row per leaf
+module, named by its ``named_params()`` path, plus one row per embedding
+parameter.  Timing puts the model back as it found it: train mode and
+buffers of every module, ``requires_grad`` and ``grad`` of every
+parameter.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError
+from .layers import Module
 from .models import Hourglass3d, RadarDetector
 
 
@@ -65,9 +73,54 @@ class TimingResult:
     stride: int
 
 
-def _make_input(model, input_shape, seed=0):
-    dtype = model.dtype if hasattr(model, "dtype") else np.float32
-    return T.uniform(input_shape, seed, -1.0, 1.0, dtype=dtype)
+def _modules(model):
+    if isinstance(model, Module):
+        yield model
+        for _, child in model.children():
+            yield from _modules(child)
+
+
+@contextmanager
+def _restored(model):
+    """Put back what timing changes, also when it raises."""
+    mods = [(m, m.training, {k: v.copy() for k, v in m._buffers.items()}) for m in _modules(model)]
+    params = [
+        (p, p.requires_grad, None if p.grad is None else p.grad.copy())
+        for m, _, _ in mods
+        for p in m._params.values()
+    ]
+    try:
+        yield
+    finally:
+        for m, training, buffers in mods:
+            m.training, m._buffers = training, buffers
+        for p, requires_grad, grad in params:
+            p.requires_grad, p.grad = requires_grad, grad
+
+
+def _time(model, input_shape, warmup, runs, stride, clock, backprop, step) -> TimingResult:
+    """`warmup` then `runs` timed calls of step(x), in train mode with every
+    parameter trainable when `backprop`, else in eval mode."""
+    if runs < 3:
+        raise ConfigError(f"timing needs runs >= 3, got {runs}")
+    shape = default_input_shape(model) if input_shape is None else tuple(input_shape)
+    stride = shape[2] if stride is None else int(stride)
+    clock = time.perf_counter if clock is None else clock
+    x = T.uniform(shape, 0, -1.0, 1.0, dtype=getattr(model, "dtype", np.float32))
+    samples = []
+    with _restored(model):
+        model.set_training(backprop)
+        if backprop:
+            for p in model.params():
+                p.requires_grad = True
+        for _ in range(warmup):
+            step(x)
+        for _ in range(runs):
+            t0 = clock()
+            step(x)
+            samples.append((clock() - t0) * 1000.0)
+    mean = float(np.mean(samples))
+    return TimingResult(mean, float(np.std(samples)), mean / stride, runs, stride)
 
 
 def time_inference(model, input_shape=None, warmup: int = 1, runs: int = 3,
@@ -75,40 +128,20 @@ def time_inference(model, input_shape=None, warmup: int = 1, runs: int = 3,
     """Wall-clock forward passes after warmup; per-frame time divides by the
     test stride (new frames consumed per pass), defaulting to the full
     temporal window."""
-    if runs < 3:
-        raise ConfigError(f"timing needs runs >= 3, got {runs}")
-    shape = default_input_shape(model) if input_shape is None else tuple(input_shape)
-    stride = shape[2] if stride is None else int(stride)
-    clock = time.perf_counter if clock is None else clock
-    model.set_training(False)
-    x = _make_input(model, shape)
-    samples = []
-    with T.no_grad():
-        for _ in range(warmup):
+
+    def step(x):
+        with T.no_grad():
             model.forward(x)
-        for _ in range(runs):
-            t0 = clock()
-            model.forward(x)
-            samples.append((clock() - t0) * 1000.0)
-    mean = float(np.mean(samples))
-    return TimingResult(mean, float(np.std(samples)), mean / stride, runs, stride)
+
+    return _time(model, input_shape, warmup, runs, stride, clock, False, step)
 
 
 def time_backprop(model, input_shape=None, warmup: int = 1, runs: int = 3,
                   stride: int | None = None, clock=None) -> TimingResult:
     """Wall-clock forward+backward iterations (loss: mean BCE against a zero
     target), normalized like time_inference."""
-    if runs < 3:
-        raise ConfigError(f"timing needs runs >= 3, got {runs}")
-    shape = default_input_shape(model) if input_shape is None else tuple(input_shape)
-    stride = shape[2] if stride is None else int(stride)
-    clock = time.perf_counter if clock is None else clock
-    model.set_training(True)
-    x = _make_input(model, shape)
-    for p in model.params():
-        p.requires_grad = True
 
-    def step():
+    def step(x):
         T.reset_tape()
         logits = model.forward_logits(x)
         loss = T.bce_with_logits(logits, np.zeros(logits.shape, dtype=logits.data.dtype))
@@ -116,15 +149,7 @@ def time_backprop(model, input_shape=None, warmup: int = 1, runs: int = 3,
         for p in model.params():
             p.zero_grad()
 
-    samples = []
-    for _ in range(warmup):
-        step()
-    for _ in range(runs):
-        t0 = clock()
-        step()
-        samples.append((clock() - t0) * 1000.0)
-    mean = float(np.mean(samples))
-    return TimingResult(mean, float(np.std(samples)), mean / stride, runs, stride)
+    return _time(model, input_shape, warmup, runs, stride, clock, True, step)
 
 
 @dataclass(frozen=True)
@@ -152,10 +177,8 @@ def compare_report(models: dict, input_shape, with_timing: bool = False,
             bp_ms = time_backprop(model, shape, runs=runs).mean_ms
         rows.append(ReportRow(name, macs / 1e9, params / 1e6, bp_ms, infer_ms))
         if merge_row is None and hasattr(model, "merge"):
-            mshape = tuple(input_shape)
-            entries, _ = model.merge.profile(mshape)
-            mp = sum(p for _, p, _ in entries)
-            mm = sum(m for _, _, m in entries)
+            _, mp = count_params(model.merge, input_shape)
+            _, mm = count_macs(model.merge, input_shape)
             merge_row = ReportRow("m-net", mm / 1e9, mp / 1e6, None, None)
     if merge_row is not None:
         rows.insert(0, merge_row)

@@ -18,7 +18,7 @@ profiles.  Everything is a pure function of (seed, scenario, config).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -297,7 +297,11 @@ def read_manifest(directory) -> DatasetManifest:
                 raise DataFormatError(f"{path}:{lineno}: malformed sequence record")
             if parts[5] not in SCENARIOS or parts[7] not in ("train", "val"):
                 raise DataFormatError(f"{path}:{lineno}: unknown scenario or split tag")
-            entries.append(SequenceEntry(parts[1], int(parts[3]), parts[5], parts[7]))
+            try:
+                frames = int(parts[3])
+            except ValueError:
+                raise DataFormatError(f"{path}:{lineno}: frame count {parts[3]!r} is not an integer") from None
+            entries.append(SequenceEntry(parts[1], frames, parts[5], parts[7]))
     return DatasetManifest(tuple(entries))
 
 

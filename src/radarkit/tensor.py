@@ -12,10 +12,18 @@ once in reverse; nodes are recorded in creation order, which is already a
 topological order.  Two precision modes are supported: float64 (default,
 used by all gradient and oracle tests) and float32 (fast mode for
 training/profiling at scale).
+
+conv2d and conv3d check their rank and share one correlation over any
+number of spatial axes: im2col columns times the flattened kernel in one
+GEMM; the input gradient is a stride-1 correlation of the dilated output
+gradient with the flipped kernel.  When no gradient is recorded and the
+im2col buffer would exceed ``_CONV_COLS_BYTE_LIMIT``, the columns are built
+one slab of the first output axis at a time (T for 3-D, H for 2-D).
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from contextlib import contextmanager
 
@@ -325,16 +333,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # convolutions (cross-correlation convention, no kernel flip)
 
-# peak size of an im2col buffer before conv3d inference switches to slabs
+# peak size of an im2col buffer before inference switches to slabs
 _CONV_COLS_BYTE_LIMIT = 192 * 1024 * 1024
 
 
-def _pair(v):
-    return (v, v) if np.isscalar(v) else tuple(v)
-
-
-def _triple(v):
-    return (v, v, v) if np.isscalar(v) else tuple(v)
+def _per_axis(v, nd):
+    return (v,) * nd if np.isscalar(v) else tuple(v)
 
 
 def _out_extent(n, k, s, p, axis):
@@ -347,109 +351,108 @@ def _out_extent(n, k, s, p, axis):
     return span // s + 1
 
 
-def _im2col2d(xp, kh, kw, sh, sw):
-    B, C, Hp, Wp = xp.shape
-    Ho = (Hp - kh) // sh + 1
-    Wo = (Wp - kw) // sw + 1
-    s0, s1, s2, s3 = xp.strides
+def _im2col(xp, kernel, stride):
+    """Columns (B, prod(out), C*prod(kernel)) of padded xp (B,C,*spatial)."""
+    B, C = xp.shape[:2]
+    out = tuple((n - k) // s + 1 for n, k, s in zip(xp.shape[2:], kernel, stride))
+    sb, sc = xp.strides[:2]
+    sp = xp.strides[2:]
     view = np.lib.stride_tricks.as_strided(
-        xp, (B, Ho, Wo, C, kh, kw), (s0, s2 * sh, s3 * sw, s1, s2, s3)
+        xp,
+        (B,) + out + (C,) + tuple(kernel),
+        (sb,) + tuple(a * s for a, s in zip(sp, stride)) + (sc,) + sp,
     )
-    return view.reshape(B, Ho * Wo, C * kh * kw), Ho, Wo
+    return view.reshape(B, math.prod(out), C * math.prod(kernel)), out
 
 
-def _conv2d_raw(xp, w):
+def _correlate(xp, w):
     """Stride-1 unpadded correlation used by the input-gradient path."""
-    Cout, Cin, kh, kw = w.shape
-    cols, Ho, Wo = _im2col2d(xp, kh, kw, 1, 1)
+    Cout = w.shape[0]
+    cols, out = _im2col(xp, w.shape[2:], (1,) * (w.ndim - 2))
     y = cols @ w.reshape(Cout, -1).T
-    return y.transpose(0, 2, 1).reshape(xp.shape[0], Cout, Ho, Wo)
+    return y.transpose(0, 2, 1).reshape((xp.shape[0], Cout) + out)
 
 
-def _dilate2d(y, sh, sw):
-    if sh == 1 and sw == 1:
+def _dilate(y, stride):
+    if all(s == 1 for s in stride):
         return y
-    B, C, H, W = y.shape
-    out = np.zeros((B, C, (H - 1) * sh + 1, (W - 1) * sw + 1), dtype=y.dtype)
-    out[:, :, ::sh, ::sw] = y
+    B, C = y.shape[:2]
+    spatial = tuple((n - 1) * s + 1 for n, s in zip(y.shape[2:], stride))
+    out = np.zeros((B, C) + spatial, dtype=y.dtype)
+    out[(slice(None), slice(None)) + tuple(slice(None, None, s) for s in stride)] = y
     return out
+
+
+def _conv(x: Tensor, w: Tensor, bias, stride, padding, op: str) -> Tensor:
+    """Batched correlation over every axis after (B, C); `op` names the
+    caller in error messages."""
+    _same_dtype(x, w) if bias is None else _same_dtype(x, w, bias)
+    nd = x.ndim - 2
+    B, Cin = x.shape[:2]
+    Cout, Cw = w.shape[:2]
+    kernel = w.shape[2:]
+    if Cw != Cin:
+        raise ShapeError(f"{op} channel mismatch: x has {Cin}, w expects {Cw}")
+    kh, kw = kernel[-2:]
+    if kh % 2 == 0 or kw % 2 == 0:
+        what = "kernel" if nd == 2 else "spatial kernel"
+        raise ShapeError(f"{op} {what} extents must be odd, got ({kh},{kw})")
+    stride = _per_axis(stride, nd)
+    padding = _per_axis(padding, nd)
+    out_sp = tuple(
+        _out_extent(n, k, s, p, axis)
+        for axis, (n, k, s, p) in enumerate(zip(x.shape[2:], kernel, stride, padding), 2)
+    )
+    if bias is not None and bias.shape != (Cout,):
+        raise ShapeError(f"bias must have shape ({Cout},)")
+    inputs = (x, w) if bias is None else (x, w, bias)
+    bias_shape = (1, Cout) + (1,) * nd
+    xp = np.pad(x.data, ((0, 0), (0, 0)) + tuple((p, p) for p in padding))
+    wm = w.data.reshape(Cout, -1).T
+
+    need_grad = _tls().grad_enabled and any(t.requires_grad for t in inputs)
+    # slabs tile the first output axis: extent n0, stride s0, kernel extent k0
+    n0, s0, k0 = out_sp[0], stride[0], kernel[0]
+    slab = n0
+    cols_bytes = B * math.prod(out_sp) * Cin * math.prod(kernel) * x.data.dtype.itemsize
+    if not need_grad and cols_bytes > _CONV_COLS_BYTE_LIMIT:
+        slab = max(1, _CONV_COLS_BYTE_LIMIT // max(1, cols_bytes // n0))
+    out = np.empty((B, Cout) + out_sp, dtype=x.data.dtype)
+    for i0 in range(0, n0, slab):
+        i1 = min(n0, i0 + slab)
+        cols, slab_sp = _im2col(xp[:, :, i0 * s0:(i1 - 1) * s0 + k0], kernel, stride)
+        cols = np.ascontiguousarray(cols)
+        y = (cols @ wm).transpose(0, 2, 1).reshape((B, Cout) + slab_sp)
+        if bias is None:
+            out[:, :, i0:i1] = y
+        else:
+            np.add(y, bias.data.reshape(bias_shape), out=out[:, :, i0:i1])
+    spatial_axes = tuple(range(2, nd + 2))
+
+    # recorded only when a gradient is needed, and then `cols` is one slab
+    # covering the whole output
+    def grad_fn(g):
+        g2 = np.moveaxis(g, 1, -1).reshape(-1, Cout)
+        if w.requires_grad:
+            gw = g2.T @ cols.reshape(g2.shape[0], -1)
+            w.accumulate_grad(gw.reshape(w.shape))
+        if bias is not None and bias.requires_grad:
+            bias.accumulate_grad(g.sum(axis=(0,) + spatial_axes))
+        if x.requires_grad:
+            gd = np.pad(_dilate(g, stride), ((0, 0), (0, 0)) + tuple((k - 1, k - 1) for k in kernel))
+            w_rot = np.flip(w.data, axis=spatial_axes).swapaxes(0, 1)
+            gxp = _correlate(gd, np.ascontiguousarray(w_rot))
+            inner = tuple(slice(p, p + n) for p, n in zip(padding, x.shape[2:]))
+            x.accumulate_grad(gxp[(slice(None), slice(None)) + inner])
+
+    return _make(out, inputs, grad_fn)
 
 
 def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride=1, padding=0) -> Tensor:
     """Batched 2-D correlation: x (B,Cin,H,W), w (Cout,Cin,kh,kw)."""
-    _same_dtype(x, w) if bias is None else _same_dtype(x, w, bias)
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError("conv2d expects x rank 4 and w rank 4")
-    B, Cin, H, W = x.shape
-    Cout, Cw, kh, kw = w.shape
-    if Cw != Cin:
-        raise ShapeError(f"conv2d channel mismatch: x has {Cin}, w expects {Cw}")
-    if kh % 2 == 0 or kw % 2 == 0:
-        raise ShapeError(f"conv2d kernel extents must be odd, got ({kh},{kw})")
-    sh, sw = _pair(stride)
-    ph, pw = _pair(padding)
-    Ho = _out_extent(H, kh, sh, ph, 2)
-    Wo = _out_extent(W, kw, sw, pw, 3)
-
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    cols, _, _ = _im2col2d(xp, kh, kw, sh, sw)
-    cols = np.ascontiguousarray(cols)
-    y = cols @ w.data.reshape(Cout, -1).T
-    out = y.transpose(0, 2, 1).reshape(B, Cout, Ho, Wo)
-    if bias is not None:
-        if bias.shape != (Cout,):
-            raise ShapeError(f"bias must have shape ({Cout},)")
-        out = out + bias.data.reshape(1, Cout, 1, 1)
-    out = np.ascontiguousarray(out)
-
-    def grad_fn(g):
-        g2 = g.transpose(0, 2, 3, 1).reshape(B * Ho * Wo, Cout)
-        if w.requires_grad:
-            gw = g2.T @ cols.reshape(B * Ho * Wo, -1)
-            w.accumulate_grad(gw.reshape(w.shape))
-        if bias is not None and bias.requires_grad:
-            bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
-        if x.requires_grad:
-            gd = _dilate2d(g, sh, sw)
-            gd = np.pad(gd, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
-            w_rot = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            gxp = _conv2d_raw(gd, np.ascontiguousarray(w_rot))
-            x.accumulate_grad(gxp[:, :, ph:ph + H, pw:pw + W])
-
-    inputs = (x, w) if bias is None else (x, w, bias)
-    return _make(out, inputs, grad_fn)
-
-
-def _im2col3d(xp, kt, kh, kw, st, sh, sw):
-    B, C, Tp, Hp, Wp = xp.shape
-    To = (Tp - kt) // st + 1
-    Ho = (Hp - kh) // sh + 1
-    Wo = (Wp - kw) // sw + 1
-    s0, s1, s2, s3, s4 = xp.strides
-    view = np.lib.stride_tricks.as_strided(
-        xp,
-        (B, To, Ho, Wo, C, kt, kh, kw),
-        (s0, s2 * st, s3 * sh, s4 * sw, s1, s2, s3, s4),
-    )
-    return view.reshape(B, To * Ho * Wo, C * kt * kh * kw), To, Ho, Wo
-
-
-def _conv3d_raw(xp, w):
-    Cout, Cin, kt, kh, kw = w.shape
-    cols, To, Ho, Wo = _im2col3d(xp, kt, kh, kw, 1, 1, 1)
-    y = cols @ w.reshape(Cout, -1).T
-    return y.transpose(0, 2, 1).reshape(xp.shape[0], Cout, To, Ho, Wo)
-
-
-def _dilate3d(y, st, sh, sw):
-    if st == sh == sw == 1:
-        return y
-    B, C, T, H, W = y.shape
-    out = np.zeros(
-        (B, C, (T - 1) * st + 1, (H - 1) * sh + 1, (W - 1) * sw + 1), dtype=y.dtype
-    )
-    out[:, :, ::st, ::sh, ::sw] = y
-    return out
+    return _conv(x, w, bias, stride, padding, "conv2d")
 
 
 def conv3d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride=1, padding=0) -> Tensor:
@@ -458,72 +461,9 @@ def conv3d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride=1, padding=0
     Spatial kernel extents kh,kw must be odd; the temporal extent kt may be
     even so that stride-2 stages can halve an even T exactly.
     """
-    _same_dtype(x, w) if bias is None else _same_dtype(x, w, bias)
     if x.ndim != 5 or w.ndim != 5:
         raise ShapeError("conv3d expects x rank 5 and w rank 5")
-    B, Cin, T, H, W = x.shape
-    Cout, Cw, kt, kh, kw = w.shape
-    if Cw != Cin:
-        raise ShapeError(f"conv3d channel mismatch: x has {Cin}, w expects {Cw}")
-    if kh % 2 == 0 or kw % 2 == 0:
-        raise ShapeError(f"conv3d spatial kernel extents must be odd, got ({kh},{kw})")
-    st, sh, sw = _triple(stride)
-    pt, ph, pw = _triple(padding)
-    To = _out_extent(T, kt, st, pt, 2)
-    Ho = _out_extent(H, kh, sh, ph, 3)
-    Wo = _out_extent(W, kw, sw, pw, 4)
-
-    if bias is not None and bias.shape != (Cout,):
-        raise ShapeError(f"bias must have shape ({Cout},)")
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pt, pt), (ph, ph), (pw, pw)))
-    st_ = _tls()
-    need_grad = st_.grad_enabled and (
-        x.requires_grad or w.requires_grad or (bias is not None and bias.requires_grad)
-    )
-    cols_bytes = B * To * Ho * Wo * Cin * kt * kh * kw * x.data.dtype.itemsize
-    if not need_grad and cols_bytes > _CONV_COLS_BYTE_LIMIT:
-        # inference on large volumes: materialize columns one temporal slab
-        # at a time so peak memory stays bounded
-        wm = w.data.reshape(Cout, -1).T
-        out = np.empty((B, Cout, To, Ho, Wo), dtype=x.data.dtype)
-        slab = max(1, _CONV_COLS_BYTE_LIMIT // max(1, cols_bytes // To))
-        for t0 in range(0, To, slab):
-            t1 = min(To, t0 + slab)
-            xslab = xp[:, :, t0 * st:(t1 - 1) * st + kt]
-            c, to_s, _, _ = _im2col3d(xslab, kt, kh, kw, st, sh, sw)
-            y = np.ascontiguousarray(c) @ wm
-            out[:, :, t0:t1] = y.transpose(0, 2, 1).reshape(B, Cout, to_s, Ho, Wo)
-        if bias is not None:
-            out += bias.data.reshape(1, Cout, 1, 1, 1)
-        return _make(out, (x, w) if bias is None else (x, w, bias), lambda g: None)
-
-    cols, _, _, _ = _im2col3d(xp, kt, kh, kw, st, sh, sw)
-    cols = np.ascontiguousarray(cols)
-    y = cols @ w.data.reshape(Cout, -1).T
-    out = y.transpose(0, 2, 1).reshape(B, Cout, To, Ho, Wo)
-    if bias is not None:
-        out = out + bias.data.reshape(1, Cout, 1, 1, 1)
-    out = np.ascontiguousarray(out)
-
-    def grad_fn(g):
-        g2 = g.transpose(0, 2, 3, 4, 1).reshape(B * To * Ho * Wo, Cout)
-        if w.requires_grad:
-            gw = g2.T @ cols.reshape(B * To * Ho * Wo, -1)
-            w.accumulate_grad(gw.reshape(w.shape))
-        if bias is not None and bias.requires_grad:
-            bias.accumulate_grad(g.sum(axis=(0, 2, 3, 4)))
-        if x.requires_grad:
-            gd = _dilate3d(g, st, sh, sw)
-            gd = np.pad(
-                gd,
-                ((0, 0), (0, 0), (kt - 1, kt - 1), (kh - 1, kh - 1), (kw - 1, kw - 1)),
-            )
-            w_rot = w.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
-            gxp = _conv3d_raw(gd, np.ascontiguousarray(w_rot))
-            x.accumulate_grad(gxp[:, :, pt:pt + T, ph:ph + H, pw:pw + W])
-
-    inputs = (x, w) if bias is None else (x, w, bias)
-    return _make(out, inputs, grad_fn)
+    return _conv(x, w, bias, stride, padding, "conv3d")
 
 
 # ---------------------------------------------------------------------------
@@ -647,11 +587,6 @@ def tsum(x: Tensor, axis=None) -> Tensor:
 
     out = x.data.sum(axis=axis)
     return _make(np.asarray(out, dtype=x.data.dtype), (x,), grad_fn)
-
-
-def tmean(x: Tensor, axis=None) -> Tensor:
-    n = x.size if axis is None else x.shape[axis]
-    return scale(tsum(x, axis), 1.0 / n)
 
 
 def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:

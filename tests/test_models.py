@@ -1,5 +1,7 @@
 """Model builders, full-pipeline contracts, and checkpoint serialization."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,12 @@ class TestModelConfig:
     def test_text_unknown_key(self):
         with pytest.raises(DataFormatError):
             config_from_text("nonsense = 3\n")
+
+    @pytest.mark.parametrize("line", ["frames = abc", "mlp_ratio = wide", "stage_widths = 8,x"])
+    def test_text_bad_value_names_line(self, line):
+        with pytest.raises(DataFormatError) as ei:
+            config_from_text("variant = radarformer\n" + line + "\n")
+        assert "line 2" in str(ei.value)
 
 
 class TestForwardContract:
@@ -200,6 +208,15 @@ class TestCheckpoint:
         with pytest.raises(DataFormatError) as ei:
             load_checkpoint(path)
         assert "trunc.rfck" in str(ei.value)
+
+    @pytest.mark.parametrize("text", ["frames = abc\n", "nonsense = 3\n"])
+    def test_corrupt_embedded_config_names_file_and_line(self, tmp_path, text):
+        path = tmp_path / "cfg.rfck"
+        blob = text.encode("utf-8")
+        path.write_bytes(b"RFCK" + struct.pack("<HI", 1, len(blob)) + blob)
+        with pytest.raises(DataFormatError) as ei:
+            load_checkpoint(path)
+        assert "cfg.rfck" in str(ei.value) and "line 1" in str(ei.value)
 
     def test_profile_matches_param_count(self):
         model = build_model(toy_config(), dtype=np.float64)

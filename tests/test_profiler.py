@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from radarkit import tensor as T
-from radarkit.errors import ConfigError
+from radarkit.errors import ConfigError, ShapeError
 from radarkit.layers import Conv2d, Conv3d, Linear, Mlp, MultiheadSelfAttention, SeedStream
-from radarkit.models import build_model, build_reference
+from radarkit.models import REFERENCE_NAMES, build_model, build_reference
 from radarkit.profiler import (
     LayerProfile,
     compare_report,
     count_macs,
     count_params,
     format_compare_report,
+    profile_layers,
+    time_backprop,
     time_inference,
     write_compare_report_kv,
 )
@@ -146,6 +148,36 @@ class TestMacCounts:
         assert m1 == m2
 
 
+REFERENCE_COUNTS = {
+    "radarformer-ref": (6_354_419, 119_801_155_584),
+    "cnn2d-ref": (2_595_331, 49_745_494_016),
+    "transformer2d-ref": (21_880_115, 10_997_465_088),
+    "radarformer-tiny": (69_523, 94_699_520),
+    "hourglass3d-ref": (65_598_563, 4_337_027_776_512),
+}
+
+
+def walk(mod, path=""):
+    """(path, module) of every submodule, in the naming of named_params()."""
+    for name, child in mod.children():
+        child_path = f"{path}.{name}" if path else name
+        yield child_path, child
+        yield from walk(child, child_path)
+
+
+@pytest.mark.parametrize("name", REFERENCE_NAMES)
+class TestReferenceProfiles:
+    def test_counts_at_default_shape(self, name):
+        model = build_reference(name, dtype=np.float32)
+        assert (count_params(model)[1], count_macs(model)[1]) == REFERENCE_COUNTS[name]
+
+    def test_entries_named_by_module_path(self, name):
+        model = build_reference(name, dtype=np.float32)
+        names = [layer.name for layer in profile_layers(model)]
+        assert len(names) == len(set(names))
+        assert set(names) <= {p for p, _ in walk(model)} | {n for n, _ in model.named_params()}
+
+
 class TestTiming:
     class _MockModel:
         """Advances an injected fake clock by a fixed amount per forward."""
@@ -187,6 +219,63 @@ class TestTiming:
     def test_too_few_runs_rejected(self):
         with pytest.raises(ConfigError):
             time_inference(self._MockModel(0.1), (1, 2, 4, 2, 8, 8), runs=2)
+
+
+def model_state(model):
+    """Everything timing may change, in a comparable form."""
+    mods = [("", model)] + list(walk(model))
+    return (
+        [(p, m.training, {k: v.tobytes() for k, v in m._buffers.items()}) for p, m in mods],
+        [
+            (n, p.requires_grad, None if p.grad is None else p.grad.tobytes(), p.data.tobytes())
+            for n, p in model.named_params()
+        ],
+    )
+
+
+def used_tiny(training):
+    """radarformer-tiny with a frozen parameter, a pending gradient and
+    non-initial BatchNorm statistics."""
+    model = build_reference("radarformer-tiny", dtype=np.float32)
+    model.set_training(training)
+    model.stem1.w.requires_grad = False
+    model.head.w.grad = np.full_like(model.head.w.data, 0.5)
+    bn = model.stem_bn1
+    bn._buffers["running_mean"] = np.full_like(bn._buffers["running_mean"], 0.25)
+    return model
+
+
+class TestTimingRestoresModel:
+    SHAPE = (1, 2, 8, 4, 16, 16)
+
+    def test_time_backprop(self):
+        model = used_tiny(training=False)
+        before = model_state(model)
+        res = time_backprop(model, self.SHAPE, warmup=1, runs=3)
+        assert res.mean_ms > 0.0 and res.std_ms >= 0.0
+        assert (res.runs, res.stride) == (3, 8)
+        assert res.per_frame_ms == pytest.approx(res.mean_ms / 8)
+        assert model_state(model) == before
+
+    def test_time_inference_keeps_training_mode(self):
+        model = used_tiny(training=True)
+        before = model_state(model)
+        time_inference(model, self.SHAPE, warmup=0, runs=3)
+        assert model_state(model) == before
+
+    def test_restored_when_timing_raises(self):
+        model = used_tiny(training=False)
+        before = model_state(model)
+        with pytest.raises(ShapeError):
+            time_backprop(model, (1, 2, 8, 3, 16, 16))   # wrong chirp count
+        assert model_state(model) == before
+
+    def test_compare_report_with_timing(self):
+        models = {"eval": used_tiny(training=False), "train": used_tiny(training=True)}
+        before = {name: model_state(m) for name, m in models.items()}
+        rows = compare_report(models, (1, 2, 8, 4, 32, 32), with_timing=True, timing_shape=self.SHAPE)
+        assert all(r.bp_ms > 0 and r.infer_ms > 0 for r in rows[1:])
+        assert {name: model_state(m) for name, m in models.items()} == before
 
 
 class TestCompareReport:

@@ -209,6 +209,14 @@ class TestDatasetIO:
         with pytest.raises(DataFormatError):
             read_manifest(tmp_path)
 
+    def test_manifest_non_numeric_frame_count(self, tmp_path):
+        (tmp_path / "manifest.txt").write_text(
+            "ramc-dataset v1\nsequence 000_seq frames many scenario PL split train\n"
+        )
+        with pytest.raises(DataFormatError) as ei:
+            read_manifest(tmp_path)
+        assert "manifest.txt:2" in str(ei.value)
+
     def test_generate_dataset_deterministic_bytes(self, tmp_path):
         cfg = SMALL
         d1, d2 = tmp_path / "a", tmp_path / "b"

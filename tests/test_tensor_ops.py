@@ -143,6 +143,79 @@ class TestConv3d:
         assert np.max(np.abs(got - want)) < 1e-10
 
 
+class TestConvSlabs:
+    """Without a gradient to record, im2col buffers above the byte limit are
+    built one slab of the first output axis (T for 3-D, H for 2-D) at a time.
+
+    A slab's GEMM has fewer rows than the one-buffer GEMM, and OpenBLAS may
+    round some rows differently for a different row count.  The slabbed
+    output is bitwise equal to the one-buffer output at the radarformer-ref
+    shapes and at the 8x8 case below, but not at every shape: at 5x5 a few
+    elements differ in the last bit.  There the loop oracle is the arbiter.
+    """
+
+    CASES = {
+        "conv3d": ((1, 2, 8, 8, 8), (3, 2, 2, 3, 3), (2, 1, 1), (0, 1, 1), conv3d_loops),
+        "conv3d-5x5": ((1, 2, 8, 5, 5), (3, 2, 2, 3, 3), (2, 1, 1), (0, 1, 1), conv3d_loops),
+        "conv2d": ((2, 3, 9, 7), (4, 3, 3, 3), (2, 2), (1, 1), conv2d_loops),
+    }
+
+    def _run(self, case, dtype, requires_grad=False):
+        xs, ws, stride, padding, oracle = self.CASES[case]
+        r = rng(30)
+        x, w, b = (
+            T.from_array(r.standard_normal(shape), requires_grad, dtype)
+            for shape in (xs, ws, ws[:1])
+        )
+        conv = T.conv3d if len(xs) == 5 else T.conv2d
+        out = conv(x, w, b, stride=stride, padding=padding)
+        want = oracle(x.data.astype(np.float64), w.data.astype(np.float64),
+                      b.data.astype(np.float64), stride, padding)
+        return out, want
+
+    @staticmethod
+    def _force_slabs(monkeypatch):
+        """Lower the limit below one output row; return the im2col call log."""
+        calls = []
+        real = T._im2col
+
+        def counting(*args):
+            calls.append(args[0].shape)
+            return real(*args)
+
+        monkeypatch.setattr(T, "_im2col", counting)
+        monkeypatch.setattr(T, "_CONV_COLS_BYTE_LIMIT", 256)
+        return calls
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", ["conv3d", "conv2d"])
+    def test_slabs_bitwise_equal_to_one_buffer(self, case, dtype, monkeypatch):
+        with T.no_grad():
+            whole, _ = self._run(case, dtype)
+            calls = self._force_slabs(monkeypatch)
+            slabbed, _ = self._run(case, dtype)
+        assert len(calls) == whole.shape[2] > 1
+        assert slabbed.dtype == whole.dtype
+        assert slabbed.data.tobytes() == whole.data.tobytes()
+
+    # f32: eps 1.2e-7 on sums of up to 36 products of magnitude ~1-10
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-4), (np.float64, 1e-10)])
+    @pytest.mark.parametrize("case", ["conv3d", "conv3d-5x5", "conv2d"])
+    def test_slabs_match_loop_oracle(self, case, dtype, tol, monkeypatch):
+        calls = self._force_slabs(monkeypatch)
+        with T.no_grad():
+            out, want = self._run(case, dtype)
+        assert len(calls) == out.shape[2] > 1
+        assert np.max(np.abs(out.data - want)) < tol
+
+    @pytest.mark.parametrize("case", ["conv3d", "conv2d"])
+    def test_grad_enabled_never_slabs(self, case, monkeypatch):
+        calls = self._force_slabs(monkeypatch)
+        out, want = self._run(case, np.float64, requires_grad=True)
+        assert len(calls) == 1 and out.requires_grad
+        assert np.max(np.abs(out.data - want)) < 1e-10
+
+
 class TestSoftmax:
     def test_uniform_logits(self):
         out = T.softmax(T.from_array(np.array([1.0, 1.0, 1.0, 1.0])), axis=0).data
