@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataFormatError
+from .fileio import read_records
 
 CLASS_NAMES = ("pedestrian", "cyclist", "car")
 RANGE_RESOLUTION_M = 0.23
@@ -166,20 +167,7 @@ def write_annotations(path, annotations) -> None:
 
 
 def read_annotations(path) -> list[Annotation]:
-    out = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise DataFormatError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
-            try:
-                out.append(Annotation(*(int(p) for p in parts)))
-            except ValueError:
-                raise DataFormatError(f"{path}:{lineno}: non-integer field") from None
-    return out
+    return [Annotation(*v) for _, v in read_records(path, (int, int, int, int))]
 
 
 def write_detections(path, detections) -> None:
@@ -191,25 +179,5 @@ def write_detections(path, detections) -> None:
 
 
 def read_detections(path) -> list[Detection]:
-    out = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 5:
-                raise DataFormatError(f"{path}:{lineno}: expected 5 fields, got {len(parts)}")
-            try:
-                out.append(
-                    Detection(
-                        frame_id=int(parts[0]),
-                        class_id=int(parts[1]),
-                        range_bin=int(parts[2]),
-                        azimuth_bin=int(parts[3]),
-                        confidence=float(parts[4]),
-                    )
-                )
-            except ValueError:
-                raise DataFormatError(f"{path}:{lineno}: malformed field") from None
-    return out
+    records = read_records(path, (int, int, int, int, float))
+    return [Detection(v[1], v[2], v[3], v[4], frame_id=v[0]) for _, v in records]

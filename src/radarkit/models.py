@@ -22,6 +22,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, DataFormatError, ShapeError
+from .fileio import BinaryReader
 from .layers import (
     BatchNorm2d,
     Conv2d,
@@ -70,8 +71,8 @@ class ModelConfig:
             raise ConfigError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
         if not (20.0 <= self.mlp_ratio <= 150.0):
             raise ConfigError(f"mlp_ratio must lie in [20, 150], got {self.mlp_ratio}")
-        if any(k % 2 == 0 or k < 1 for k in self.stem_kernels) or self.head_kernel % 2 == 0:
-            raise ConfigError("stem/head kernels must be odd and positive")
+        if any(k % 2 == 0 or k < 1 for k in (*self.stem_kernels, self.head_kernel, self.stage_kernel)):
+            raise ConfigError("stem/head/stage kernels must be odd and positive")
         if list(self.stem_kernels) != sorted(self.stem_kernels):
             raise ConfigError(f"stem kernels must be non-decreasing, got {self.stem_kernels}")
         if len(self.stem_kernels) != 2:
@@ -83,13 +84,14 @@ class ModelConfig:
             raise ConfigError("stage_widths and stage_depths must be non-empty and equal length")
         if self.stage_widths[0] != self.stage_widths[-1]:
             raise ConfigError("first and last stage widths must match for the trunk residual")
+        if min(self.height, self.width, self.chirps, self.merge_channels, self.num_classes, self.heads,
+               self.patch_size, self.window_size, self.grid_size, *self.stage_widths) < 1:
+            raise ConfigError("extents, heads, patch/window/grid sizes and stage widths must be >= 1")
+        if self.init_seed < 0:
+            raise ConfigError(f"init_seed must be >= 0, got {self.init_seed}")
         for w in self.stage_widths:
             if w % self.heads != 0:
                 raise ConfigError(f"stage width {w} not divisible by {self.heads} heads")
-        if self.window_size <= 0 or self.grid_size <= 0:
-            raise ConfigError("window/grid sizes must be positive")
-        if min(self.height, self.width, self.chirps, self.merge_channels, self.num_classes) < 1:
-            raise ConfigError("extent fields must be >= 1")
         if self.variant == "transformer2d":
             if self.height % self.patch_size or self.width % self.patch_size:
                 raise ConfigError(
@@ -416,76 +418,60 @@ REFERENCE_NAMES = (
 # checkpoint serialization
 
 _MAGIC = b"RFCK"
-_VERSION = 1
+_VERSION = 2
+
+
+def _named_buffers(module, prefix=""):
+    for name, buf in module._buffers.items():
+        yield prefix + name, buf
+    for cname, child in module.children():
+        yield from _named_buffers(child, f"{prefix}{cname}.")
 
 
 def save_checkpoint(model: RadarDetector, path) -> None:
-    """Write magic, version, the serialized config, then one named f32 blob
-    per parameter (name u16-length-prefixed, rank u8, extents u32, data LE)."""
+    """Write magic "RFCK", version u16 (2), the serialized config (u32
+    length, UTF-8 text), then one named f32 blob per parameter and, after
+    them, one per module buffer such as ``stem_bn1.running_mean``.  A blob
+    is its name (u16 length, UTF-8), rank u8, rank u32 extents and the
+    little-endian f32 data.  Version 1 files have no buffer blobs."""
     cfg_blob = config_to_text(model.cfg).encode("utf-8")
+    blobs = [(name, p.data) for name, p in model.named_params()] + list(_named_buffers(model))
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<H", _VERSION))
         fh.write(struct.pack("<I", len(cfg_blob)))
         fh.write(cfg_blob)
-        for name, param in model.named_params():
+        for name, data in blobs:
             nb = name.encode("utf-8")
             fh.write(struct.pack("<H", len(nb)))
             fh.write(nb)
-            fh.write(struct.pack("<B", param.ndim))
-            fh.write(struct.pack(f"<{param.ndim}I", *param.shape))
-            fh.write(np.ascontiguousarray(param.data, dtype="<f4").tobytes())
-
-
-def _read_exact(fh, n, path, what):
-    data = fh.read(n)
-    if len(data) != n:
-        raise DataFormatError(
-            f"{path}: truncated while reading {what} at offset {fh.tell() - len(data)}"
-        )
-    return data
+            fh.write(struct.pack("<B", data.ndim))
+            fh.write(struct.pack(f"<{data.ndim}I", *data.shape))
+            fh.write(np.ascontiguousarray(data, dtype="<f4").tobytes())
 
 
 def load_checkpoint(path, dtype=np.float64) -> RadarDetector:
-    with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, path, "magic")
-        if magic != _MAGIC:
-            raise DataFormatError(f"{path}: bad magic {magic!r} at offset 0")
-        (version,) = struct.unpack("<H", _read_exact(fh, 2, path, "version"))
-        if version != _VERSION:
-            raise DataFormatError(f"{path}: unsupported checkpoint version {version}")
-        (cfg_len,) = struct.unpack("<I", _read_exact(fh, 4, path, "config length"))
-        cfg_blob = _read_exact(fh, cfg_len, path, "config")
-        try:
-            cfg = config_from_text(cfg_blob.decode("utf-8"))
-        except (ConfigError, DataFormatError, UnicodeDecodeError) as e:
-            raise DataFormatError(f"{path}: invalid embedded config: {e}") from None
-        model = build_model(cfg, dtype=dtype)
-        params = dict(model.named_params())
-        seen = set()
-        while True:
-            head = fh.read(2)
-            if not head:
-                break
-            if len(head) != 2:
-                raise DataFormatError(f"{path}: truncated blob header at offset {fh.tell() - len(head)}")
-            (name_len,) = struct.unpack("<H", head)
-            name = _read_exact(fh, name_len, path, "blob name").decode("utf-8")
-            (rank,) = struct.unpack("<B", _read_exact(fh, 1, path, "blob rank"))
-            extents = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, path, "blob extents"))
-            count = int(np.prod(extents, dtype=np.int64)) if rank else 1
-            raw = _read_exact(fh, 4 * count, path, f"blob data for {name!r}")
-            if name not in params:
-                raise DataFormatError(f"{path}: unknown weight blob {name!r}")
-            param = params[name]
-            if tuple(extents) != tuple(param.shape):
-                raise DataFormatError(
-                    f"{path}: blob {name!r} extents {extents} != model shape {param.shape}"
-                )
-            arr = np.frombuffer(raw, dtype="<f4").reshape(extents)
-            param.data = np.ascontiguousarray(arr, dtype=model.dtype)
-            seen.add(name)
-        missing = set(params) - seen
-        if missing:
-            raise DataFormatError(f"{path}: checkpoint missing weights {sorted(missing)[:3]}...")
+    """Read a version 1 or 2 checkpoint; version 1 leaves the buffers at their initial values."""
+    r = BinaryReader(path, _MAGIC, (1, _VERSION))
+    cfg_text = r.text("<I", "config")
+    try:
+        model = build_model(config_from_text(cfg_text), dtype=dtype)
+    except (ConfigError, DataFormatError) as e:
+        raise DataFormatError(f"{path}: invalid embedded config: {e}") from None
+    targets = {name: p.data for name, p in model.named_params()}
+    if r.version >= 2:
+        targets.update(_named_buffers(model))
+    while r.left():
+        name = r.text("<H", "blob name")
+        (rank,) = r.unpack("<B", f"blob {name!r} rank")
+        extents = r.unpack(f"<{rank}I", f"blob {name!r} extents")
+        arr = r.array(extents, f"blob {name!r} data")
+        target = targets.pop(name, None)
+        if target is None:
+            r.fail(f"unknown or repeated blob {name!r}")
+        if extents != target.shape:
+            r.fail(f"blob {name!r} extents {extents} != model shape {target.shape}")
+        target[...] = arr
+    if targets:
+        r.fail(f"checkpoint missing blobs {sorted(targets)[:3]}...")
     return model

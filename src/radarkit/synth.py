@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .confmap import Annotation
-from .errors import ConfigError, DataFormatError
+from .confmap import Annotation, read_annotations, write_annotations
+from .errors import ConfigError, DataFormatError, UsageError
+from .fileio import BinaryReader, read_records
 
 SCENARIOS = ("PL", "CR", "CS", "HW")
 
@@ -188,7 +190,8 @@ def render_ramap(scene: Scene, cfg: SynthConfig = SynthConfig(), dtype=np.float3
 # on-disk dataset format
 #
 # directory layout: manifest.txt + <name>.ramc + <name>.ann
-# .ramc: magic "RAMC", version u16, five u32 extents (2,T,C,H,W), f32 LE data
+# .ramc: magic "RAMC", version u16, five u32 extents (2,T,C,H,W), then
+# exactly 2*T*C*H*W little-endian f32 values, with nothing after them
 
 _RAMC_MAGIC = b"RAMC"
 _RAMC_VERSION = 1
@@ -227,40 +230,18 @@ def write_sequence(path, cube: np.ndarray) -> None:
 
 
 def read_sequence(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _RAMC_MAGIC:
-            raise DataFormatError(f"{path}: bad magic {magic!r} at offset 0")
-        raw = fh.read(2)
-        if len(raw) != 2:
-            raise DataFormatError(f"{path}: truncated version field at offset 4")
-        (version,) = struct.unpack("<H", raw)
-        if version != _RAMC_VERSION:
-            raise DataFormatError(f"{path}: unsupported version {version}")
-        raw = fh.read(20)
-        if len(raw) != 20:
-            raise DataFormatError(f"{path}: truncated extents at offset 6")
-        shape = struct.unpack("<5I", raw)
-        if shape[0] != 2 or any(s < 1 for s in shape):
-            raise DataFormatError(f"{path}: invalid extents {shape}")
-        count = int(np.prod(shape, dtype=np.int64))
-        payload = fh.read(4 * count)
-        if len(payload) != 4 * count:
-            raise DataFormatError(
-                f"{path}: truncated payload at offset {26 + len(payload)} "
-                f"(expected {4 * count} bytes)"
-            )
-        if fh.read(1):
-            raise DataFormatError(f"{path}: trailing bytes after payload")
-    return np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
+    r = BinaryReader(path, _RAMC_MAGIC, (_RAMC_VERSION,))
+    shape = r.unpack("<5I", "extents")
+    if shape[0] != 2 or min(shape) < 1:
+        r.fail(f"invalid extents {shape} at offset 6")
+    cube = r.array(shape, "payload").copy()
+    if r.left():
+        r.fail(f"{r.left()} trailing bytes at offset {r.pos}")
+    return cube
 
 
 def write_dataset(directory, sequences) -> DatasetManifest:
     """sequences: iterable of (name, cube, annotations, scenario, split)."""
-    from pathlib import Path
-
-    from .confmap import write_annotations
-
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -277,31 +258,15 @@ def write_dataset(directory, sequences) -> DatasetManifest:
 
 
 def read_manifest(directory) -> DatasetManifest:
-    from pathlib import Path
-
     path = Path(directory) / _MANIFEST_NAME
     if not path.exists():
         raise DataFormatError(f"{path}: manifest not found")
     entries = []
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != _MANIFEST_HEADER:
-            raise DataFormatError(f"{path}:1: bad header {header!r}")
-        for lineno, line in enumerate(fh, 2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 8 or parts[0] != "sequence" or parts[2] != "frames" \
-                    or parts[4] != "scenario" or parts[6] != "split":
-                raise DataFormatError(f"{path}:{lineno}: malformed sequence record")
-            if parts[5] not in SCENARIOS or parts[7] not in ("train", "val"):
-                raise DataFormatError(f"{path}:{lineno}: unknown scenario or split tag")
-            try:
-                frames = int(parts[3])
-            except ValueError:
-                raise DataFormatError(f"{path}:{lineno}: frame count {parts[3]!r} is not an integer") from None
-            entries.append(SequenceEntry(parts[1], frames, parts[5], parts[7]))
+    for lineno, v in read_records(path, (str, str, str, int, str, str, str, str), _MANIFEST_HEADER):
+        if v[0::2] != ["sequence", "frames", "scenario", "split"] or v[5] not in SCENARIOS \
+                or v[7] not in ("train", "val"):
+            raise DataFormatError(f"{path}:{lineno}: malformed sequence record")
+        entries.append(SequenceEntry(v[1], v[3], v[5], v[7]))
     return DatasetManifest(tuple(entries))
 
 
@@ -309,8 +274,6 @@ class Dataset:
     """Manifest plus per-sequence loading; verifies files exist and parse."""
 
     def __init__(self, directory):
-        from pathlib import Path
-
         self.directory = Path(directory)
         self.manifest = read_manifest(directory)
         for e in self.manifest.entries:
@@ -320,11 +283,11 @@ class Dataset:
                     raise DataFormatError(f"{p}: referenced by manifest but missing")
 
     def load(self, name: str):
-        from .confmap import read_annotations
-
+        entry = next((e for e in self.manifest.entries if e.name == name), None)
+        if entry is None:
+            raise UsageError(f"sequence {name!r} is not in the manifest of {self.directory}")
         cube = read_sequence(self.directory / f"{name}.ramc")
         annotations = read_annotations(self.directory / f"{name}.ann")
-        entry = next(e for e in self.manifest.entries if e.name == name)
         if cube.shape[1] != entry.frames:
             raise DataFormatError(
                 f"{self.directory / (name + '.ramc')}: frame count {cube.shape[1]} "

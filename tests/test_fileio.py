@@ -1,0 +1,182 @@
+"""Every file format fails only with a DataFormatError naming the file.
+
+Property tests truncate each format at a drawn offset, or overwrite a
+drawn byte with a drawn value, and require the reader to either parse the
+result or raise a ``DataFormatError`` whose message names the file.  The
+explicit cases below are corruptions that once escaped as MemoryError,
+OverflowError, ValueError, UnicodeDecodeError or ZeroDivisionError.
+"""
+
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from radarkit.confmap import (
+    Annotation,
+    Detection,
+    read_annotations,
+    read_detections,
+    write_annotations,
+    write_detections,
+)
+from radarkit.errors import DataFormatError
+from radarkit.models import ModelConfig, build_model, config_to_text, load_checkpoint, save_checkpoint
+from radarkit.synth import read_manifest, read_sequence, write_dataset, write_sequence
+
+TOY = ModelConfig(
+    variant="radarformer", frames=4, chirps=2, height=16, width=16, merge_channels=4,
+    stem_kernels=(3, 3), head_kernel=3, stage_widths=(8,), stage_depths=(1,),
+    window_size=4, grid_size=4, heads=2, patch_size=4,
+)
+CUBE = np.arange(2 * 2 * 2 * 4 * 4, dtype=np.float32).reshape(2, 2, 2, 4, 4) / 7.0
+ANNS = [Annotation(0, 1, 10, 20), Annotation(1, 2, 3, 4)]
+DETS = [Detection(1, 10, 20, 0.5, frame_id=0), Detection(2, 3, 4, 0.25, frame_id=1)]
+
+
+def _ramc(directory):
+    write_sequence(directory / "f.ramc", CUBE)
+    return directory / "f.ramc"
+
+
+def _rfck(directory):
+    save_checkpoint(build_model(TOY), directory / "f.rfck")
+    return directory / "f.rfck"
+
+
+def _manifest(directory):
+    write_dataset(directory, [("000_seq", CUBE, ANNS, "PL", "train"), ("001_seq", CUBE, [], "HW", "val")])
+    return directory / "manifest.txt"
+
+
+def _ann(directory):
+    write_annotations(directory / "f.ann", ANNS)
+    return directory / "f.ann"
+
+
+def _det(directory):
+    write_detections(directory / "f.det", DETS)
+    return directory / "f.det"
+
+
+# name -> (writes a good file into a directory and returns its path, reads that path, is binary)
+FORMATS = {
+    "ramc": (_ramc, read_sequence, True),
+    "rfck": (_rfck, load_checkpoint, True),
+    "manifest": (_manifest, lambda path: read_manifest(path.parent), False),
+    "ann": (_ann, read_annotations, False),
+    "det": (_det, read_detections, False),
+}
+
+
+@pytest.fixture(scope="module")
+def good_files(tmp_path_factory):
+    out = {}
+    for name, (write, read, _) in FORMATS.items():
+        path = write(tmp_path_factory.mktemp(name))
+        read(path)
+        out[name] = (path, path.read_bytes())
+    return out
+
+
+def _parses_or_names_file(name, path, data):
+    path.write_bytes(data)
+    try:
+        FORMATS[name][1](path)
+    except DataFormatError as e:
+        assert path.name in str(e)
+        return False
+    return True
+
+
+@pytest.mark.parametrize("name", sorted(FORMATS))
+@settings(max_examples=40, deadline=None)
+@given(frac=st.floats(0.0, 1.0, exclude_max=True))
+def test_truncation(good_files, name, frac):
+    path, good = good_files[name]
+    try:
+        parsed = _parses_or_names_file(name, path, good[: int(frac * len(good))])
+    finally:
+        path.write_bytes(good)
+    assert not (parsed and FORMATS[name][2]), "a truncated binary file parsed"
+
+
+@pytest.mark.parametrize("name", sorted(FORMATS))
+@settings(max_examples=40, deadline=None)
+@given(frac=st.floats(0.0, 1.0, exclude_max=True), value=st.integers(0, 255))
+def test_overwritten_byte(good_files, name, frac, value):
+    path, good = good_files[name]
+    data = bytearray(good)
+    data[int(frac * len(good))] = value
+    try:
+        _parses_or_names_file(name, path, bytes(data))
+    finally:
+        path.write_bytes(good)
+
+
+def _checkpoint_v1(blobs=b"", text=config_to_text(TOY)):
+    blob = text.encode("utf-8")
+    return b"RFCK" + struct.pack("<HI", 1, len(blob)) + blob + blobs
+
+
+def _blob_head(name: bytes, extents):
+    return struct.pack("<H", len(name)) + name + struct.pack(f"<B{len(extents)}I", len(extents), *extents)
+
+
+def _raises_naming(path, read, *words):
+    with pytest.raises(DataFormatError) as ei:
+        read(path)
+    for word in (path.name,) + words:
+        assert word in str(ei.value)
+
+
+class TestRegressions:
+    def test_ramc_huge_extents(self, tmp_path):
+        path = tmp_path / "huge.ramc"
+        path.write_bytes(b"RAMC" + struct.pack("<H5I", 1, 2, 4096, 4096, 4096, 1) + bytes(64))
+        _raises_naming(path, read_sequence, "offset 26", "64 left")
+
+    def test_checkpoint_huge_blob_extents(self, tmp_path):
+        path = tmp_path / "huge.rfck"
+        path.write_bytes(_checkpoint_v1(_blob_head(b"merge.conv1.w", (4096, 4096, 4096)) + bytes(16)))
+        _raises_naming(path, load_checkpoint, "merge.conv1.w", "16 left")
+
+    def test_checkpoint_rank_40(self, tmp_path):
+        path = tmp_path / "rank.rfck"
+        save_checkpoint(build_model(TOY), path)
+        data = bytearray(path.read_bytes())
+        (cfg_len,) = struct.unpack_from("<I", data, 6)
+        (name_len,) = struct.unpack_from("<H", data, 10 + cfg_len)
+        data[12 + cfg_len + name_len] = 40
+        path.write_bytes(bytes(data))
+        _raises_naming(path, load_checkpoint, "offset")
+
+    def test_checkpoint_non_utf8_blob_name(self, tmp_path):
+        path = tmp_path / "name.rfck"
+        path.write_bytes(_checkpoint_v1(_blob_head(b"\xff\xfe", (1,)) + bytes(4)))
+        _raises_naming(path, load_checkpoint, "UTF-8", "offset")
+
+    @pytest.mark.parametrize("name", ["ann", "det", "manifest"])
+    def test_non_ascii_byte_names_line(self, tmp_path, name):
+        path = FORMATS[name][0](tmp_path)
+        lines = path.read_bytes().split(b"\n")
+        lines[1] = lines[1][:2] + b"\xe9" + lines[1][2:]
+        path.write_bytes(b"\n".join(lines))
+        _raises_naming(path, FORMATS[name][1], f"{path.name}:2")
+
+    @pytest.mark.parametrize("edits", [
+        {"heads = 2": "heads = 0"},
+        {"variant = radarformer": "variant = transformer2d", "patch_size = 4": "patch_size = 0"},
+        {"stage_widths = 8": "stage_widths = 0"},
+        {"stage_kernel = 3": "stage_kernel = -3"},
+        {"init_seed = 0": "init_seed = -1"},
+    ])
+    def test_invalid_embedded_config(self, tmp_path, edits):
+        text = config_to_text(TOY)
+        for old, new in edits.items():
+            assert old in text
+            text = text.replace(old, new)
+        path = tmp_path / "cfg.rfck"
+        path.write_bytes(_checkpoint_v1(text=text))
+        _raises_naming(path, load_checkpoint, "invalid embedded config")

@@ -17,6 +17,7 @@ from radarkit.models import (
     load_checkpoint,
     reference_config,
     save_checkpoint,
+    _named_buffers,
 )
 
 
@@ -62,6 +63,11 @@ class TestModelConfig:
         dict(stage_widths=(8, 4), stage_depths=(1, 1)),  # residual width mismatch
         dict(window_size=0),
         dict(variant="transformer2d", patch_size=5),
+        dict(heads=0),
+        dict(variant="transformer2d", patch_size=0),
+        dict(stage_widths=(0,)),
+        dict(stage_kernel=4),
+        dict(init_seed=-1),
     ])
     def test_invalid_configs_rejected(self, bad):
         with pytest.raises(ConfigError):
@@ -217,6 +223,54 @@ class TestCheckpoint:
         with pytest.raises(DataFormatError) as ei:
             load_checkpoint(path)
         assert "cfg.rfck" in str(ei.value) and "line 1" in str(ei.value)
+
+    @staticmethod
+    def _trained_tiny(tmp_path):
+        """radarformer-tiny after one training-mode forward, saved; its BN
+        statistics are no longer at their initial values."""
+        model = build_reference("radarformer-tiny", dtype=np.float32)
+        cube = T.uniform((1, 2, 8, 4, 32, 32), 5, dtype=np.float32)
+        model.forward(cube)
+        model.set_training(False)
+        path = tmp_path / "tiny.rfck"
+        save_checkpoint(model, path)
+        return model, cube, path
+
+    def test_reload_keeps_batchnorm_statistics(self, tmp_path):
+        model, cube, path = self._trained_tiny(tmp_path)
+        loaded = load_checkpoint(path, dtype=np.float32)
+        loaded.set_training(False)
+        with T.no_grad():
+            diff = np.abs(model.forward(cube).data - loaded.forward(cube).data).max()
+        assert diff <= 1e-6
+        assert loaded.stem_bn1._buffers["running_mean"].dtype == np.float64
+        save_checkpoint(loaded, tmp_path / "again.rfck")
+        assert (tmp_path / "again.rfck").read_bytes() == path.read_bytes()
+
+    @staticmethod
+    def _blob_bytes(name, buf):
+        """Bytes of one blob: name length, name, rank, extents, data."""
+        return 2 + len(name) + 1 + 4 * buf.ndim + 4 * buf.size
+
+    def test_version_1_file_loads_with_initial_statistics(self, tmp_path):
+        model, _, path = self._trained_tiny(tmp_path)
+        buffer_bytes = sum(self._blob_bytes(name, buf) for name, buf in _named_buffers(model))
+        data = bytearray(path.read_bytes()[:-buffer_bytes])
+        data[4:6] = struct.pack("<H", 1)
+        path.write_bytes(bytes(data))
+        loaded = load_checkpoint(path, dtype=np.float32)
+        for (name, p), (_, q) in zip(model.named_params(), loaded.named_params()):
+            assert np.array_equal(p.data, q.data), name
+        assert np.array_equal(loaded.head_bn._buffers["running_mean"], np.zeros((1, 8, 1, 1)))
+        assert np.array_equal(loaded.head_bn._buffers["running_var"], np.ones((1, 8, 1, 1)))
+
+    def test_missing_buffer_blob(self, tmp_path):
+        model, _, path = self._trained_tiny(tmp_path)
+        name, buf = list(_named_buffers(model))[-1]
+        path.write_bytes(path.read_bytes()[: -self._blob_bytes(name, buf)])
+        with pytest.raises(DataFormatError) as ei:
+            load_checkpoint(path)
+        assert "tiny.rfck" in str(ei.value) and name in str(ei.value)
 
     def test_profile_matches_param_count(self):
         model = build_model(toy_config(), dtype=np.float64)

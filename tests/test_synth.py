@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from radarkit.errors import ConfigError, DataFormatError
+from radarkit.errors import ConfigError, DataFormatError, UsageError
 from radarkit.synth import (
     CHIRP_INDICES,
     CHIRPS_PER_FRAME,
@@ -216,6 +216,15 @@ class TestDatasetIO:
         with pytest.raises(DataFormatError) as ei:
             read_manifest(tmp_path)
         assert "manifest.txt:2" in str(ei.value)
+
+    def test_load_name_not_in_manifest(self, tmp_path):
+        cube = np.zeros((2, 1, 4, 4, 4), dtype=np.float32)
+        write_dataset(tmp_path, [("000_seq", cube, [], "PL", "train")])
+        write_sequence(tmp_path / "stray.ramc", cube)
+        (tmp_path / "stray.ann").write_text("")
+        with pytest.raises(UsageError) as ei:
+            Dataset(tmp_path).load("stray")
+        assert "'stray'" in str(ei.value) and str(tmp_path) in str(ei.value)
 
     def test_generate_dataset_deterministic_bytes(self, tmp_path):
         cfg = SMALL
