@@ -156,9 +156,7 @@ class Linear(Module):
         if len(lead) > 1:
             # one 2-D GEMM instead of a loop of small batched ones
             x = T.reshape(x, (int(np.prod(lead)), self.nin))
-        out = T.matmul(x, self.w)
-        if self.b is not None:
-            out = T.add_bcast(out, self.b)
+        out = T.matmul(x, self.w, bias=self.b)
         if len(lead) > 1:
             out = T.reshape(out, lead + (self.nout,))
         return out

@@ -450,27 +450,56 @@ def save_checkpoint(model: RadarDetector, path) -> None:
             fh.write(np.ascontiguousarray(data, dtype="<f4").tobytes())
 
 
+def _min_param_count(cfg: ModelConfig) -> int:
+    """A lower bound on the parameter count, from the config alone, that
+    grows with every field that sizes a weight: the first merge
+    convolution, stem2, the head and, in each trunk block, a width x width
+    weight, its k x k convolution and its position embeddings."""
+    w0, ch, k = cfg.stage_widths[0], cfg.merge_channels, cfg.stage_kernel
+    least = 18 * cfg.chirps * ch + w0 * w0 * cfg.stem_kernels[1] ** 2 + ch * w0 * cfg.head_kernel ** 2
+    if cfg.variant == "transformer2d":
+        dim, p = cfg.effective_vit_dim(), cfg.patch_size
+        tokens = (cfg.height // p) * (cfg.width // p)
+        return least + (p * p * w0 + tokens + sum(cfg.stage_depths) * dim) * dim
+    if cfg.variant == "cnn2d":
+        per_width = lambda w: w * w * k * k
+    else:
+        per_width = lambda w: w * w + w * k * k + w * (cfg.window_size ** 2 + cfg.grid_size ** 2)
+    return least + sum(d * per_width(w) for w, d in zip(cfg.stage_widths, cfg.stage_depths))
+
+
 def load_checkpoint(path, dtype=np.float64) -> RadarDetector:
-    """Read a version 1 or 2 checkpoint; version 1 leaves the buffers at their initial values."""
+    """Read a version 1 or 2 checkpoint; version 1 leaves the buffers at their initial values.
+
+    Every blob is read before the model is built, and the config must not
+    declare more parameters than the blobs hold."""
     r = BinaryReader(path, _MAGIC, (1, _VERSION))
     cfg_text = r.text("<I", "config")
+    blobs = {}
+    while r.left():
+        name = r.text("<H", "blob name")
+        (rank,) = r.unpack("<B", f"blob {name!r} rank")
+        extents = r.unpack(f"<{rank}I", f"blob {name!r} extents")
+        if name in blobs:
+            r.fail(f"repeated blob {name!r}")
+        blobs[name] = r.array(extents, f"blob {name!r} data")
     try:
-        model = build_model(config_from_text(cfg_text), dtype=dtype)
+        cfg = config_from_text(cfg_text)
+        least, held = _min_param_count(cfg), sum(arr.size for arr in blobs.values())
+        if least > held:
+            raise DataFormatError(f"declares at least {least} parameters, the blobs hold {held} values")
+        model = build_model(cfg, dtype=dtype)
     except (ConfigError, DataFormatError) as e:
         raise DataFormatError(f"{path}: invalid embedded config: {e}") from None
     targets = {name: p.data for name, p in model.named_params()}
     if r.version >= 2:
         targets.update(_named_buffers(model))
-    while r.left():
-        name = r.text("<H", "blob name")
-        (rank,) = r.unpack("<B", f"blob {name!r} rank")
-        extents = r.unpack(f"<{rank}I", f"blob {name!r} extents")
-        arr = r.array(extents, f"blob {name!r} data")
+    for name, arr in blobs.items():
         target = targets.pop(name, None)
         if target is None:
-            r.fail(f"unknown or repeated blob {name!r}")
-        if extents != target.shape:
-            r.fail(f"blob {name!r} extents {extents} != model shape {target.shape}")
+            r.fail(f"unknown blob {name!r}")
+        if arr.shape != target.shape:
+            r.fail(f"blob {name!r} extents {arr.shape} != model shape {target.shape}")
         target[...] = arr
     if targets:
         r.fail(f"checkpoint missing blobs {sorted(targets)[:3]}...")

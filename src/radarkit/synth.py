@@ -262,10 +262,18 @@ def read_manifest(directory) -> DatasetManifest:
     if not path.exists():
         raise DataFormatError(f"{path}: manifest not found")
     entries = []
+    first_line = {}
     for lineno, v in read_records(path, (str, str, str, int, str, str, str, str), _MANIFEST_HEADER):
         if v[0::2] != ["sequence", "frames", "scenario", "split"] or v[5] not in SCENARIOS \
                 or v[7] not in ("train", "val"):
             raise DataFormatError(f"{path}:{lineno}: malformed sequence record")
+        if v[3] < 0:
+            raise DataFormatError(f"{path}:{lineno}: negative frame count {v[3]}")
+        if v[1] in first_line:
+            raise DataFormatError(
+                f"{path}:{lineno}: sequence {v[1]!r} repeats line {first_line[v[1]]}"
+            )
+        first_line[v[1]] = lineno
         entries.append(SequenceEntry(v[1], v[3], v[5], v[7]))
     return DatasetManifest(tuple(entries))
 

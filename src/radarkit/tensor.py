@@ -16,15 +16,32 @@ training/profiling at scale).
 conv2d and conv3d check their rank and share one correlation over any
 number of spatial axes: im2col columns times the flattened kernel in one
 GEMM; the input gradient is a stride-1 correlation of the dilated output
-gradient with the flipped kernel.  When no gradient is recorded and the
-im2col buffer would exceed ``_CONV_COLS_BYTE_LIMIT``, the columns are built
-one slab of the first output axis at a time (T for 3-D, H for 2-D).
+gradient with the flipped kernel.  The columns are laid out
+(B, C*prod(kernel), N) and built one kernel tap at a time, so every copy
+runs along the contiguous output axis; a 1x1 stride-1 kernel uses the
+padded input itself, with no copy.  The GEMM multiplies the transposed
+view, (B, N, C*prod(kernel)) @ (C*prod(kernel), Cout), or a contiguous copy
+of it where BLAS would round the view differently (``_cols_matmul``), so
+the output has the bits of row-major columns.  When no gradient is
+recorded and the im2col buffer would exceed ``_CONV_COLS_BYTE_LIMIT``, the
+columns are built one slab of the first output axis at a time (T for 3-D,
+H for 2-D).
+
+``matmul`` takes an optional bias over the last output axis and adds it in
+place to the fresh product, the same IEEE add as a separate ``add_bcast``.
+``gelu`` splits arrays of more than ``_GELU_SPLIT_MIN`` elements into one
+chunk per CPU the process may use and runs the chunks on a thread pool
+created on first use; scipy's ``erf`` releases the GIL.  Each element gets
+the same operations in the same order either way, so the split changes no
+bit.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -209,7 +226,8 @@ def _same_dtype(*ts):
 def _make(out_data, inputs, grad_fn) -> Tensor:
     st = _tls()
     if st.debug_checks and not np.all(np.isfinite(out_data)):
-        raise UsageError("non-finite values produced by forward op")
+        op = grad_fn.__qualname__.split(".", 1)[0]
+        raise UsageError(f"{op} produced non-finite values")
     req = st.grad_enabled and any(t.requires_grad for t in inputs)
     out = Tensor.__new__(Tensor)
     out.data = out_data
@@ -308,16 +326,27 @@ def affine_const(x: Tensor, a: np.ndarray, b: np.ndarray) -> Tensor:
 # matmul
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    _same_dtype(a, b)
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Batched ``a @ b`` with numpy broadcasting of the leading axes.
+
+    A `bias` of shape ``(b.shape[-1],)`` is added in place to the product,
+    which is the same IEEE add as ``add_bcast(matmul(a, b), bias)`` without
+    a second output array; its gradient is summed over every other axis.
+    """
+    inputs = (a, b) if bias is None else (a, b, bias)
+    _same_dtype(*inputs)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError("matmul operands must have rank >= 2")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"inner extents differ: {a.shape} @ {b.shape}")
+    if bias is not None and bias.shape != (b.shape[-1],):
+        raise ShapeError(f"bias must have shape ({b.shape[-1]},), got {bias.shape}")
     try:
         out = a.data @ b.data
     except ValueError as e:
         raise ShapeError(str(e)) from None
+    if bias is not None:
+        out += bias.data
 
     def grad_fn(g):
         if a.requires_grad:
@@ -326,8 +355,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             gb = np.swapaxes(a.data, -1, -2) @ g
             b.accumulate_grad(_unbroadcast(gb, b.shape))
+        if bias is not None and bias.requires_grad:
+            bias.accumulate_grad(_unbroadcast(g, bias.shape))
 
-    return _make(out, (a, b), grad_fn)
+    return _make(out, inputs, grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -352,24 +383,44 @@ def _out_extent(n, k, s, p, axis):
 
 
 def _im2col(xp, kernel, stride):
-    """Columns (B, prod(out), C*prod(kernel)) of padded xp (B,C,*spatial)."""
+    """C-contiguous columns (B, C*prod(kernel), prod(out)) of padded xp
+    (B,C,*spatial); row c*prod(kernel) + tap holds that channel's tap."""
     B, C = xp.shape[:2]
     out = tuple((n - k) // s + 1 for n, k, s in zip(xp.shape[2:], kernel, stride))
-    sb, sc = xp.strides[:2]
-    sp = xp.strides[2:]
-    view = np.lib.stride_tricks.as_strided(
-        xp,
-        (B,) + out + (C,) + tuple(kernel),
-        (sb,) + tuple(a * s for a, s in zip(sp, stride)) + (sc,) + sp,
-    )
-    return view.reshape(B, math.prod(out), C * math.prod(kernel)), out
+    if all(k == 1 for k in kernel) and all(s == 1 for s in stride):
+        return xp.reshape(B, C, math.prod(out)), out
+    cols = np.empty((B, C) + tuple(kernel) + out, dtype=xp.dtype)
+    for tap in np.ndindex(*kernel):
+        src = tuple(slice(t, t + (n - 1) * s + 1, s) for t, n, s in zip(tap, out, stride))
+        cols[(slice(None), slice(None)) + tap] = xp[(slice(None), slice(None)) + src]
+    return cols.reshape(B, C * math.prod(kernel), math.prod(out)), out
+
+
+# below this many multiply-adds per product, and for one output column,
+# OpenBLAS leaves its packed GEMM for small-matrix or GEMV kernels
+_VIEW_GEMM_MIN_MACS = 1 << 21
+
+
+def _cols_matmul(cols, wm):
+    """Columns (B, C*prod(kernel), N) times wm (C*prod(kernel), Cout),
+    as (B, N, Cout).
+
+    Large products multiply the transposed view of `cols`, which BLAS packs
+    like a contiguous operand and rounds the same way.  Small and
+    one-column products multiply a contiguous copy, because OpenBLAS's
+    small-matrix and GEMV kernels round a transposed operand differently.
+    """
+    a = cols.swapaxes(1, 2)
+    if wm.shape[1] == 1 or math.prod(a.shape[1:]) * wm.shape[1] < _VIEW_GEMM_MIN_MACS:
+        a = np.ascontiguousarray(a)
+    return a @ wm
 
 
 def _correlate(xp, w):
     """Stride-1 unpadded correlation used by the input-gradient path."""
     Cout = w.shape[0]
     cols, out = _im2col(xp, w.shape[2:], (1,) * (w.ndim - 2))
-    y = cols @ w.reshape(Cout, -1).T
+    y = _cols_matmul(cols, w.reshape(Cout, -1).T)
     return y.transpose(0, 2, 1).reshape((xp.shape[0], Cout) + out)
 
 
@@ -421,8 +472,7 @@ def _conv(x: Tensor, w: Tensor, bias, stride, padding, op: str) -> Tensor:
     for i0 in range(0, n0, slab):
         i1 = min(n0, i0 + slab)
         cols, slab_sp = _im2col(xp[:, :, i0 * s0:(i1 - 1) * s0 + k0], kernel, stride)
-        cols = np.ascontiguousarray(cols)
-        y = (cols @ wm).transpose(0, 2, 1).reshape((B, Cout) + slab_sp)
+        y = _cols_matmul(cols, wm).transpose(0, 2, 1).reshape((B, Cout) + slab_sp)
         if bias is None:
             out[:, :, i0:i1] = y
         else:
@@ -434,7 +484,8 @@ def _conv(x: Tensor, w: Tensor, bias, stride, padding, op: str) -> Tensor:
     def grad_fn(g):
         g2 = np.moveaxis(g, 1, -1).reshape(-1, Cout)
         if w.requires_grad:
-            gw = g2.T @ cols.reshape(g2.shape[0], -1)
+            # a contiguous copy: BLAS rounds the transposed view differently
+            gw = g2.T @ np.ascontiguousarray(cols.swapaxes(1, 2)).reshape(g2.shape[0], -1)
             w.accumulate_grad(gw.reshape(w.shape))
         if bias is not None and bias.requires_grad:
             bias.accumulate_grad(g.sum(axis=(0,) + spatial_axes))
@@ -530,14 +581,44 @@ def relu(x: Tensor) -> Tensor:
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
+# arrays with more elements than this are split across CPUs by gelu
+_GELU_SPLIT_MIN = 1 << 20
+_cpu_pool = None
+_cpu_pool_lock = threading.Lock()
+
+
+def _gelu_into(x, phi_cdf, out):
+    """Fill phi_cdf with 0.5*(1+erf(x/sqrt(2))) and out with x*phi_cdf."""
+    np.multiply(x, x.dtype.type(1.0 / _SQRT2), out=phi_cdf)
+    erf(phi_cdf, out=phi_cdf)
+    phi_cdf += 1.0
+    phi_cdf *= 0.5
+    np.multiply(x, phi_cdf, out=out)
+
+
+def _split_across_cpus(fn, *arrays):
+    """Run fn on matching flat chunks of `arrays`, one chunk per CPU."""
+    global _cpu_pool
+    n = len(os.sched_getaffinity(0))
+    if n == 1:
+        fn(*arrays)
+        return
+    with _cpu_pool_lock:
+        if _cpu_pool is None:
+            _cpu_pool = ThreadPoolExecutor(n, thread_name_prefix="radarkit")
+    chunks = [np.array_split(a.reshape(-1), n) for a in arrays]
+    for future in [_cpu_pool.submit(fn, *parts) for parts in zip(*chunks)]:
+        future.result()
+
 
 def gelu(x: Tensor) -> Tensor:
     """Exact erf form: 0.5*x*(1+erf(x/sqrt(2)))."""
-    dt = x.data.dtype
-    phi_cdf = erf(x.data * dt.type(1.0 / _SQRT2))
-    phi_cdf += 1.0
-    phi_cdf *= 0.5
-    out = (x.data * phi_cdf).astype(dt, copy=False)
+    phi_cdf = np.empty(x.shape, dtype=x.data.dtype)
+    out = np.empty_like(phi_cdf)
+    if x.size > _GELU_SPLIT_MIN:
+        _split_across_cpus(_gelu_into, x.data, phi_cdf, out)
+    else:
+        _gelu_into(x.data, phi_cdf, out)
 
     def grad_fn(g):
         if x.requires_grad:

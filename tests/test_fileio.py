@@ -21,6 +21,7 @@ from radarkit.confmap import (
     write_annotations,
     write_detections,
 )
+from radarkit import models
 from radarkit.errors import DataFormatError
 from radarkit.models import ModelConfig, build_model, config_to_text, load_checkpoint, save_checkpoint
 from radarkit.synth import read_manifest, read_sequence, write_dataset, write_sequence
@@ -156,6 +157,21 @@ class TestRegressions:
         path = tmp_path / "name.rfck"
         path.write_bytes(_checkpoint_v1(_blob_head(b"\xff\xfe", (1,)) + bytes(4)))
         _raises_naming(path, load_checkpoint, "UTF-8", "offset")
+
+    # a (100000, 100000, 3, 3) weight is 671 GiB; the model must not be built
+    @pytest.mark.parametrize("old, new", [
+        ("stage_widths = 8", "stage_widths = 100000"),
+        ("chirps = 2", "chirps = 1000000000"),
+        ("window_size = 4", "window_size = 1000000"),
+        ("stage_kernel = 3", "stage_kernel = 100001"),
+    ])
+    def test_checkpoint_config_declares_more_params_than_file(self, tmp_path, monkeypatch, old, new):
+        text = config_to_text(TOY)
+        assert old in text
+        path = tmp_path / "wide.rfck"
+        path.write_bytes(_checkpoint_v1(text=text.replace(old, new)))
+        monkeypatch.setattr(models, "build_model", lambda *a, **k: pytest.fail("model was built"))
+        _raises_naming(path, load_checkpoint, "at least", "hold 0 values")
 
     @pytest.mark.parametrize("name", ["ann", "det", "manifest"])
     def test_non_ascii_byte_names_line(self, tmp_path, name):

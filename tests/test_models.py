@@ -17,6 +17,7 @@ from radarkit.models import (
     load_checkpoint,
     reference_config,
     save_checkpoint,
+    _min_param_count,
     _named_buffers,
 )
 
@@ -271,6 +272,17 @@ class TestCheckpoint:
         with pytest.raises(DataFormatError) as ei:
             load_checkpoint(path)
         assert "tiny.rfck" in str(ei.value) and name in str(ei.value)
+
+    @pytest.mark.parametrize("cfg", [
+        toy_config(),
+        toy_config("cnn2d", stage_widths=(8, 12, 8), stage_depths=(1, 2, 0)),
+        toy_config("transformer2d", vit_dim=6),
+        toy_config(stage_kernel=7, window_size=9, grid_size=5, chirps=6),
+        *(reference_config(name) for name in
+          ("radarformer-ref", "cnn2d-ref", "transformer2d-ref", "radarformer-tiny")),
+    ], ids=lambda cfg: cfg.variant)
+    def test_min_param_count_is_a_lower_bound(self, cfg):
+        assert 0 < _min_param_count(cfg) <= build_model(cfg, dtype=np.float32).param_count()
 
     def test_profile_matches_param_count(self):
         model = build_model(toy_config(), dtype=np.float64)

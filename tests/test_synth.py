@@ -217,6 +217,17 @@ class TestDatasetIO:
             read_manifest(tmp_path)
         assert "manifest.txt:2" in str(ei.value)
 
+    @pytest.mark.parametrize("second, message", [
+        ("sequence b frames -2 scenario PL split val", "manifest.txt:3: negative frame count -2"),
+        ("sequence a frames 2 scenario CR split val", "manifest.txt:3: sequence 'a' repeats line 2"),
+    ])
+    def test_manifest_record_rejected(self, tmp_path, second, message):
+        (tmp_path / "manifest.txt").write_text(
+            f"ramc-dataset v1\nsequence a frames 2 scenario PL split train\n{second}\n"
+        )
+        with pytest.raises(DataFormatError, match=message):
+            read_manifest(tmp_path)
+
     def test_load_name_not_in_manifest(self, tmp_path):
         cube = np.zeros((2, 1, 4, 4, 4), dtype=np.float32)
         write_dataset(tmp_path, [("000_seq", cube, [], "PL", "train")])

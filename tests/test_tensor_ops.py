@@ -1,11 +1,16 @@
 """Forward-op contracts for the tensor engine, checked against loop oracles."""
 
+import math
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import erf
 
 from radarkit import tensor as T
-from radarkit.errors import ConfigError, ShapeError
+from radarkit.errors import ConfigError, ShapeError, UsageError
+from radarkit.models import build_reference
 
 from oracles import conv2d_loops, conv3d_loops, matmul_loops
 
@@ -214,6 +219,224 @@ class TestConvSlabs:
         out, want = self._run(case, np.float64, requires_grad=True)
         assert len(calls) == 1 and out.requires_grad
         assert np.max(np.abs(out.data - want)) < 1e-10
+
+
+def _as_accumulated(g):
+    """What ``Tensor.accumulate_grad`` stores for a first gradient g."""
+    return np.zeros_like(g) + g
+
+
+def _grads_for(out, seed):
+    """Back-propagate sum(out * G) for a seeded G of out's shape."""
+    G = T.from_array(rng(seed).standard_normal(out.shape), dtype=out.dtype)
+    T.backward(T.tsum(T.mul(out, G)))
+    return G.data
+
+
+def _row_major_cols(xp, kernel, stride):
+    """im2col in the (B, N, C*prod(kernel)) layout, one as_strided copy."""
+    B, C = xp.shape[:2]
+    out = tuple((n - k) // s + 1 for n, k, s in zip(xp.shape[2:], kernel, stride))
+    sp = xp.strides[2:]
+    view = np.lib.stride_tricks.as_strided(
+        xp,
+        (B,) + out + (C,) + tuple(kernel),
+        xp.strides[:1] + tuple(a * s for a, s in zip(sp, stride)) + xp.strides[1:2] + sp,
+    )
+    return np.ascontiguousarray(view.reshape(B, math.prod(out), C * math.prod(kernel))), out
+
+
+def _row_major_conv(x, w, b, stride, padding, g):
+    """Output and x/w/b gradients of a correlation built on row-major
+    columns, for output gradient g; the reference for the tap-major layout."""
+    nd = x.ndim - 2
+    B, Cout, kernel = x.shape[0], w.shape[0], w.shape[2:]
+    stride, padding = ((v,) * nd if np.isscalar(v) else v for v in (stride, padding))
+    spatial = tuple(range(2, nd + 2))
+
+    def correlate(xp, wk, st):
+        cols, out = _row_major_cols(xp, wk.shape[2:], st)
+        y = cols @ wk.reshape(wk.shape[0], -1).T
+        return y.transpose(0, 2, 1).reshape((xp.shape[0], wk.shape[0]) + out), cols
+
+    xp = np.pad(x, ((0, 0), (0, 0)) + tuple((p, p) for p in padding))
+    y, cols = correlate(xp, w, stride)
+    y = y + b.reshape((1, Cout) + (1,) * nd)
+    g2 = np.moveaxis(g, 1, -1).reshape(-1, Cout)
+    gw = (g2.T @ cols.reshape(g2.shape[0], -1)).reshape(w.shape)
+    gd = np.zeros((B, Cout) + tuple((n - 1) * s + 1 for n, s in zip(g.shape[2:], stride)), g.dtype)
+    gd[(slice(None), slice(None)) + tuple(slice(None, None, s) for s in stride)] = g
+    gd = np.pad(gd, ((0, 0), (0, 0)) + tuple((k - 1, k - 1) for k in kernel))
+    w_rot = np.ascontiguousarray(np.flip(w, axis=spatial).swapaxes(0, 1))
+    gxp, _ = correlate(gd, w_rot, (1,) * nd)
+    gx = gxp[(slice(None), slice(None)) + tuple(slice(p, p + n) for p, n in zip(padding, x.shape[2:]))]
+    return y, gx, gw, g.sum(axis=(0,) + spatial)
+
+
+class TestConvColumns:
+    """Tap-major columns give the bits of row-major columns: the output and
+    the x/w/b gradients are bitwise equal to ``_row_major_conv``.  The
+    "large" cases reach ``_VIEW_GEMM_MIN_MACS`` per forward product, so the
+    forward GEMM multiplies the transposed view, except in the one-output-
+    channel case; the small cases multiply a contiguous copy."""
+
+    CASES = {
+        "1x1": ((2, 6, 8, 8), (5, 6, 1, 1), 1, 0),
+        "1x1-large": ((1, 64, 40, 40), (64, 64, 1, 1), 1, 0),
+        "1x1-strided": ((1, 5, 9, 9), (4, 5, 1, 1), 2, 0),
+        "strided-padded": ((1, 4, 9, 9), (5, 4, 3, 5), 2, (1, 2)),
+        "padded-large": ((1, 16, 32, 32), (16, 16, 3, 3), 1, 1),
+        "one-column-large": ((1, 64, 64, 64), (1, 64, 3, 3), 1, 1),
+        "3d-strided": ((1, 2, 8, 8, 8), (3, 2, 2, 3, 3), (2, 1, 1), (0, 1, 1)),
+        "3d-large": ((1, 8, 6, 32, 32), (8, 8, 3, 3, 3), 1, (0, 1, 1)),
+    }
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_bitwise_equal_to_row_major_columns(self, case, dtype):
+        xs, ws, stride, padding = self.CASES[case]
+        r = rng(40)
+        x, w, b = (T.from_array(r.standard_normal(s), True, dtype) for s in (xs, ws, ws[:1]))
+        conv = T.conv3d if len(xs) == 5 else T.conv2d
+        T.reset_tape()
+        y = conv(x, w, b, stride=stride, padding=padding)
+        macs = math.prod(y.shape[2:]) * math.prod(ws[1:]) * ws[0]
+        assert (macs >= T._VIEW_GEMM_MIN_MACS) == ("large" in case)
+        g = _grads_for(y, 41)
+        want = _row_major_conv(x.data, w.data, b.data, stride, padding, g)
+        for got, ref in zip((y.data, x.grad, w.grad, b.grad), want):
+            ref = ref if got is y.data else _as_accumulated(ref)
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+        with T.no_grad():
+            assert conv(x, w, b, stride=stride, padding=padding).data.tobytes() == y.data.tobytes()
+
+    def test_unit_kernel_columns_are_the_padded_input(self):
+        xp = rng(42).standard_normal((2, 3, 5, 4))
+        cols, out = T._im2col(xp, (1, 1), (1, 1))
+        assert out == (5, 4) and cols.shape == (2, 3, 20)
+        assert np.shares_memory(cols, xp)
+
+    def test_columns_are_tap_major(self):
+        xp = rng(43).standard_normal((1, 2, 4, 5))
+        cols, out = T._im2col(xp, (3, 3), (1, 1))
+        assert out == (2, 3) and cols.shape == (1, 18, 6) and cols.flags.c_contiguous
+        # row c*9 + 3*i + j holds channel c shifted by tap (i, j)
+        assert np.array_equal(cols[0, 9 + 3 * 2 + 1], xp[0, 1, 2:4, 1:4].reshape(-1))
+
+
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """Start the test with no GELU pool; shut down any it creates."""
+    monkeypatch.setattr(T, "_cpu_pool", None)
+    yield
+    if T._cpu_pool is not None:
+        T._cpu_pool.shutdown()
+
+
+def _gelu_reference(x, g):
+    """The exact erf GELU and its input gradient for output gradient g."""
+    dt = x.dtype
+    phi = erf(x * dt.type(1.0 / np.sqrt(2.0)))
+    phi += 1.0
+    phi *= 0.5
+    pdf = (1.0 / np.sqrt(2.0 * np.pi)) * np.exp(-0.5 * x * x)
+    return (x * phi).astype(dt, copy=False), _as_accumulated(g * (phi + x * pdf)).astype(dt)
+
+
+class TestGeluSplit:
+    """Above ``_GELU_SPLIT_MIN`` elements gelu runs one chunk per CPU on a
+    thread pool; forward and gradient bits do not depend on the split."""
+
+    def _run(self, n, dtype):
+        x = T.from_array(rng(n).standard_normal(n) * 3.0, True, dtype)
+        T.reset_tape()
+        y = T.gelu(x)
+        g = _grads_for(y, 44)
+        want_y, want_gx = _gelu_reference(x.data, g)
+        assert y.data.tobytes() == want_y.tobytes()
+        assert x.grad.dtype == want_gx.dtype and x.grad.tobytes() == want_gx.tobytes()
+        return y.data, x.grad
+
+    # 3 chunks do not divide 2**20 + 1 elements
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_split_matches_reference(self, extra, dtype, cpus, monkeypatch, fresh_pool):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        self._run(T._GELU_SPLIT_MIN + extra, dtype)
+        assert (T._cpu_pool is not None) == (extra > 0 and cpus > 1)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_split_equals_inline(self, dtype, monkeypatch, fresh_pool):
+        n = 3001
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(7)))
+        inline = self._run(n, dtype)
+        assert T._cpu_pool is None
+        monkeypatch.setattr(T, "_GELU_SPLIT_MIN", 1000)
+        split = self._run(n, dtype)
+        assert T._cpu_pool is not None
+        for a, b in zip(inline, split):
+            assert a.tobytes() == b.tobytes()
+
+    def test_tiny_forward_creates_no_pool(self, fresh_pool):
+        model = build_reference("radarformer-tiny", dtype=np.float32)
+        model.set_training(False)
+        with T.no_grad():
+            model(T.uniform((1, 2, 8, 4, 32, 32), 3, dtype=np.float32))
+        assert T._cpu_pool is None
+
+
+class TestMatmulBias:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((5, 4), (4, 3)),
+        ((2, 5, 4), (4, 3)),
+        ((2, 5, 4), (2, 4, 3)),
+    ])
+    def test_equals_matmul_then_add_bcast(self, a_shape, b_shape, dtype):
+        def run(fused):
+            r = rng(45)
+            a, b, bias = (T.from_array(r.standard_normal(s), True, dtype)
+                          for s in (a_shape, b_shape, b_shape[-1:]))
+            T.reset_tape()
+            y = T.matmul(a, b, bias=bias) if fused else T.add_bcast(T.matmul(a, b), bias)
+            _grads_for(y, 46)
+            return y.data, a.grad, b.grad, bias.grad
+
+        for got, want in zip(run(True), run(False)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_bias_shape_and_dtype_checked(self):
+        a, b = T.zeros((2, 4)), T.zeros((4, 3))
+        with pytest.raises(ShapeError):
+            T.matmul(a, b, bias=T.zeros((4,)))
+        with pytest.raises(ShapeError):
+            T.matmul(a, b, bias=T.zeros((1, 3)))
+        with pytest.raises(ShapeError):
+            T.matmul(a, b, bias=T.zeros((3,), dtype=np.float32))
+
+
+class TestDebugChecks:
+    @pytest.fixture(autouse=True)
+    def checks_on(self):
+        T.set_debug_checks(True)
+        yield
+        T.set_debug_checks(False)
+
+    def test_gelu_named(self):
+        with pytest.raises(UsageError, match="^gelu produced non-finite values$"):
+            T.gelu(T.from_array(np.array([0.5, np.nan])))
+
+    def test_matmul_named(self):
+        a = T.from_array(np.array([[np.inf, 1.0]]))
+        with pytest.raises(UsageError, match="^matmul produced non-finite values$"):
+            T.matmul(a, T.full((2, 2), 1.0))
+
+    def test_finite_values_pass(self):
+        out = T.gelu(T.from_array(np.array([0.5, -2.0])))
+        assert np.all(np.isfinite(out.data))
 
 
 class TestSoftmax:
