@@ -80,7 +80,8 @@ class Module:
         return sum(p.size for p in self.params())
 
     def __call__(self, *args, **kwargs):
-        return self.forward(*args, **kwargs)
+        with T._module_scope(self):
+            return self.forward(*args, **kwargs)
 
     def profile(self, in_shape, path: str = ""):
         """Return ([(name, param_count, mac_count)], out_shape) for the

@@ -260,14 +260,16 @@ class RadarDetector(Module):
 
     def forward_logits(self, cube: T.Tensor) -> T.Tensor:
         self._check_input(cube)
-        x = self.merge(cube)
-        y2d, skips = self.down(x)
-        s = T.relu(self.stem_bn1(self.stem1(y2d)))
-        s = T.relu(self.stem_bn2(self.stem2(s)))
-        t = self.trunk(s)
-        t = T.add(t, s)
-        h = T.relu(self.head_bn(self.head(t)))
-        return self.up(h, skips)
+        # training calls this directly; the scope roots debug-check paths here
+        with T._module_scope(self):
+            x = self.merge(cube)
+            y2d, skips = self.down(x)
+            s = T.relu(self.stem_bn1(self.stem1(y2d)))
+            s = T.relu(self.stem_bn2(self.stem2(s)))
+            t = self.trunk(s)
+            t = T.add(t, s)
+            h = T.relu(self.head_bn(self.head(t)))
+            return self.up(h, skips)
 
     def forward(self, cube: T.Tensor) -> T.Tensor:
         return T.sigmoid(self.forward_logits(cube))
@@ -307,16 +309,17 @@ class Hourglass3d(Module):
         self.head = Conv3d(base, num_classes, (1, 3, 3), seeds, dt, padding=(0, 1, 1))
 
     def forward_logits(self, cube):
-        x = self.merge(cube)
-        x = T.relu(self.enc_t(x))
-        x = space_to_depth3d(x, 2)
-        x = T.relu(self.enc_s(x))
-        for conv in self.bottleneck:
-            x = T.add(T.relu(conv(x)), x)
-        x = T.relu(self.dec_s(x))
-        x = T.repeat(T.repeat(x, axis=3, factor=2), axis=4, factor=2)
-        x = T.relu(self.dec_t(T.repeat(x, axis=2, factor=2)))
-        return self.head(x)
+        with T._module_scope(self):
+            x = self.merge(cube)
+            x = T.relu(self.enc_t(x))
+            x = space_to_depth3d(x, 2)
+            x = T.relu(self.enc_s(x))
+            for conv in self.bottleneck:
+                x = T.add(T.relu(conv(x)), x)
+            x = T.relu(self.dec_s(x))
+            x = T.repeat(T.repeat(x, axis=3, factor=2), axis=4, factor=2)
+            x = T.relu(self.dec_t(T.repeat(x, axis=2, factor=2)))
+            return self.head(x)
 
     def forward(self, cube):
         return T.sigmoid(self.forward_logits(cube))

@@ -9,9 +9,13 @@ attention, and a fused binary cross-entropy head.
 Every op records a node on the active per-thread tape when gradients are
 enabled and any input requires them.  ``backward(loss)`` replays the tape
 once in reverse; nodes are recorded in creation order, which is already a
-topological order.  Two precision modes are supported: float64 (default,
-used by all gradient and oracle tests) and float32 (fast mode for
-training/profiling at scale).
+topological order.  It takes the nodes off the tape and frees as it goes:
+each node hands its output's gradient to its grad_fn and clears it from
+the output, and is dropped, with the arrays its grad_fn saved, once it has
+run.  So only leaves (tensors no recorded op produced: parameters and
+inputs) and the loss keep ``.grad``.  Two precision modes are supported:
+float64 (default, used by all gradient and oracle tests) and float32 (fast
+mode for training/profiling at scale).
 
 conv2d and conv3d check their rank and share one correlation over any
 number of spatial axes: im2col columns times the flattened kernel in one
@@ -22,10 +26,16 @@ runs along the contiguous output axis; a 1x1 stride-1 kernel uses the
 padded input itself, with no copy.  The GEMM multiplies the transposed
 view, (B, N, C*prod(kernel)) @ (C*prod(kernel), Cout), or a contiguous copy
 of it where BLAS would round the view differently (``_cols_matmul``), so
-the output has the bits of row-major columns.  When no gradient is
-recorded and the im2col buffer would exceed ``_CONV_COLS_BYTE_LIMIT``, the
-columns are built one slab of the first output axis at a time (T for 3-D,
-H for 2-D).
+the output has the bits of row-major columns.  The columns die when the
+forward returns; the weight gradient rebuilds them from the input.  When
+no gradient is recorded and the im2col buffer would exceed
+``_CONV_COLS_BYTE_LIMIT``, the columns are built one slab of the first
+output axis at a time (T for 3-D, H for 2-D).
+
+With ``set_debug_checks(True)`` every op checks that its output is finite
+and otherwise raises a ``UsageError`` naming the op and, inside a module
+call, the module's path from the outermost module being called
+(``trunk.blocks.0.window_attn.mlp.fc1: matmul produced non-finite values``).
 
 ``matmul`` takes an optional bias over the last output axis and adds it in
 place to the fresh product, the same IEEE add as a separate ``add_bcast``.
@@ -58,6 +68,7 @@ def _tls():
         _state.grad_enabled = True
         _state.default_dtype = np.float64
         _state.debug_checks = False
+        _state.modules = []
     return _state
 
 
@@ -88,6 +99,40 @@ def using_dtype(dtype):
 def set_debug_checks(enabled: bool) -> None:
     """When enabled, every op asserts its output is finite."""
     _tls().debug_checks = bool(enabled)
+
+
+@contextmanager
+def _module_scope(module):
+    """Keep `module` on this thread's module stack inside the block, so a
+    failed debug check can name it."""
+    stack = _tls().modules
+    stack.append(module)
+    try:
+        yield
+    finally:
+        stack.pop()
+
+
+def _child_path(outer, inner):
+    """Dotted path of `inner` among the descendants of `outer`, or None."""
+    for name, child in outer.children():
+        if child is inner:
+            return name
+        sub = _child_path(child, inner)
+        if sub is not None:
+            return f"{name}.{sub}"
+    return None
+
+
+def _module_path(stack) -> str:
+    """Path of the innermost module on `stack`, walked down from the
+    outermost; a module that is not a descendant of the one before it, or
+    the outermost module alone, is named by its class."""
+    parts = []
+    for outer, inner in zip(stack, stack[1:]):
+        if inner is not outer:
+            parts.append(_child_path(outer, inner) or type(inner).__name__)
+    return ".".join(parts) or type(stack[0]).__name__
 
 
 @contextmanager
@@ -227,7 +272,8 @@ def _make(out_data, inputs, grad_fn) -> Tensor:
     st = _tls()
     if st.debug_checks and not np.all(np.isfinite(out_data)):
         op = grad_fn.__qualname__.split(".", 1)[0]
-        raise UsageError(f"{op} produced non-finite values")
+        where = f"{_module_path(st.modules)}: " if st.modules else ""
+        raise UsageError(f"{where}{op} produced non-finite values")
     req = st.grad_enabled and any(t.requires_grad for t in inputs)
     out = Tensor.__new__(Tensor)
     out.data = out_data
@@ -458,7 +504,8 @@ def _conv(x: Tensor, w: Tensor, bias, stride, padding, op: str) -> Tensor:
         raise ShapeError(f"bias must have shape ({Cout},)")
     inputs = (x, w) if bias is None else (x, w, bias)
     bias_shape = (1, Cout) + (1,) * nd
-    xp = np.pad(x.data, ((0, 0), (0, 0)) + tuple((p, p) for p in padding))
+    pads = ((0, 0), (0, 0)) + tuple((p, p) for p in padding)
+    xp = np.pad(x.data, pads)
     wm = w.data.reshape(Cout, -1).T
 
     need_grad = _tls().grad_enabled and any(t.requires_grad for t in inputs)
@@ -479,13 +526,15 @@ def _conv(x: Tensor, w: Tensor, bias, stride, padding, op: str) -> Tensor:
             np.add(y, bias.data.reshape(bias_shape), out=out[:, :, i0:i1])
     spatial_axes = tuple(range(2, nd + 2))
 
-    # recorded only when a gradient is needed, and then `cols` is one slab
-    # covering the whole output
+    # keeps x, not `xp` or `cols`: the weight gradient rebuilds the columns
+    # of the whole output from x.data, the same bytes the forward multiplied
     def grad_fn(g):
         g2 = np.moveaxis(g, 1, -1).reshape(-1, Cout)
         if w.requires_grad:
             # a contiguous copy: BLAS rounds the transposed view differently
+            cols, _ = _im2col(np.pad(x.data, pads), kernel, stride)
             gw = g2.T @ np.ascontiguousarray(cols.swapaxes(1, 2)).reshape(g2.shape[0], -1)
+            del cols  # before the input gradient builds columns of its own
             w.accumulate_grad(gw.reshape(w.shape))
         if bias is not None and bias.requires_grad:
             bias.accumulate_grad(g.sum(axis=(0,) + spatial_axes))
@@ -856,25 +905,46 @@ def grid_reverse(tokens: Tensor, g: int, b: int, c: int, h: int, w: int) -> Tens
 
 
 def backward(loss: Tensor) -> None:
-    """Populate .grad on every requires_grad tensor reachable from `loss`.
+    """Accumulate into .grad of every leaf reachable from `loss`.
 
-    The active tape is consumed; calling backward again before recording
-    new ops raises UsageError.
+    A leaf is a requires_grad tensor that no recorded op produced:
+    parameters and inputs.  ``loss.grad`` is set to one.  The nodes are
+    taken off the active tape and run in reverse; each op output's gradient
+    is read and reset to None before its node runs, and the node, with the
+    arrays its grad_fn saved, is dropped after it, so memory is freed as the
+    pass goes and op outputs end with ``.grad = None``.
+
+    The tape is consumed even if a grad_fn raises, so a failed pass cannot
+    be replayed onto its partial gradients; calling backward again before
+    recording new ops raises UsageError.  A loss that does not require grad
+    raises UsageError and leaves the tape as it was.
     """
     if loss.shape != ():
         raise UsageError(f"backward requires a scalar loss, got shape {loss.shape}")
+    if not loss.requires_grad:
+        raise UsageError(
+            "loss does not require grad: it was computed under no_grad or "
+            "from tensors that do not require grad"
+        )
     tape = active_tape()
     if tape._spent:
         raise UsageError("tape already consumed; record new ops before backward")
     if not tape.nodes:
         raise UsageError("tape is empty; nothing to differentiate")
+    nodes, tape.nodes = tape.nodes, []
     loss.grad = np.ones((), dtype=loss.data.dtype)
-    for node in reversed(tape.nodes):
-        if node.out.grad is None:
-            continue
-        node.grad_fn(node.out.grad)
-    tape.nodes = []
-    tape._spent = True
+    try:
+        while nodes:
+            node = nodes.pop()
+            g = node.out.grad
+            if g is None:
+                continue
+            if node.out is not loss:
+                node.out.grad = None
+            node.grad_fn(g)
+    finally:
+        nodes.clear()
+        tape._spent = True
 
 
 def finite_diff_check(f, xs, eps: float = 1e-5) -> float:

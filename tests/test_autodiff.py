@@ -1,10 +1,13 @@
 """Reverse-mode gradient correctness: hand cases plus finite differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from radarkit import tensor as T
 from radarkit.errors import UsageError
+from radarkit.models import build_reference
 
 
 def uni(shape, seed, lo=-1.0, hi=1.0):
@@ -51,6 +54,115 @@ class TestBackwardBasics:
             y = T.tsum(x)
         assert not y.requires_grad
         T.reset_tape()
+
+    def test_loss_under_no_grad_rejected_and_tape_kept(self):
+        x = uni((3,), 11)
+        y = T.tsum(T.mul(x, x))
+        with T.no_grad():
+            z = T.tsum(T.mul(x, x))
+        with pytest.raises(UsageError, match="does not require grad"):
+            T.backward(z)
+        assert x.grad is None
+        T.backward(y)
+        assert np.array_equal(x.grad, 2 * x.data)
+
+    def test_failed_backward_cannot_be_replayed(self):
+        x = T.from_array(np.array([1.0, 2.0]), requires_grad=True)
+        loss = T.tsum(T.add(T.scale(x, 3.0), x))
+        scale_node = T.active_tape().nodes[0]
+        original = scale_node.grad_fn
+        calls = []
+
+        def fails_once(g):
+            calls.append(1)
+            if len(calls) == 1:
+                raise RuntimeError("injected")
+            original(g)
+
+        scale_node.grad_fn = fails_once
+        del scale_node, original
+        with pytest.raises(RuntimeError, match="injected"):
+            T.backward(loss)
+        assert T.active_tape().nodes == []
+        with pytest.raises(UsageError, match="already consumed"):
+            T.backward(loss)
+        assert len(calls) == 1
+        x.zero_grad()
+        T.backward(T.tsum(T.add(T.scale(x, 3.0), x)))
+        assert np.array_equal(x.grad, [4.0, 4.0])
+
+    def test_only_leaves_and_loss_keep_grad(self):
+        x = uni((4,), 12)
+        w = uni((4,), 13)
+        h = T.mul(x, x)
+        s = T.scale(x, 3.0)
+        hw = T.mul(h, w)
+        sw = T.mul(s, w)
+        total = T.add(hw, sw)
+        loss = T.tsum(total)
+        T.backward(loss)
+        for t in (h, s, hw, sw, total):
+            assert t.grad is None
+        assert loss.grad.shape == () and loss.grad == 1.0
+        assert np.allclose(x.grad, (2 * x.data + 3.0) * w.data)
+        assert np.allclose(w.grad, x.data * x.data + 3.0 * x.data)
+
+
+class TestBackwardMemory:
+    def test_elementwise_chain_frees_as_it_goes(self):
+        # keeping each intermediate gradient would add one array per op
+        x = uni((1 << 20,), 14)
+        y = x
+        for _ in range(12):
+            y = T.scale(y, 1.01)
+        loss = T.tsum(y)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            T.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - held <= 4 * x.data.nbytes
+
+    def test_conv3d_forward_keeps_no_columns(self):
+        x = uni((1, 4, 8, 16, 16), 15)
+        w = uni((2, 4, 3, 3, 3), 16)
+        cols_bytes = 4 * 27 * 8 * 16 * 16 * x.data.itemsize
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            y = T.conv3d(x, w, padding=1)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert y.requires_grad
+        assert held < cols_bytes
+        T.reset_tape()
+
+    def test_radarformer_tiny_step(self):
+        # keeping every gradient and the im2col columns this step held
+        # 103.9 MiB after the forward and peaked at 185.1 MiB in backward;
+        # freeing them gives 54.0 and 81.2 MiB
+        model = build_reference("radarformer-tiny", dtype=np.float64)
+        c = model.cfg
+        cube = T.uniform((1, 2, c.frames, c.chirps, c.height, c.width), 3)
+        rng = np.random.Generator(np.random.PCG64(4))
+        targets = rng.uniform(0, 1, (1, c.num_classes, c.frames, c.height, c.width))
+        T.reset_tape()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loss = T.bce_with_logits(model.forward_logits(cube), targets)
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0] - before
+            T.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 80 * 2**20
+        assert peak < 120 * 2**20
+        assert all(p.grad is not None for p in model.params())
 
 
 class TestFiniteDiffChecker:

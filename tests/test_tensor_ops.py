@@ -10,6 +10,7 @@ from scipy.special import erf
 
 from radarkit import tensor as T
 from radarkit.errors import ConfigError, ShapeError, UsageError
+from radarkit.layers import Linear, Module, SeedStream
 from radarkit.models import build_reference
 
 from oracles import conv2d_loops, conv3d_loops, matmul_loops
@@ -437,6 +438,32 @@ class TestDebugChecks:
     def test_finite_values_pass(self):
         out = T.gelu(T.from_array(np.array([0.5, -2.0])))
         assert np.all(np.isfinite(out.data))
+
+    @pytest.mark.parametrize("entry", ["__call__", "forward_logits"])
+    def test_module_path_named(self, entry):
+        model = build_reference("radarformer-tiny", dtype=np.float64)
+        model.trunk.blocks[0].window_attn.mlp.fc1.w.data[0, 0] = np.nan
+        c = model.cfg
+        cube = T.uniform((1, 2, c.frames, c.chirps, c.height, c.width), 5)
+        want = r"^trunk\.blocks\.0\.window_attn\.mlp\.fc1: matmul produced non-finite values$"
+        with pytest.raises(UsageError, match=want):
+            getattr(model, entry)(cube)
+        T.reset_tape()
+        with pytest.raises(UsageError, match="^gelu produced non-finite values$"):
+            T.gelu(T.from_array(np.array([np.nan])))
+
+    def test_module_outside_the_tree_named_by_class(self):
+        lin = Linear(2, 2, SeedStream(0), np.float64)
+        lin.w.data[0, 0] = np.nan
+
+        class Caller(Module):
+            def forward(self, x):
+                return lin(x)
+
+        x = T.full((1, 2), 1.0)
+        for module in (lin, Caller()):
+            with pytest.raises(UsageError, match="^Linear: matmul produced non-finite values$"):
+                module(x)
 
 
 class TestSoftmax:
