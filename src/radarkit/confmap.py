@@ -107,6 +107,11 @@ def ols(p, g, params: OlsParams = DEFAULT_OLS) -> float:
     return float(np.exp(-(d_m * d_m) / (2.0 * sk_m * sk_m)))
 
 
+def _rank_key(d: Detection):
+    """Descending confidence; ties break on (class, range, azimuth)."""
+    return (-d.confidence, d.class_id, d.range_bin, d.azimuth_bin)
+
+
 def peak_detect(confmap: np.ndarray, floor: float = 0.3) -> list[Detection]:
     """Strict 3x3 local maxima above `floor`, one candidate per (class,
     pixel), sorted by descending confidence; ties break on (class, range,
@@ -128,7 +133,7 @@ def peak_detect(confmap: np.ndarray, floor: float = 0.3) -> list[Detection]:
         Detection(int(c), int(r), int(a), float(confmap[c, r, a]))
         for c, r, a in zip(*np.nonzero(strict_max))
     ]
-    out.sort(key=lambda d: (-d.confidence, d.class_id, d.range_bin, d.azimuth_bin))
+    out.sort(key=_rank_key)
     return out
 
 

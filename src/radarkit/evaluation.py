@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .confmap import DEFAULT_OLS, OlsParams, ols
+from .confmap import DEFAULT_OLS, OlsParams, _rank_key, ols
 from .errors import DataFormatError
 
 OLS_THRESHOLDS = tuple(round(0.50 + 0.05 * i, 2) for i in range(9))
@@ -134,10 +134,7 @@ def evaluate(detections, annotations, categories=None, frame_ids=None,
     def frame_list(ids):
         out = []
         for fid in ids:
-            dets = sorted(
-                dets_by_frame.get(fid, []),
-                key=lambda d: (-d.confidence, d.class_id, d.range_bin, d.azimuth_bin),
-            )
+            dets = sorted(dets_by_frame.get(fid, []), key=_rank_key)
             out.append((dets, gts_by_frame.get(fid, [])))
         return out
 

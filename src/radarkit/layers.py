@@ -61,20 +61,25 @@ class Module:
                     if isinstance(item, Module):
                         yield f"{name}.{i}", item
 
-    def named_params(self, prefix: str = ""):
-        for name, p in self._params.items():
-            yield prefix + name, p
+    def named_modules(self, prefix: str = ""):
+        """(dotted path, module) of this module, at path `prefix`, and of
+        every descendant, parents before their children."""
+        yield prefix, self
         for cname, child in self.children():
-            yield from child.named_params(prefix + cname + ".")
+            yield from child.named_modules(_join(prefix, cname))
+
+    def named_params(self, prefix: str = ""):
+        for path, module in self.named_modules():
+            for name, p in module._params.items():
+                yield prefix + _join(path, name), p
 
     def params(self):
         for _, p in self.named_params():
             yield p
 
     def set_training(self, mode: bool) -> None:
-        self.training = mode
-        for _, child in self.children():
-            child.set_training(mode)
+        for _, module in self.named_modules():
+            module.training = mode
 
     def param_count(self) -> int:
         return sum(p.size for p in self.params())
@@ -265,40 +270,41 @@ class MultiheadSelfAttention(Module):
         return [(path, params, macs)], in_shape
 
 
-class PartitionAttention(Module):
-    """Window or grid partition, learned token position embedding, then a
-    pre-norm MSA + MLP transformer sub-block, then the exact reverse."""
+class VitBlock(Module):
+    """Pre-norm transformer sub-block on (B, N, S) tokens: t + attn(norm1(t)),
+    then that plus mlp(norm2(.))."""
 
-    def __init__(self, dim, heads, mlp_hidden, mode, size, seeds, dtype):
+    def __init__(self, dim, heads, mlp_hidden, seeds, dtype):
         super().__init__()
-        if mode not in ("window", "grid"):
-            raise ConfigError(f"unknown partition mode {mode!r}")
-        self.mode, self.size, self.dim = mode, size, dim
-        self.pos = self.add_param("pos", T.zeros((size * size, dim), requires_grad=True, dtype=dtype))
         self.norm1 = LayerNorm(dim, dtype)
         self.attn = MultiheadSelfAttention(dim, heads, seeds, dtype)
         self.norm2 = LayerNorm(dim, dtype)
         self.mlp = Mlp(dim, mlp_hidden, seeds, dtype)
 
-    def forward(self, x):
-        b, c, h, w = x.shape
-        if self.mode == "window":
-            tokens = T.window_partition(x, self.size)
-        else:
-            tokens = T.grid_partition(x, self.size)
-        tokens = T.add_bcast(tokens, self.pos)
+    def forward(self, tokens):
         tokens = T.add(tokens, self.attn(self.norm1(tokens)))
-        tokens = T.add(tokens, self.mlp(self.norm2(tokens)))
-        if self.mode == "window":
-            return T.window_reverse(tokens, self.size, b, c, h, w)
-        return T.grid_reverse(tokens, self.size, b, c, h, w)
+        return T.add(tokens, self.mlp(self.norm2(tokens)))
+
+
+class PartitionAttention(VitBlock):
+    """The transformer sub-block over the tokens of a window or grid
+    partition: partition, add the learned token position embedding, run the
+    pre-norm MSA + MLP of ``VitBlock``, then take the exact reverse."""
+
+    def __init__(self, dim, heads, mlp_hidden, mode, size, seeds, dtype):
+        if mode not in ("window", "grid"):
+            raise ConfigError(f"unknown partition mode {mode!r}")
+        super().__init__(dim, heads, mlp_hidden, seeds, dtype)
+        self.mode, self.size = mode, size
+        self.pos = self.add_param("pos", T.zeros((size * size, dim), requires_grad=True, dtype=dtype))
+
+    def forward(self, x):
+        tokens = T.add_bcast(T._partition(x, self.size, self.mode), self.pos)
+        return T._unpartition(super().forward(tokens), self.size, self.mode, *x.shape)
 
     def profile(self, in_shape, path=""):
-        b, c, h, w = in_shape
-        m = self.size
-        hp, wp = h + (-h) % m, w + (-w) % m
-        groups = b * (hp // m) * (wp // m)
-        entries, _ = super().profile((groups, m * m, c), path)
+        _, _, tokens = T._partition_shapes(self.size, self.mode, *in_shape)
+        entries, _ = super().profile(tokens, path)
         return [(_join(path, "pos"), self.pos.size, 0)] + entries, in_shape
 
 
@@ -363,17 +369,14 @@ class PatchEmbed(Module):
         self.proj = Linear(patch * patch * in_channels, dim, seeds, dtype)
         self.pos = self.add_param("pos", T.zeros((n, dim), requires_grad=True, dtype=dtype))
 
-    def forward(self, x, with_pos=True):
+    def forward(self, x):
         b, c, h, w = x.shape
         if h != self.tokens_h * self.patch or w != self.tokens_w * self.patch:
             raise ShapeError(f"input {h}x{w} does not match embed resolution")
         tok = T.window_partition(x, self.patch)             # (B*N, P*P, C)
         n = self.tokens_h * self.tokens_w
         tok = T.reshape(tok, (b, n, self.patch * self.patch * c))
-        tok = self.proj(tok)
-        if with_pos:
-            tok = T.add_bcast(tok, self.pos)
-        return tok
+        return T.add_bcast(self.proj(tok), self.pos)
 
     def profile(self, in_shape, path=""):
         b = in_shape[0]
@@ -382,19 +385,6 @@ class PatchEmbed(Module):
         entries, out = self.proj.profile(flat, _join(path, "proj"))
         entries.append((_join(path, "pos"), self.pos.size, 0))
         return entries, out
-
-
-class VitBlock(Module):
-    def __init__(self, dim, heads, mlp_hidden, seeds, dtype):
-        super().__init__()
-        self.norm1 = LayerNorm(dim, dtype)
-        self.attn = MultiheadSelfAttention(dim, heads, seeds, dtype)
-        self.norm2 = LayerNorm(dim, dtype)
-        self.mlp = Mlp(dim, mlp_hidden, seeds, dtype)
-
-    def forward(self, tokens):
-        tokens = T.add(tokens, self.attn(self.norm1(tokens)))
-        return T.add(tokens, self.mlp(self.norm2(tokens)))
 
 
 class VitUpsample(Module):

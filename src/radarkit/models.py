@@ -102,9 +102,6 @@ class ModelConfig:
     def temporal_stages(self) -> int:
         return int(math.log2(self.frames))
 
-    def head_dim(self, width: int) -> int:
-        return width // self.heads
-
     def mlp_hidden(self, width: int) -> int:
         return int(round(self.mlp_ratio * width))
 
@@ -210,14 +207,11 @@ class VitTrunk(Module):
             dim, cfg.patch_size, w0, self.embed.tokens_h, self.embed.tokens_w, seeds, dtype
         )
 
-    def encode(self, x, with_pos=True):
-        tok = self.embed(x, with_pos=with_pos)
+    def forward(self, x):
+        tok = self.embed(x)
         for block in self.blocks:
             tok = block(tok)
-        return tok
-
-    def forward(self, x):
-        return self.upsample(self.encode(x))
+        return self.upsample(tok)
 
 
 _TRUNKS = {"cnn2d": StackedTrunk, "transformer2d": VitTrunk, "radarformer": StackedTrunk}
@@ -424,11 +418,10 @@ _MAGIC = b"RFCK"
 _VERSION = 2
 
 
-def _named_buffers(module, prefix=""):
-    for name, buf in module._buffers.items():
-        yield prefix + name, buf
-    for cname, child in module.children():
-        yield from _named_buffers(child, f"{prefix}{cname}.")
+def _named_buffers(module):
+    for path, m in module.named_modules():
+        for name, buf in m._buffers.items():
+            yield _join(path, name), buf
 
 
 def save_checkpoint(model: RadarDetector, path) -> None:

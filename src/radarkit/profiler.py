@@ -73,17 +73,11 @@ class TimingResult:
     stride: int
 
 
-def _modules(model):
-    if isinstance(model, Module):
-        yield model
-        for _, child in model.children():
-            yield from _modules(child)
-
-
 @contextmanager
 def _restored(model):
     """Put back what timing changes, also when it raises."""
-    mods = [(m, m.training, {k: v.copy() for k, v in m._buffers.items()}) for m in _modules(model)]
+    walk = model.named_modules() if isinstance(model, Module) else ()
+    mods = [(m, m.training, {k: v.copy() for k, v in m._buffers.items()}) for _, m in walk]
     params = [
         (p, p.requires_grad, None if p.grad is None else p.grad.copy())
         for m, _, _ in mods
@@ -103,6 +97,8 @@ def _time(model, input_shape, warmup, runs, stride, clock, backprop, step) -> Ti
     parameter trainable when `backprop`, else in eval mode."""
     if runs < 3:
         raise ConfigError(f"timing needs runs >= 3, got {runs}")
+    if stride is not None and stride < 1:
+        raise ConfigError(f"timing needs stride >= 1, got {stride}")
     shape = default_input_shape(model) if input_shape is None else tuple(input_shape)
     stride = shape[2] if stride is None else int(stride)
     clock = time.perf_counter if clock is None else clock

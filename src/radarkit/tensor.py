@@ -32,6 +32,10 @@ no gradient is recorded and the im2col buffer would exceed
 ``_CONV_COLS_BYTE_LIMIT``, the columns are built one slab of the first
 output axis at a time (T for 3-D, H for 2-D).
 
+Window and grid partitioning are one reshape, permute, reshape of the map
+zero-padded to a multiple of the size P; the modes differ only in the
+permutation.  The reverse permutes back by its inverse and crops the padding.
+
 With ``set_debug_checks(True)`` every op checks that its output is finite
 and otherwise raises a ``UsageError`` naming the op and, inside a module
 call, the module's path from the outermost module being called
@@ -113,17 +117,6 @@ def _module_scope(module):
         stack.pop()
 
 
-def _child_path(outer, inner):
-    """Dotted path of `inner` among the descendants of `outer`, or None."""
-    for name, child in outer.children():
-        if child is inner:
-            return name
-        sub = _child_path(child, inner)
-        if sub is not None:
-            return f"{name}.{sub}"
-    return None
-
-
 def _module_path(stack) -> str:
     """Path of the innermost module on `stack`, walked down from the
     outermost; a module that is not a descendant of the one before it, or
@@ -131,7 +124,7 @@ def _module_path(stack) -> str:
     parts = []
     for outer, inner in zip(stack, stack[1:]):
         if inner is not outer:
-            parts.append(_child_path(outer, inner) or type(inner).__name__)
+            parts.append(next((p for p, m in outer.named_modules() if m is inner), type(inner).__name__))
     return ".".join(parts) or type(stack[0]).__name__
 
 
@@ -172,11 +165,10 @@ def reset_tape() -> None:
 
 
 class _Node:
-    __slots__ = ("out", "inputs", "grad_fn")
+    __slots__ = ("out", "grad_fn")
 
-    def __init__(self, out, inputs, grad_fn):
+    def __init__(self, out, grad_fn):
         self.out = out
-        self.inputs = inputs
         self.grad_fn = grad_fn
 
 
@@ -280,7 +272,7 @@ def _make(out_data, inputs, grad_fn) -> Tensor:
     out.requires_grad = req
     out.grad = None
     if req:
-        st.tape.record(_Node(out, inputs, grad_fn))
+        st.tape.record(_Node(out, grad_fn))
     return out
 
 
@@ -570,10 +562,16 @@ def conv3d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride=1, padding=0
 # softmax / normalization / nonlinearities
 
 
+def _axis(ax: int, ndim: int) -> int:
+    """`ax` as an index in [0, ndim); negative axes count from the end."""
+    if not -ndim <= ax < ndim:
+        raise ShapeError(f"axis {ax} out of bounds for rank {ndim}")
+    return ax % ndim
+
+
 def softmax(x: Tensor, axis: int) -> Tensor:
     """Max-stabilized softmax along `axis`; slices sum to 1."""
-    if not -x.ndim <= axis < x.ndim:
-        raise ShapeError(f"axis {axis} out of bounds for rank {x.ndim}")
+    axis = _axis(axis, x.ndim)
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
@@ -593,7 +591,7 @@ def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes, eps: float) -> Tenso
     if eps <= 0:
         raise ConfigError(f"normalization eps must be > 0, got {eps}")
     _same_dtype(x, gamma, beta)
-    axes = tuple(ax % x.ndim for ax in (axes if isinstance(axes, (tuple, list)) else (axes,)))
+    axes = tuple(_axis(ax, x.ndim) for ax in (axes if isinstance(axes, (tuple, list)) else (axes,)))
     mu = x.data.mean(axis=axes, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=axes, keepdims=True)
@@ -677,30 +675,24 @@ def gelu(x: Tensor) -> Tensor:
     return _make(out, (x,), grad_fn)
 
 
+def _logistic(z: np.ndarray) -> np.ndarray:
+    """1/(1+exp(-z)), with exp taken of -|z| only, so it never overflows."""
+    pos = z >= 0
+    e = np.exp(np.where(pos, -z, z))
+    return np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(x: Tensor) -> Tensor:
     """Numerically stable logistic; output is strictly inside (0,1)."""
     dt = x.data.dtype
-    pos = x.data >= 0
-    z = np.exp(np.where(pos, -x.data, x.data))
-    y = np.where(pos, 1.0 / (1.0 + z), z / (1.0 + z))
     fi = np.finfo(dt)
-    y = np.clip(y, fi.tiny, 1.0 - fi.epsneg).astype(dt, copy=False)
+    y = np.clip(_logistic(x.data), fi.tiny, 1.0 - fi.epsneg).astype(dt, copy=False)
 
     def grad_fn(g):
         if x.requires_grad:
             x.accumulate_grad(g * y * (1.0 - y))
 
     return _make(y, (x,), grad_fn)
-
-
-def activation(x: Tensor, kind: str) -> Tensor:
-    if kind == "relu":
-        return relu(x)
-    if kind == "gelu":
-        return gelu(x)
-    if kind == "sigmoid":
-        return sigmoid(x)
-    raise ConfigError(f"unknown activation kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -734,10 +726,7 @@ def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
 
     def grad_fn(g):
         if logits.requires_grad:
-            pos = z >= 0
-            e = np.exp(np.where(pos, -z, z))
-            sig = np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
-            logits.accumulate_grad(g * (sig - t) / n)
+            logits.accumulate_grad(g * (_logistic(z) - t) / n)
 
     return _make(out, (logits,), grad_fn)
 
@@ -808,7 +797,7 @@ def crop(x: Tensor, bounds) -> Tensor:
 
 def repeat(x: Tensor, axis: int, factor: int) -> Tensor:
     """Nearest-neighbour repeat along one axis; gradient sums the copies."""
-    axis = axis % x.ndim
+    axis = _axis(axis, x.ndim)
     factor = int(factor)
     if factor < 1:
         raise ShapeError("repeat factor must be >= 1")
@@ -826,78 +815,63 @@ def repeat(x: Tensor, axis: int, factor: int) -> Tensor:
 # window / grid partitioning
 
 
-def _pad_hw_to_multiple(x: Tensor, m: int) -> Tensor:
-    B, C, H, W = x.shape
-    ph = (-H) % m
-    pw = (-W) % m
-    if ph == 0 and pw == 0:
-        return x
-    return pad(x, [(0, 0), (0, 0), (0, ph), (0, pw)])
+# from a split of the padded map to token blocks (B, nH, nW, P, P, C); the
+# split is (B,C,nH,P,nW,P) for windows and (B,C,P,nH,P,nW) for grid groups
+_PARTITION_PERMS = {"window": (0, 2, 4, 3, 5, 1), "grid": (0, 3, 5, 2, 4, 1)}
+
+
+def _partition_shapes(p, mode, b, c, h, w):
+    """Padded (H, W), token blocks (B, nH, nW, P, P, C) and token shape
+    (B*nH*nW, P*P, C) of the `mode` partition of a (b, c, h, w) map."""
+    if p <= 0:
+        raise ConfigError(f"{mode} size must be positive, got {p}")
+    hp, wp = h + (-h) % p, w + (-w) % p
+    blocks = (b, hp // p, wp // p, p, p, c)
+    return (hp, wp), blocks, (b * blocks[1] * blocks[2], p * p, c)
+
+
+def _partition(x: Tensor, p: int, mode: str) -> Tensor:
+    """(B,C,H,W) -> (B*nH*nW, P*P, C) tokens of `mode` "window" or "grid",
+    after zero-padding H and W up to the next multiple of P."""
+    if x.ndim != 4:
+        raise ShapeError(f"{mode}_partition expects rank-4 input")
+    b, c, h, w = x.shape
+    (hp, wp), blocks, out = _partition_shapes(p, mode, b, c, h, w)
+    if (hp, wp) != (h, w):
+        x = pad(x, [(0, 0), (0, 0), (0, hp - h), (0, wp - w)])
+    perm = _PARTITION_PERMS[mode]
+    split = tuple(blocks[i] for i in np.argsort(perm))
+    return reshape(permute(reshape(x, split), perm), out)
+
+
+def _unpartition(tokens: Tensor, p: int, mode: str, b: int, c: int, h: int, w: int) -> Tensor:
+    """Exact inverse of ``_partition(x, p, mode)`` for x of shape (b,c,h,w)."""
+    (hp, wp), blocks, expected = _partition_shapes(p, mode, b, c, h, w)
+    if tokens.shape != expected:
+        raise ShapeError(f"token shape {tokens.shape} inconsistent with reverse target")
+    t = reshape(permute(reshape(tokens, blocks), np.argsort(_PARTITION_PERMS[mode])), (b, c, hp, wp))
+    if (hp, wp) != (h, w):
+        t = crop(t, [(0, b), (0, c), (0, h), (0, w)])
+    return t
 
 
 def window_partition(x: Tensor, p: int) -> Tensor:
-    """(B,C,H,W) -> (B*nH*nW, P*P, C) non-overlapping PxP windows.
-
-    H and W are zero-padded up to the next multiple of P first.
-    """
-    if p <= 0:
-        raise ConfigError(f"window size must be positive, got {p}")
-    if x.ndim != 4:
-        raise ShapeError("window_partition expects rank-4 input")
-    xp = _pad_hw_to_multiple(x, p)
-    B, C, Hp, Wp = xp.shape
-    nh, nw = Hp // p, Wp // p
-    t = reshape(xp, (B, C, nh, p, nw, p))
-    t = permute(t, (0, 2, 4, 3, 5, 1))
-    return reshape(t, (B * nh * nw, p * p, C))
+    """(B,C,H,W) -> (B*nH*nW, P*P, C) non-overlapping PxP windows."""
+    return _partition(x, p, "window")
 
 
 def window_reverse(tokens: Tensor, p: int, b: int, c: int, h: int, w: int) -> Tensor:
-    """Exact inverse of window_partition for original shape (b,c,h,w)."""
-    hp = h + ((-h) % p)
-    wp = w + ((-w) % p)
-    nh, nw = hp // p, wp // p
-    if tokens.shape != (b * nh * nw, p * p, c):
-        raise ShapeError(f"token shape {tokens.shape} inconsistent with reverse target")
-    t = reshape(tokens, (b, nh, nw, p, p, c))
-    t = permute(t, (0, 5, 1, 3, 2, 4))
-    t = reshape(t, (b, c, hp, wp))
-    if (hp, wp) != (h, w):
-        t = crop(t, [(0, b), (0, c), (0, h), (0, w)])
-    return t
+    return _unpartition(tokens, p, "window", b, c, h, w)
 
 
 def grid_partition(x: Tensor, g: int) -> Tensor:
-    """(B,C,H,W) -> (B*(H/G)*(W/G), G*G, C) dilated token groups.
-
-    Token (i,j) of group (a,b) is the pixel at (i*H/G + a, j*W/G + b), so a
-    group mixes positions strided across the whole map.
-    """
-    if g <= 0:
-        raise ConfigError(f"grid size must be positive, got {g}")
-    if x.ndim != 4:
-        raise ShapeError("grid_partition expects rank-4 input")
-    xp = _pad_hw_to_multiple(x, g)
-    B, C, Hp, Wp = xp.shape
-    ch, cw = Hp // g, Wp // g
-    t = reshape(xp, (B, C, g, ch, g, cw))
-    t = permute(t, (0, 3, 5, 2, 4, 1))
-    return reshape(t, (B * ch * cw, g * g, C))
+    """(B,C,H,W) -> (B*nH*nW, G*G, C) dilated token groups: token (i,j) of
+    group (a,b) is the pixel at (i*nH + a, j*nW + b)."""
+    return _partition(x, g, "grid")
 
 
 def grid_reverse(tokens: Tensor, g: int, b: int, c: int, h: int, w: int) -> Tensor:
-    """Exact inverse of grid_partition for original shape (b,c,h,w)."""
-    hp = h + ((-h) % g)
-    wp = w + ((-w) % g)
-    ch, cw = hp // g, wp // g
-    if tokens.shape != (b * ch * cw, g * g, c):
-        raise ShapeError(f"token shape {tokens.shape} inconsistent with reverse target")
-    t = reshape(tokens, (b, ch, cw, g, g, c))
-    t = permute(t, (0, 5, 3, 1, 4, 2))
-    t = reshape(t, (b, c, hp, wp))
-    if (hp, wp) != (h, w):
-        t = crop(t, [(0, b), (0, c), (0, h), (0, w)])
-    return t
+    return _unpartition(tokens, g, "grid", b, c, h, w)
 
 
 # ---------------------------------------------------------------------------

@@ -284,6 +284,74 @@ class TestMaxVitBlock:
         assert err < 1e-4
 
 
+class TestPartitionAttention:
+    """Partition, add the position embedding, the pre-norm sub-block, reverse.
+    The reference is composed here from the child modules, so it does not
+    run VitBlock.forward, which PartitionAttention shares."""
+
+    @staticmethod
+    def composed(sub, x):
+        window = sub.mode == "window"
+        t = (T.window_partition if window else T.grid_partition)(x, sub.size)
+        t = T.add_bcast(t, sub.pos)
+        t = T.add(t, sub.attn(sub.norm1(t)))
+        t = T.add(t, sub.mlp(sub.norm2(t)))
+        return (T.window_reverse if window else T.grid_reverse)(t, sub.size, *x.shape)
+
+    @staticmethod
+    def output_and_grads(fn, sub, x, upstream):
+        """Bytes of fn's output, of x's gradient and of every parameter
+        gradient, in named_params() order."""
+        x.zero_grad()
+        for p in sub.params():
+            p.zero_grad()
+        T.reset_tape()
+        out = fn(sub, x)
+        T.backward(T.tsum(T.mul(out, upstream)))
+        return [out.data.tobytes(), x.grad.tobytes()] + [p.grad.tobytes() for _, p in sub.named_params()]
+
+    @pytest.mark.parametrize("mode", ["window", "grid"])
+    @pytest.mark.parametrize("hw", [(8, 8), (6, 9)])
+    def test_bitwise_equal_to_composed_reference(self, mode, hw):
+        sub = PartitionAttention(8, 2, 160, mode, 4, SeedStream(7), F64)
+        sub.pos.data[...] = T.uniform(sub.pos.shape, 8).data
+        x = uni((2, 8) + hw, 9, grad=True)
+        upstream = uni(x.shape, 10)
+        got = self.output_and_grads(lambda s, t: s(t), sub, x, upstream)
+        want = self.output_and_grads(self.composed, sub, x, upstream)
+        assert got == want
+
+    def test_param_names_in_order(self):
+        sub = PartitionAttention(8, 2, 160, "grid", 4, SeedStream(0), F64)
+        assert [n for n, _ in sub.named_params()] == [
+            "pos",
+            "norm1.gamma", "norm1.beta",
+            "attn.qkv.w", "attn.qkv.b", "attn.out.w", "attn.out.b",
+            "norm2.gamma", "norm2.beta",
+            "mlp.fc1.w", "mlp.fc1.b", "mlp.fc2.w", "mlp.fc2.b",
+        ]
+
+    def test_named_modules_pre_order(self):
+        sub = PartitionAttention(8, 2, 160, "window", 4, SeedStream(0), F64)
+        assert [(p, type(m).__name__) for p, m in sub.named_modules("blk")] == [
+            ("blk", "PartitionAttention"),
+            ("blk.norm1", "LayerNorm"),
+            ("blk.attn", "MultiheadSelfAttention"),
+            ("blk.attn.qkv", "Linear"),
+            ("blk.attn.out", "Linear"),
+            ("blk.norm2", "LayerNorm"),
+            ("blk.mlp", "Mlp"),
+            ("blk.mlp.fc1", "Linear"),
+            ("blk.mlp.fc2", "Linear"),
+        ]
+
+    def test_children_built_like_a_vit_block(self):
+        sub = PartitionAttention(8, 2, 160, "window", 4, SeedStream(3), F64)
+        block = VitBlock(8, 2, 160, SeedStream(3), F64)
+        params = [(n, p.data.tobytes()) for n, p in sub.named_params()]
+        assert params[1:] == [(n, p.data.tobytes()) for n, p in block.named_params()]
+
+
 class TestVitPieces:
     def test_token_count_formula(self):
         embed = PatchEmbed(1, 16, 128, 128, 8, SeedStream(0), F64)
@@ -305,7 +373,7 @@ class TestVitPieces:
         perm = rng.permutation(4)
 
         def encode(arr):
-            tok = embed(T.from_array(arr), with_pos=False)
+            tok = embed(T.from_array(arr))
             return block(tok).data
 
         with T.no_grad():

@@ -49,7 +49,6 @@ class TestModelConfig:
     def test_valid_defaults(self):
         cfg = ModelConfig()
         assert cfg.temporal_stages == 5
-        assert cfg.head_dim(64) == 16
 
     @pytest.mark.parametrize("bad", [
         dict(variant="resnet"),

@@ -220,6 +220,11 @@ class TestTiming:
         with pytest.raises(ConfigError):
             time_inference(self._MockModel(0.1), (1, 2, 4, 2, 8, 8), runs=2)
 
+    @pytest.mark.parametrize("stride", [0, -4])
+    def test_nonpositive_stride_rejected(self, stride):
+        with pytest.raises(ConfigError, match="stride"):
+            time_inference(self._MockModel(0.1), (1, 2, 4, 2, 8, 8), stride=stride)
+
 
 def model_state(model):
     """Everything timing may change, in a comparable form."""

@@ -529,6 +529,25 @@ class TestNormalize:
             T.normalize(T.zeros((2, 2)), T.full((2,), 1.0), T.zeros((2,)), axes=-1, eps=0.0)
 
 
+AXIS_OPS = {
+    "repeat": lambda x, ax: T.repeat(x, axis=ax, factor=2),
+    "normalize": lambda x, ax: T.normalize(x, T.full((1,), 2.0), T.full((1,), 0.5), axes=ax, eps=1e-5),
+    "softmax": lambda x, ax: T.softmax(x, axis=ax),
+}
+
+
+@pytest.mark.parametrize("op", sorted(AXIS_OPS))
+class TestAxisChecks:
+    @pytest.mark.parametrize("axis", [4, 7, 9, -5])
+    def test_axis_outside_rank_rejected(self, op, axis):
+        with pytest.raises(ShapeError, match="out of bounds for rank 4"):
+            AXIS_OPS[op](T.zeros((2, 3, 4, 5)), axis)
+
+    def test_negative_axis_counts_from_end(self, op):
+        x = T.uniform((2, 3, 4, 5), 41)
+        assert AXIS_OPS[op](x, -3).data.tobytes() == AXIS_OPS[op](x, 1).data.tobytes()
+
+
 class TestActivations:
     def test_relu_values(self):
         out = T.relu(T.from_array(np.array([-2.0, 3.0]))).data
@@ -550,10 +569,6 @@ class TestActivations:
             [float(0.5 * mpmath.mpf(x) * (1 + mpmath.erf(mpmath.mpf(x) / mpmath.sqrt(2)))) for x in xs]
         )
         assert np.max(np.abs(got - want)) < 1e-7
-
-    def test_unknown_kind(self):
-        with pytest.raises(ConfigError):
-            T.activation(T.zeros((1,)), "tanh")
 
 
 class TestEwise:
@@ -663,6 +678,10 @@ class TestPartitions:
             T.window_partition(T.zeros((1, 1, 4, 4)), 0)
         with pytest.raises(ConfigError):
             T.grid_partition(T.zeros((1, 1, 4, 4)), -2)
+        for reverse in (T.window_reverse, T.grid_reverse):
+            for size in (0, -2):
+                with pytest.raises(ConfigError):
+                    reverse(T.zeros((4, 4, 1)), size, 1, 1, 4, 4)
 
 
 class TestPrecisionModes:

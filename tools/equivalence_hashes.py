@@ -1,0 +1,104 @@
+"""Print sha256 prefixes of what a behaviour-preserving change must keep.
+
+Run it on two source trees and compare the output line by line:
+
+    PYTHONPATH=src python3 tools/equivalence_hashes.py > after.txt
+    PYTHONPATH=/path/to/other/checkout/src python3 tools/equivalence_hashes.py > before.txt
+    diff before.txt after.txt
+
+It covers checkpoint bytes, parameter names, per-layer profiles, and the
+forward output, loss, every gradient and the tape node count of a training
+step.  Array hashes include dtype and shape.  It uses only the public API
+plus ``tensor.active_tape``, so any revision of ``radarkit`` can run it.
+The radarformer-ref step at the end peaks at about 1.2 GB.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import os
+import sys
+import tempfile
+
+import numpy as np
+
+from radarkit import tensor as T
+from radarkit.models import REFERENCE_NAMES, ModelConfig, build_model, build_reference, reference_config, save_checkpoint
+from radarkit.profiler import profile_layers
+
+CHECKPOINT_CONFIGS = ("radarformer-ref", "cnn2d-ref", "transformer2d-ref", "radarformer-tiny")
+TOY_TRANSFORMER = ModelConfig(
+    variant="transformer2d", frames=4, chirps=2, height=16, width=16, merge_channels=4,
+    stage_widths=(8,), stage_depths=(2,), heads=2, patch_size=4, vit_dim=8,
+)
+
+
+def digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            h.update(f"{part.dtype.str}{part.shape}".encode())
+            h.update(np.ascontiguousarray(part).tobytes())
+        else:
+            h.update(repr(part).encode())
+    return h.hexdigest()[:16]
+
+
+def show(label, *parts) -> None:
+    print(f"{label:48s} {digest(*parts)}", flush=True)
+
+
+def checkpoints(tmp) -> None:
+    for name in CHECKPOINT_CONFIGS:
+        for dtype in (np.float32, np.float64):
+            path = os.path.join(tmp, "model.rfck")
+            model = build_model(reference_config(name), dtype=dtype)
+            save_checkpoint(model, path)
+            with open(path, "rb") as fh:
+                show(f"checkpoint {name} {np.dtype(dtype).name}", fh.read())
+            show(f"named_params {name} {np.dtype(dtype).name}", [n for n, _ in model.named_params()])
+
+
+def profiles() -> None:
+    for name in REFERENCE_NAMES:
+        model = build_reference(name, dtype=np.float32)
+        show(f"profile_layers {name}", [tuple(row.__dict__.values()) for row in profile_layers(model)])
+        del model
+
+
+def step(label, cfg, dtype, seed) -> None:
+    """Forward in train mode, mean BCE against seeded targets, backward."""
+    model = build_model(cfg, dtype=dtype)
+    shape = (1, 2, cfg.frames, cfg.chirps, cfg.height, cfg.width)
+    cube = T.uniform(shape, seed, -1.0, 1.0, dtype=dtype)
+    T.reset_tape()
+    logits = model.forward_logits(cube)
+    rng = np.random.Generator(np.random.PCG64(seed + 1))
+    loss = T.bce_with_logits(logits, rng.uniform(0.0, 1.0, size=logits.shape))
+    nodes = len(T.active_tape().nodes)
+    T.backward(loss)
+    show(f"{label} forward", logits.data)
+    show(f"{label} loss", loss.data)
+    show(f"{label} grads", *[a for n, p in model.named_params() for a in (n, p.grad)])
+    show(f"{label} tape nodes", nodes)
+    T.reset_tape()
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        checkpoints(tmp)
+    profiles()
+    tiny = reference_config("radarformer-tiny")
+    for dtype in (np.float32, np.float64):
+        dt = np.dtype(dtype).name
+        step(f"radarformer-tiny 32x32 {dt}", tiny, dtype, 101)
+        step(f"radarformer-tiny 30x27 {dt}", dataclasses.replace(tiny, height=30, width=27), dtype, 102)
+        step(f"transformer2d-toy {dt}", TOY_TRANSFORMER, dtype, 103)
+    ref = dataclasses.replace(reference_config("radarformer-ref"), height=32, width=32)
+    step("radarformer-ref 32x32 float32", ref, np.float32, 104)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
