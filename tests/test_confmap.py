@@ -1,6 +1,9 @@
 """ConfMap encode/decode, OLS kernel, peak detection, and L-NMS."""
 
+import dataclasses
 import math
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,15 +17,38 @@ from radarkit.confmap import (
     encode_confmap,
     l_nms,
     ols,
+    ols_kernel,
     peak_detect,
     read_annotations,
     read_detections,
     write_annotations,
     write_detections,
 )
-from radarkit.errors import DataFormatError
+from radarkit.errors import ConfigError, DataFormatError
 
-from oracles import lnms_loops
+from oracles import decode_scalar, lnms_loops, ols_scalar
+
+
+def noisy_map(seed, k, h, w, n_objects, noise, decimals):
+    """Encoded objects plus clipped Gaussian noise; rounding to `decimals`
+    makes plateaus and equal confidences (ranking ties)."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    anns = [
+        Annotation(0, int(rng.integers(0, k)), int(rng.integers(0, h)), int(rng.integers(0, w)))
+        for _ in range(n_objects)
+    ]
+    cm = np.clip(encode_confmap(anns, k, h, w) + rng.normal(0.0, noise, (k, h, w)), 0.0, 1.0)
+    return cm if decimals is None else np.round(cm, decimals)
+
+
+def flood_map(seed, k, h, w, decimals=None):
+    """Peaks on every other row and column over a 0.35 floor: the most
+    strict 3x3 maxima an h x w map can hold, ceil(h/2) * ceil(w/2) per class."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    cm = np.full((k, h, w), 0.35)
+    peaks = rng.uniform(0.4, 1.0, cm[:, ::2, ::2].shape)
+    cm[:, ::2, ::2] = peaks if decimals is None else np.round(peaks, decimals)
+    return cm
 
 
 class TestEncode:
@@ -111,6 +137,53 @@ class TestOls:
         assert all(x >= y - 1e-15 for x, y in zip(vals, vals[1:]))
 
 
+COORD = st.one_of(st.integers(0, 255), st.floats(0.0, 255.0))
+
+
+class TestOlsKernel:
+    """The broadcasting kernel gives the scalar formula's bits."""
+
+    @given(st.lists(st.tuples(COORD, COORD), min_size=1, max_size=12),
+           st.lists(st.tuples(st.integers(0, 2), COORD, COORD), min_size=1, max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_scalar_ols_bit_for_bit(self, points, gts):
+        r = np.array([p[0] for p in points], dtype=np.float64)[:, None]
+        a = np.array([p[1] for p in points], dtype=np.float64)[:, None]
+        g_cls = np.array([g[0] for g in gts])
+        g_r = np.array([g[1] for g in gts], dtype=np.float64)
+        g_a = np.array([g[2] for g in gts], dtype=np.float64)
+        got = ols_kernel(r, a, g_r, g_a, g_cls)
+        assert got.shape == (len(points), len(gts)) and got.dtype == np.float64
+        for i, (pr, pa) in enumerate(points):
+            for j, (gc, gr, ga) in enumerate(gts):
+                p, g = Detection(gc, pr, pa, 0.5), Annotation(0, gc, gr, ga)
+                want = ols_scalar(p, g, DEFAULT_OLS)
+                assert got[i, j] == want and ols(p, g) == want
+                # one ground point against the array of points, as in L-NMS
+                assert ols_kernel(r[:, 0], a[:, 0], gr, ga, gc)[i] == want
+
+    def test_equals_scalar_ols_across_the_unclamped_band(self):
+        # sigma escapes the [2, 10]-bin clamp only for mean ranges of
+        # about 4 to 20 bins, where rounding differences would show
+        r = np.arange(0.0, 30.0, 0.25)
+        for c in range(3):
+            for g_r in r[::5]:
+                got = ols_kernel(r, r + 3.0, g_r, 1.5, c)
+                want = [
+                    ols_scalar(Detection(c, x, x + 3.0, 0.5), Annotation(0, c, g_r, 1.5), DEFAULT_OLS)
+                    for x in r.tolist()
+                ]
+                assert got.tolist() == want
+
+    def test_class_ids_checked_before_indexing(self):
+        zeros = np.zeros(2)
+        for bad in (-1, 3):
+            with pytest.raises(ConfigError, match=f"class_id {bad} outside"):
+                ols_kernel(zeros, zeros, zeros, zeros, np.array([0, bad]))
+            with pytest.raises(ConfigError, match=f"class_id {bad} outside"):
+                ols_kernel(zeros, zeros, 0.0, 0.0, bad)
+
+
 class TestPeakDetect:
     def test_single_gaussian_single_candidate(self):
         cm = encode_confmap([Annotation(0, 1, 40, 50)], 3, 96, 96)
@@ -188,6 +261,60 @@ class TestLNms:
         assert confs == sorted(confs, reverse=True)
 
 
+    @pytest.mark.parametrize("class_id", [-1, 3])
+    def test_out_of_range_class_rejected(self, class_id):
+        cands = [Detection(class_id, 20, 20, 0.9), Detection(class_id, 22, 20, 0.8)]
+        with pytest.raises(ConfigError, match=f"class_id {class_id} outside"):
+            l_nms(cands, 0.3)
+
+    def test_flood_map_memory_linear(self):
+        # 4096 candidates of one class: a pairwise f64 matrix would be 134 MB
+        cands = peak_detect(flood_map(5, 1, 128, 128), 0.3)
+        assert len(cands) == 64 * 64
+        tracemalloc.start()
+        try:
+            kept = l_nms(cands, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < len(kept) < len(cands)
+        assert peak < 4 * 2**20
+
+
+class TestDecoderEqualsScalar:
+    """`decode_confmap` returns exactly what the scalar decoder returns."""
+
+    @staticmethod
+    def check(cm, floor, thr):
+        got = decode_confmap(cm, floor=floor, ols_threshold=thr)
+        assert got == decode_scalar(cm, floor, thr, DEFAULT_OLS)
+        assert all(
+            type(d.class_id) is int and type(d.range_bin) is int
+            and type(d.azimuth_bin) is int and type(d.confidence) is float
+            for d in got
+        )
+
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3), h=st.integers(1, 40),
+           w=st.integers(1, 40), n_objects=st.integers(0, 5), noise=st.floats(0.0, 0.3),
+           decimals=st.sampled_from([None, 1, 2]), floor=st.floats(0.0, 0.9),
+           thr=st.floats(0.05, 0.95))
+    @settings(max_examples=60, deadline=None)
+    def test_noisy_maps(self, seed, k, h, w, n_objects, noise, decimals, floor, thr):
+        self.check(noisy_map(seed, k, h, w, n_objects, noise, decimals), floor, thr)
+
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3), h=st.integers(1, 24),
+           w=st.integers(1, 24), decimals=st.sampled_from([None, 1]), thr=st.floats(0.05, 0.95))
+    @settings(max_examples=20, deadline=None)
+    def test_flood_maps(self, seed, k, h, w, decimals, thr):
+        self.check(flood_map(seed, k, h, w, decimals), 0.3, thr)
+
+    def test_given_order_is_kept(self):
+        # confidence-only order: L-NMS must not re-sort by the rank key
+        cands = [Detection(1, 30, 30, 0.5), Detection(0, 30, 30, 0.5), Detection(1, 31, 30, 0.5)]
+        assert l_nms(cands, 0.3) == [cands[0], cands[1]]
+        assert l_nms(cands[::-1], 0.3) == [cands[2], cands[1]]
+
+
 class TestDecodeEncodeRoundTrip:
     @pytest.mark.parametrize("seed", range(8))
     def test_well_separated_scene_recovered_exactly(self, seed):
@@ -215,6 +342,17 @@ class TestDecodeEncodeRoundTrip:
         got = {(d.class_id, d.range_bin, d.azimuth_bin) for d in dets}
         want = {(a.class_id, a.range_bin, a.azimuth_bin) for a in anns}
         assert got == want
+
+
+class TestRecords:
+    @pytest.mark.parametrize("rec", [Detection(1, 10, 20, 0.5, frame_id=3), Annotation(3, 1, 10, 20)])
+    def test_slotted_frozen_records(self, rec):
+        assert not hasattr(rec, "__dict__")
+        assert pickle.loads(pickle.dumps(rec)) == rec
+        assert dataclasses.replace(rec, frame_id=7).frame_id == 7
+        assert hash(rec) == hash(dataclasses.replace(rec))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rec.range_bin = 11
 
 
 class TestLineFiles:

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from radarkit.confmap import Annotation, Detection, ols
-from radarkit.errors import DataFormatError
+from radarkit.confmap import DEFAULT_OLS, Annotation, Detection, ols
+from radarkit.errors import ConfigError, DataFormatError
 from radarkit.evaluation import (
     OLS_THRESHOLDS,
     evaluate,
@@ -15,7 +16,7 @@ from radarkit.evaluation import (
     write_report_kv,
 )
 
-from oracles import match_frame_best_assignment
+from oracles import greedy_match_scalar, match_frame_best_assignment
 
 
 def det(c, r, a, conf, frame=0):
@@ -60,6 +61,13 @@ class TestMatchFrame:
         g0 = gt(0, 20, 20)
         dets = [det(0, 20, 20, 0.9), det(0, 20, 21, 0.8)]
         assert match_frame(dets, [g0], 0.5) == (1, 1, 0)
+
+    def test_equal_ols_goes_to_the_first_ground_truth(self):
+        # the first detection is 5 bins from both ground truths (OLS 0.88);
+        # taking the second one would leave 0.61 for the second detection
+        gts = [gt(0, 20, 15), gt(0, 20, 25)]
+        dets = [det(0, 20, 20, 0.9), det(0, 20, 25, 0.8)]
+        assert match_frame(dets, gts, 0.7) == (2, 0, 0)
 
     @pytest.mark.parametrize("seed", range(30))
     def test_vs_exhaustive_assignment(self, seed):
@@ -169,6 +177,26 @@ class TestEvaluate:
         for thr in OLS_THRESHOLDS:
             tp, fp, fn = match_frame(dets, gts, thr)
             assert res.per_threshold[thr]["ar"] == tp / len(gts)
+
+    @pytest.mark.parametrize("class_id", [-1, 3])
+    def test_out_of_range_gt_class_rejected(self, class_id):
+        with pytest.raises(ConfigError, match=f"class_id {class_id} outside"):
+            evaluate([det(class_id, 10, 10, 0.9)], [gt(0, 10, 12), gt(class_id, 10, 10)])
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 2), st.floats(0, 40), st.floats(0, 40),
+                           st.sampled_from([0.2, 0.5, 0.9])), max_size=10),
+        st.lists(st.tuples(st.integers(0, 2), st.integers(0, 40), st.integers(0, 40)), max_size=6),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matching_equals_scalar_greedy(self, raw_dets, raw_gts):
+        dets = sorted((det(*d) for d in raw_dets), key=lambda d: -d.confidence)
+        gts = [gt(*g) for g in raw_gts]
+        res = evaluate(dets, gts)
+        for thr in OLS_THRESHOLDS:
+            tp = sum(greedy_match_scalar(dets, gts, thr, DEFAULT_OLS))
+            assert match_frame(dets, gts, thr) == (tp, len(dets) - tp, len(gts) - tp)
+            assert res.per_threshold[thr]["ar"] == (tp / len(gts) if gts else 0.0)
 
     def test_misaligned_frames_rejected(self):
         gts = [gt(0, 10, 10, frame=0)]

@@ -153,6 +153,12 @@ class TestRegressions:
         path.write_bytes(bytes(data))
         _raises_naming(path, load_checkpoint, "offset")
 
+    def test_checkpoint_rank_above_numpy_limit(self, tmp_path):
+        # 65 unit extents fit in the file but not in an ndarray
+        path = tmp_path / "rank65.rfck"
+        path.write_bytes(_checkpoint_v1(_blob_head(b"merge.conv1.w", (1,) * 65) + bytes(4)))
+        _raises_naming(path, load_checkpoint, "merge.conv1.w", "offset")
+
     def test_checkpoint_non_utf8_blob_name(self, tmp_path):
         path = tmp_path / "name.rfck"
         path.write_bytes(_checkpoint_v1(_blob_head(b"\xff\xfe", (1,)) + bytes(4)))

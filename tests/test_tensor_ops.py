@@ -548,6 +548,12 @@ class TestAxisChecks:
         assert AXIS_OPS[op](x, -3).data.tobytes() == AXIS_OPS[op](x, 1).data.tobytes()
 
 
+def test_normalize_repeated_axis_rejected():
+    x, g, b = T.zeros((2, 3, 4, 5)), T.full((1, 3, 1, 1), 1.0), T.zeros((1, 3, 1, 1))
+    with pytest.raises(ShapeError, match=r"axes \(1, -3\) name the same axis twice"):
+        T.normalize(x, g, b, axes=(1, -3), eps=1e-5)
+
+
 class TestActivations:
     def test_relu_values(self):
         out = T.relu(T.from_array(np.array([-2.0, 3.0]))).data

@@ -6,9 +6,9 @@ Run it on two source trees and compare the output line by line:
     PYTHONPATH=/path/to/other/checkout/src python3 tools/equivalence_hashes.py > before.txt
     diff before.txt after.txt
 
-It covers checkpoint bytes, parameter names, per-layer profiles, and the
-forward output, loss, every gradient and the tape node count of a training
-step.  Array hashes include dtype and shape.  It uses only the public API
+It covers ConfMap decoding and AP/AR, checkpoint bytes, parameter names,
+per-layer profiles, and the forward output, loss, every gradient and the
+tape node count of a training step.  Array hashes include dtype and shape.  It uses only the public API
 plus ``tensor.active_tape``, so any revision of ``radarkit`` can run it.
 The radarformer-ref step at the end peaks at about 1.2 GB.
 """
@@ -24,6 +24,8 @@ import tempfile
 import numpy as np
 
 from radarkit import tensor as T
+from radarkit.confmap import Annotation, decode_confmap, encode_confmap
+from radarkit.evaluation import CATEGORIES, evaluate
 from radarkit.models import REFERENCE_NAMES, ModelConfig, build_model, build_reference, reference_config, save_checkpoint
 from radarkit.profiler import profile_layers
 
@@ -47,6 +49,33 @@ def digest(*parts) -> str:
 
 def show(label, *parts) -> None:
     print(f"{label:48s} {digest(*parts)}", flush=True)
+
+
+def decoding(seed=105, frames=24, size=128) -> None:
+    """decode_confmap on seeded noisy maps and on a flood map (a strict
+    maximum on every other row and column of each class), then AP/AR of
+    the noisy frames' detections against their annotations."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    dets, anns = [], []
+    for frame in range(frames):
+        objs = [
+            Annotation(frame, int(rng.integers(0, 3)), int(rng.integers(0, size)), int(rng.integers(0, size)))
+            for _ in range(int(rng.integers(1, 7)))
+        ]
+        cm = encode_confmap(objs, 3, size, size)
+        pred = np.clip(cm + rng.normal(0.0, 0.1, cm.shape), 0.0, 1.0)
+        dets += [dataclasses.replace(d, frame_id=frame) for d in decode_confmap(pred)]
+        anns += objs
+    show(f"decode_confmap noisy {frames}x{size}x{size}", [dataclasses.astuple(d) for d in dets])
+    flood = np.full((3, size, size), 0.35)
+    flood[:, ::2, ::2] = rng.uniform(0.4, 1.0, flood[:, ::2, ::2].shape)
+    show(f"decode_confmap flood {size}x{size}", [dataclasses.astuple(d) for d in decode_confmap(flood)])
+    res = evaluate(dets, anns, categories={f: CATEGORIES[f % len(CATEGORIES)] for f in range(frames)})
+    show("evaluate ap/ar", res.ap_total, res.ar_total, sorted(res.per_category.items()))
+    show("evaluate per_threshold", *[
+        part for thr, row in sorted(res.per_threshold.items())
+        for part in (thr, row["precision"], row["recall"], row["ap"], row["ar"])
+    ])
 
 
 def checkpoints(tmp) -> None:
@@ -86,6 +115,7 @@ def step(label, cfg, dtype, seed) -> None:
 
 
 def main() -> int:
+    decoding()
     with tempfile.TemporaryDirectory() as tmp:
         checkpoints(tmp)
     profiles()
