@@ -48,10 +48,6 @@ class OlsParams:
     def kappa(self, class_id):
         """Class tolerance in meters for a class id or an array of ids; an
         id outside the table raises instead of wrapping around."""
-        if np.ndim(class_id) == 0:
-            if not 0 <= class_id < len(self.kappa_m):
-                raise ConfigError(f"class_id {class_id} outside kappa table")
-            return self.kappa_m[class_id]
         ids = np.asarray(class_id)
         bad = (ids < 0) | (ids >= len(self.kappa_m))
         if bad.any():

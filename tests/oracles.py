@@ -129,8 +129,8 @@ def ols_scalar(p, g, params):
 def decode_scalar(confmap, floor, ols_threshold, params):
     """The ConfMap decoder on Python objects: strict 3x3 maxima above
     `floor`, one Detection each, sorted in Python on (-confidence, class,
-    range, azimuth), then L-NMS that rebuilds the pending list after each
-    accepted candidate, comparing same-class pairs with `ols_scalar`."""
+    range, azimuth), then `lnms_loops` comparing same-class pairs with
+    `ols_scalar`."""
     k, h, w = confmap.shape
     padded = np.full((k, h + 2, w + 2), -np.inf)
     padded[:, 1:-1, 1:-1] = confmap
@@ -145,15 +145,7 @@ def decode_scalar(confmap, floor, ols_threshold, params):
         for c, r, a in zip(*np.nonzero(strict_max))
     ]
     pending.sort(key=lambda d: (-d.confidence, d.class_id, d.range_bin, d.azimuth_bin))
-    accepted = []
-    while pending:
-        best = pending.pop(0)
-        accepted.append(best)
-        pending = [
-            c for c in pending
-            if c.class_id != best.class_id or ols_scalar(c, best, params) <= ols_threshold
-        ]
-    return accepted
+    return lnms_loops(pending, ols_threshold, lambda c, b: ols_scalar(c, b, params))
 
 
 def greedy_match_scalar(dets, gts, threshold, params):
