@@ -21,7 +21,9 @@ for AP/AR matching in `evaluation` and, as a 0-d call, for the scalar
 candidates are ranked on arrays with one `np.lexsort`, and L-NMS is a
 greedy pass per class over array rows: each accepted candidate evaluates
 the kernel against the still-pending rows of its class and drops those
-above the threshold, so memory stays linear in the candidate count.
+above the threshold, so memory stays linear in the candidate count.  The
+pass looks up its class's kappa once and calls the kernel's body,
+`_ols_body`, which `ols_kernel` itself ends in.
 """
 
 from __future__ import annotations
@@ -59,11 +61,16 @@ class OlsParams:
         class tolerance times the distance scale (the range in meters,
         clamped below at 1 m), expressed in bins, clamped to
         [sigma_lo, sigma_hi]."""
-        res = self.range_resolution_m
-        scale = np.maximum(self.min_scale_m, res * range_bin)
-        sigma = scale * self.kappa(class_id) / res
-        # np.clip's order of operations, without its Python-level dispatch
-        return np.minimum(np.maximum(sigma, self.sigma_lo_bins), self.sigma_hi_bins)
+        return _sigma_band(self.kappa(class_id), range_bin, self)
+
+
+def _sigma_band(kappa, range_bin, params: OlsParams):
+    """`OlsParams.sigma_bins` for an already looked-up kappa in meters."""
+    res = params.range_resolution_m
+    scale = np.maximum(params.min_scale_m, res * range_bin)
+    sigma = scale * kappa / res
+    # np.clip's order of operations, without its Python-level dispatch
+    return np.minimum(np.maximum(sigma, params.sigma_lo_bins), params.sigma_hi_bins)
 
 
 DEFAULT_OLS = OlsParams()
@@ -113,9 +120,14 @@ def ols_kernel(r, a, g_r, g_a, g_class, params: OlsParams = DEFAULT_OLS):
     locations (the scale uses their mean range).  The kernel width
     s*kappa is clamped to the encoding-sigma band, so similarity contours
     track the rendered Gaussian spread."""
+    return _ols_body(r, a, g_r, g_a, params.kappa(g_class), params)
+
+
+def _ols_body(r, a, g_r, g_a, kappa, params: OlsParams):
+    """`ols_kernel` for an already looked-up kappa in meters."""
     res = params.range_resolution_m
     d_bins = np.hypot(np.subtract(r, g_r), np.subtract(a, g_a))
-    sigma_bins = params.sigma_bins(g_class, 0.5 * np.add(r, g_r))
+    sigma_bins = _sigma_band(kappa, 0.5 * np.add(r, g_r), params)
     d_m = res * d_bins
     sk_m = res * sigma_bins
     return np.exp(-(d_m * d_m) / (2.0 * sk_m * sk_m))
@@ -173,12 +185,13 @@ def l_nms(candidates, ols_threshold: float, params: OlsParams = DEFAULT_OLS) -> 
     cls, r, a = _columns(candidates)
     kept = []
     for c in np.unique(cls):
+        kappa = params.kappa(c)
         pending = np.flatnonzero(cls == c)
         while pending.size:
             best, pending = pending[0], pending[1:]
             kept.append(best)
             if pending.size:
-                sim = ols_kernel(r[pending], a[pending], r[best], a[best], c, params)
+                sim = _ols_body(r[pending], a[pending], r[best], a[best], kappa, params)
                 pending = pending[sim <= ols_threshold]
     return [candidates[i] for i in sorted(kept)]
 

@@ -3,8 +3,9 @@
 Detections are matched per frame by greedy confidence order: each
 detection takes the unmatched same-class ground truth with the highest
 OLS, provided that OLS clears the threshold.  Each frame's det x gt OLS
-matrix comes from one `confmap.ols_kernel` call and serves every
-threshold of the sweep.  Precision/recall curves are built from the
+matrix comes from one `confmap.ols_kernel` call, and the pooled
+confidence ranking from one stable sort; both serve every threshold of
+the sweep.  Precision/recall curves are built from the
 pooled confidence-ranked detections; AP uses 101-point interpolated
 integration per threshold and both AP and AR average over the nine
 thresholds 0.50..0.90 (step 0.05).
@@ -86,18 +87,19 @@ def _ap_101(precision: np.ndarray, recall: np.ndarray) -> float:
 def _eval_frames(frames, thresholds, params):
     """frames: list of (dets_sorted, gts). Returns (ap, ar, per_threshold)."""
     gt_total = sum(len(g) for _, g in frames)
-    frames = [(dets, _ols_rows(dets, gts, params), len(gts)) for dets, gts in frames]
+    neg_conf = [-d.confidence for dets, _ in frames for d in dets]
+    # one stable ranking of the pooled detections serves every threshold;
+    # ties, -0.0 against 0.0 included, keep frame-then-detection order
+    ranked = np.array(sorted(range(len(neg_conf)), key=neg_conf.__getitem__), dtype=np.intp)
+    frames = [(_ols_rows(dets, gts, params), len(gts)) for dets, gts in frames]
     per_threshold = {}
     aps, ars = [], []
     for thr in thresholds:
-        scored = []
-        matched = 0
-        for dets, rows, n_gts in frames:
-            flags = _match_flags(rows, n_gts, thr)
-            matched += sum(flags)
-            scored.extend((d.confidence, flag) for d, flag in zip(dets, flags))
-        scored.sort(key=lambda t: -t[0])
-        flags = np.array([f for _, f in scored], dtype=bool)
+        pooled = []
+        for rows, n_gts in frames:
+            pooled += _match_flags(rows, n_gts, thr)
+        matched = sum(pooled)
+        flags = np.array(pooled, dtype=bool)[ranked]
         tp_cum = np.cumsum(flags)
         fp_cum = np.cumsum(~flags)
         precision = tp_cum / np.maximum(1, tp_cum + fp_cum)

@@ -13,6 +13,12 @@ part, channel 1 the imaginary part, plus additive complex Gaussian noise.
 
 Scenario tags (PL/CR/CS/HW) select target count, class mix, and speed
 profiles.  Everything is a pure function of (seed, scenario, config).
+
+``render_ramap`` draws each clip's noise on a worker of the thread pool
+that ``tensor.gelu`` uses (inline on one CPU) while the calling thread
+renders the targets; numpy's generator releases the GIL for the bulk
+fill.  The noise generator is seeded from (seed, scenario) alone, so the
+stream, and with it the cube, is the same whichever thread draws it.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ import numpy as np
 from .confmap import Annotation, read_annotations, write_annotations
 from .errors import ConfigError, DataFormatError, UsageError
 from .fileio import BinaryReader, read_records
+from .tensor import _start_task
 
 SCENARIOS = ("PL", "CR", "CS", "HW")
 
@@ -70,6 +77,24 @@ class SynthConfig:
     min_separation_bins: float = 0.0
     edge_margin_bins: float = 3.0
 
+    def __post_init__(self):
+        def check(field, ok, want):
+            if not ok:
+                raise ConfigError(f"SynthConfig.{field} must be {want}, got {getattr(self, field)!r}")
+
+        for field in ("height", "width", "chirps", "frames"):
+            check(field, getattr(self, field) >= 1, "at least 1")
+        for field in ("range_resolution_m", "azimuth_span_deg", "blob_sigma_range", "blob_sigma_azimuth"):
+            check(field, getattr(self, field) > 0, "positive")
+        for field in ("noise_sigma", "min_separation_bins", "edge_margin_bins"):
+            check(field, getattr(self, field) >= 0, "non-negative")
+        check("mean_targets", self.mean_targets is None or self.mean_targets >= 0, "None or non-negative")
+        lo_m, hi_m = _range_bounds_m(self)
+        check("height", lo_m <= hi_m,
+              f"large enough for a target range in [{lo_m:g}, {hi_m:g}] m clear of the edge margin")
+        az_half, az_margin = _azimuth_bounds_deg(self)
+        check("width", az_margin <= az_half, "large enough for an azimuth clear of the edge margin")
+
 
 @dataclass(frozen=True)
 class TargetSpec:
@@ -95,6 +120,18 @@ def _rng(seed, scenario):
     )
 
 
+def _range_bounds_m(cfg: SynthConfig):
+    """Lowest and highest range, in meters, a target may reach."""
+    lo_m = max(1.0, cfg.edge_margin_bins * cfg.range_resolution_m)
+    hi_m = (cfg.height - 1 - cfg.edge_margin_bins) * cfg.range_resolution_m
+    return lo_m, hi_m
+
+
+def _azimuth_bounds_deg(cfg: SynthConfig):
+    """Half the azimuth span and the edge margin, in degrees."""
+    return cfg.azimuth_span_deg / 2.0, cfg.azimuth_span_deg * cfg.edge_margin_bins / max(1, cfg.width - 1)
+
+
 def _bin_of(range_m, azimuth_deg, cfg: SynthConfig):
     r = range_m / cfg.range_resolution_m
     a = (azimuth_deg / cfg.azimuth_span_deg + 0.5) * (cfg.width - 1)
@@ -112,10 +149,8 @@ def generate_scene(seed: int, scenario: str, cfg: SynthConfig = SynthConfig()) -
     count = max(1, int(rng.poisson(mean)))
 
     duration = (cfg.frames - 1) / FRAME_RATE_HZ
-    lo_m = max(1.0, cfg.edge_margin_bins * cfg.range_resolution_m)
-    hi_m = (cfg.height - 1 - cfg.edge_margin_bins) * cfg.range_resolution_m
-    az_half = cfg.azimuth_span_deg / 2.0
-    az_margin = cfg.azimuth_span_deg * cfg.edge_margin_bins / max(1, cfg.width - 1)
+    lo_m, hi_m = _range_bounds_m(cfg)
+    az_half, az_margin = _azimuth_bounds_deg(cfg)
 
     targets: list[TargetSpec] = []
     placed_bins: list[tuple[float, float]] = []
@@ -148,12 +183,31 @@ def generate_scene(seed: int, scenario: str, cfg: SynthConfig = SynthConfig()) -
     return Scene(seed, scenario, cfg.frames, cfg.noise_sigma, tuple(targets))
 
 
+def _noise(rng, shape, sigma):
+    """`shape` standard normal f64 values from rng, scaled in place by sigma."""
+    noise = rng.standard_normal(shape)
+    noise *= sigma
+    return noise
+
+
 def render_ramap(scene: Scene, cfg: SynthConfig = SynthConfig(), dtype=np.float32):
-    """Render (2,T,C,H,W) RF frames plus per-frame annotations."""
+    """Render (2,T,C,H,W) RF frames plus per-frame annotations.
+
+    The targets are summed in f64 while another thread draws the f64
+    noise; their sum is rounded once, to `dtype`."""
     if cfg.chirps != len(CHIRP_INDICES):
         raise ConfigError(f"renderer supports exactly {len(CHIRP_INDICES)} chirps")
+    if not scene.noise_sigma >= 0:
+        raise ConfigError(f"scene noise_sigma must be non-negative, got {scene.noise_sigma!r}")
     t_frames, c, h, w = scene.frames, cfg.chirps, cfg.height, cfg.width
-    cube = np.zeros((2, t_frames, c, h, w))
+    shape = (2, t_frames, c, h, w)
+    noise = None
+    if scene.noise_sigma > 0:
+        noise_rng = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence((scene.seed, 97, SCENARIOS.index(scene.scenario))))
+        )
+        noise = _start_task(_noise, noise_rng, shape, scene.noise_sigma)
+    cube = np.zeros(shape)
     rows = np.arange(h)[:, None]
     cols = np.arange(w)[None, :]
     dt_chirp = (1.0 / FRAME_RATE_HZ) / CHIRPS_PER_FRAME
@@ -178,12 +232,11 @@ def render_ramap(scene: Scene, cfg: SynthConfig = SynthConfig(), dtype=np.float3
             annotations.append(
                 Annotation(t, tgt.class_id, int(round(rb)), int(round(ab)))
             )
-    if scene.noise_sigma > 0:
-        noise_rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence((scene.seed, 97, SCENARIOS.index(scene.scenario))))
-        )
-        cube += scene.noise_sigma * noise_rng.standard_normal(cube.shape)
-    return cube.astype(dtype), annotations
+    if noise is None:
+        return cube.astype(dtype), annotations
+    out = np.empty(shape, dtype)
+    np.add(cube, noise(), out=out)
+    return out, annotations
 
 
 # ---------------------------------------------------------------------------
@@ -220,13 +273,14 @@ class DatasetManifest:
 
 
 def write_sequence(path, cube: np.ndarray) -> None:
-    if cube.ndim != 5 or cube.shape[0] != 2:
-        raise ConfigError(f"sequence cube must be (2,T,C,H,W), got {cube.shape}")
+    if cube.ndim != 5 or cube.shape[0] != 2 or min(cube.shape) < 1:
+        raise ConfigError(f"sequence cube must be (2,T,C,H,W) with every extent at least 1, got {cube.shape}")
     with open(path, "wb") as fh:
         fh.write(_RAMC_MAGIC)
         fh.write(struct.pack("<H", _RAMC_VERSION))
         fh.write(struct.pack("<5I", *cube.shape))
-        fh.write(np.ascontiguousarray(cube, dtype="<f4").tobytes())
+        # through the buffer protocol: no bytes copy of the payload
+        fh.write(np.ascontiguousarray(cube, dtype="<f4"))
 
 
 def read_sequence(path) -> np.ndarray:

@@ -47,7 +47,8 @@ place to the fresh product, the same IEEE add as a separate ``add_bcast``.
 chunk per CPU the process may use and runs the chunks on a thread pool
 created on first use; scipy's ``erf`` releases the GIL.  Each element gets
 the same operations in the same order either way, so the split changes no
-bit.
+bit.  ``synth.render_ramap`` draws its noise on the same pool
+(``_start_task``).
 """
 
 from __future__ import annotations
@@ -646,19 +647,32 @@ def _gelu_into(x, phi_cdf, out):
     np.multiply(x, phi_cdf, out=out)
 
 
+def _start_task(fn, *args):
+    """Start fn(*args) on the shared pool, created on first use with one
+    thread per CPU, and return a callable that waits for and returns its
+    result (or raises its exception).  On one CPU fn runs here, at once.
+    fn must not submit to the pool itself: with every thread waiting on a
+    task of its own, that task would never start."""
+    global _cpu_pool
+    n = len(os.sched_getaffinity(0))
+    if n == 1:
+        result = fn(*args)
+        return lambda: result
+    with _cpu_pool_lock:
+        if _cpu_pool is None:
+            _cpu_pool = ThreadPoolExecutor(n, thread_name_prefix="radarkit")
+    return _cpu_pool.submit(fn, *args).result
+
+
 def _split_across_cpus(fn, *arrays):
     """Run fn on matching flat chunks of `arrays`, one chunk per CPU."""
-    global _cpu_pool
     n = len(os.sched_getaffinity(0))
     if n == 1:
         fn(*arrays)
         return
-    with _cpu_pool_lock:
-        if _cpu_pool is None:
-            _cpu_pool = ThreadPoolExecutor(n, thread_name_prefix="radarkit")
     chunks = [np.array_split(a.reshape(-1), n) for a in arrays]
-    for future in [_cpu_pool.submit(fn, *parts) for parts in zip(*chunks)]:
-        future.result()
+    for wait in [_start_task(fn, *parts) for parts in zip(*chunks)]:
+        wait()
 
 
 def gelu(x: Tensor) -> Tensor:

@@ -8,8 +8,18 @@ reference for the profiler's closed-form counts.
 
 import numpy as np
 
-from radarkit.confmap import Detection
+from radarkit.confmap import Annotation, Detection
 from radarkit.errors import ConfigError
+from radarkit.synth import (
+    CHIRP_INDICES,
+    CHIRPS_PER_FRAME,
+    FRAME_RATE_HZ,
+    SCENARIOS,
+    WAVELENGTH_M,
+    Scene,
+    SynthConfig,
+    _bin_of,
+)
 
 
 class MacCounter:
@@ -193,6 +203,46 @@ def match_frame_best_assignment(dets, gts, threshold, ols_fn):
             if best == k:
                 break
     return best
+
+
+def render_loops(scene: Scene, cfg: SynthConfig = SynthConfig(), dtype=np.float32):
+    """The renderer as it was before the noise draw moved to a worker
+    thread: targets summed frame by frame in f64, then the f64 noise
+    scaled and added on the calling thread, then one cast to `dtype`."""
+    if cfg.chirps != len(CHIRP_INDICES):
+        raise ConfigError(f"renderer supports exactly {len(CHIRP_INDICES)} chirps")
+    t_frames, c, h, w = scene.frames, cfg.chirps, cfg.height, cfg.width
+    cube = np.zeros((2, t_frames, c, h, w))
+    rows = np.arange(h)[:, None]
+    cols = np.arange(w)[None, :]
+    dt_chirp = (1.0 / FRAME_RATE_HZ) / CHIRPS_PER_FRAME
+    annotations: list[Annotation] = []
+
+    for t in range(t_frames):
+        for tgt in scene.targets:
+            range_now = tgt.range_m + tgt.speed_mps * t / FRAME_RATE_HZ
+            rb, ab = _bin_of(range_now, tgt.azimuth_deg, cfg)
+            blob = tgt.amplitude * np.exp(
+                -((rows - rb) ** 2) / (2 * cfg.blob_sigma_range ** 2)
+                - ((cols - ab) ** 2) / (2 * cfg.blob_sigma_azimuth ** 2)
+            )
+            for ci, chirp_idx in enumerate(CHIRP_INDICES):
+                phase = (
+                    2.0 * np.pi * 2.0
+                    * (range_now + tgt.speed_mps * chirp_idx * dt_chirp)
+                    / WAVELENGTH_M
+                )
+                cube[0, t, ci] += blob * np.cos(phase)
+                cube[1, t, ci] += blob * np.sin(phase)
+            annotations.append(
+                Annotation(t, tgt.class_id, int(round(rb)), int(round(ab)))
+            )
+    if scene.noise_sigma > 0:
+        noise_rng = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence((scene.seed, 97, SCENARIOS.index(scene.scenario))))
+        )
+        cube += scene.noise_sigma * noise_rng.standard_normal(cube.shape)
+    return cube.astype(dtype), annotations
 
 
 def msa_loops(tokens, wq, wk, wv, bq, bk, bv, wo, bo, heads, counter=None):

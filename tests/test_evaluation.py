@@ -198,6 +198,22 @@ class TestEvaluate:
             assert match_frame(dets, gts, thr) == (tp, len(dets) - tp, len(gts) - tp)
             assert res.per_threshold[thr]["ar"] == (tp / len(gts) if gts else 0.0)
 
+    def test_confidence_ties_keep_frame_order(self):
+        # one ground truth per frame; the detection hits it or lies far off.
+        # Equal confidences, and -0.0 against 0.0, rank in frame order.
+        confs = [0.5] * 24 + [0.0, -0.0] * 12 + [0.9] * 8
+        hits = [f % 3 == 0 or f % 7 == 1 for f in range(len(confs))]
+        gts = [gt(0, 20, 20, f) for f in range(len(confs))]
+        dets = [det(0, 20, 20, c, f) if hit else det(0, 100, 100, c, f)
+                for f, (c, hit) in enumerate(zip(confs, hits))]
+        res = evaluate(dets, gts)
+        ranked = [hits[f] for group in (0.9, 0.5, 0.0) for f in range(len(confs)) if confs[f] == group]
+        tp_cum = np.cumsum(ranked)
+        for row in res.per_threshold.values():
+            assert np.array_equal(row["precision"], tp_cum / np.arange(1, len(confs) + 1))
+            assert np.array_equal(row["recall"], tp_cum / len(confs))
+            assert row["ar"] == sum(hits) / len(confs)
+
     def test_misaligned_frames_rejected(self):
         gts = [gt(0, 10, 10, frame=0)]
         dets = [det(0, 10, 10, 0.9, frame=5)]

@@ -1,15 +1,22 @@
 """Scene generation determinism, render physics, and dataset round trips."""
 
+import os
+import struct
+import threading
+
 import numpy as np
 import pytest
 
+from radarkit import synth
 from radarkit.errors import ConfigError, DataFormatError, UsageError
 from radarkit.synth import (
     CHIRP_INDICES,
     CHIRPS_PER_FRAME,
     FRAME_RATE_HZ,
+    SCENARIOS,
     WAVELENGTH_M,
     Dataset,
+    Scene,
     SynthConfig,
     generate_dataset,
     generate_scene,
@@ -19,6 +26,8 @@ from radarkit.synth import (
     write_dataset,
     write_sequence,
 )
+
+from oracles import render_loops
 
 SMALL = SynthConfig(height=32, width=32, frames=8, noise_sigma=0.05)
 
@@ -160,7 +169,119 @@ class TestRender:
         assert a.tobytes() == b.tobytes()
 
 
+class TestRenderEqualsLoops:
+    """render_ramap against `render_loops`, the renderer that drew the
+    noise on the calling thread: cube bytes and annotations are equal."""
+
+    @pytest.mark.parametrize("size, frames", [(32, 8), (128, 3)])
+    @pytest.mark.parametrize("cpus", [2, 1])
+    def test_bytes_equal(self, size, frames, cpus, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        for sigma in (0.0, 0.08):
+            cfg = SynthConfig(height=size, width=size, frames=frames, noise_sigma=sigma)
+            for scenario in SCENARIOS:
+                scene = generate_scene(size + frames, scenario, cfg)
+                for dtype in (np.float32, np.float64):
+                    cube, anns = render_ramap(scene, cfg, dtype=dtype)
+                    want_cube, want_anns = render_loops(scene, cfg, dtype=dtype)
+                    assert cube.dtype == want_cube.dtype and cube.shape == want_cube.shape
+                    assert cube.tobytes() == want_cube.tobytes(), (scenario, sigma, dtype)
+                    assert anns == want_anns
+
+    @pytest.mark.parametrize("cpus, on_pool", [(2, True), (1, False)])
+    def test_noise_thread(self, cpus, on_pool, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        threads = []
+
+        def noise(*args):
+            threads.append(threading.current_thread())
+            return draw(*args)
+
+        draw = synth._noise
+        monkeypatch.setattr(synth, "_noise", noise)
+        render_ramap(generate_scene(1, "CR", SMALL), SMALL)
+        assert len(threads) == 1
+        assert (threads[0] is not threading.current_thread()) == on_pool
+
+    @pytest.mark.parametrize("cpus", [2, 1])
+    def test_noise_draw_error_propagates(self, cpus, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+        def broken(rng, shape, sigma):
+            raise MemoryError(f"cannot draw {shape}")
+
+        monkeypatch.setattr(synth, "_noise", broken)
+        with pytest.raises(MemoryError, match="cannot draw"):
+            render_ramap(generate_scene(1, "CR", SMALL), SMALL)
+
+    def test_no_draw_without_noise(self, monkeypatch):
+        monkeypatch.setattr(synth, "_noise", None)
+        cfg = SynthConfig(height=32, width=32, frames=2, noise_sigma=0.0)
+        cube, _ = render_ramap(generate_scene(1, "PL", cfg), cfg)
+        assert cube.dtype == np.float32
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("field, value", [
+        ("frames", 0),
+        ("height", 0),
+        ("width", 0),
+        ("chirps", 0),
+        ("blob_sigma_range", 0),
+        ("blob_sigma_azimuth", -1.0),
+        ("range_resolution_m", 0.0),
+        ("azimuth_span_deg", float("nan")),
+        ("noise_sigma", -0.1),
+        ("min_separation_bins", -1.0),
+        ("edge_margin_bins", -0.5),
+        ("mean_targets", -2.0),
+        ("height", 8),
+        ("width", 6),
+    ])
+    def test_bad_field_named(self, field, value):
+        with pytest.raises(ConfigError, match=f"SynthConfig.{field} must be"):
+            SynthConfig(**{field: value})
+
+    def test_smallest_grid_renders(self):
+        # the smallest height and width the default margins allow
+        cfg = SynthConfig(height=9, width=7, frames=2)
+        for seed in range(20):
+            scene = generate_scene(seed, "HW", cfg)
+            cube, anns = render_ramap(scene, cfg)
+            assert cube.shape == (2, 2, 4, 9, 7) and len(anns) == 2 * len(scene.targets)
+
+    def test_two_by_two_grid_names_height(self):
+        with pytest.raises(ConfigError, match="SynthConfig.height"):
+            SynthConfig(height=2, width=2)
+
+    def test_negative_scene_noise_rejected(self):
+        scene = Scene(0, "PL", 2, -0.1, ())
+        with pytest.raises(ConfigError, match="noise_sigma"):
+            render_ramap(scene, SynthConfig(height=16, width=16, frames=2))
+
+    @pytest.mark.parametrize("shape", [(2, 0, 4, 8, 8), (2, 2, 4, 0, 8), (2, 1, 0, 1, 1)])
+    def test_write_sequence_rejects_zero_extent(self, tmp_path, shape):
+        path = tmp_path / "empty.ramc"
+        with pytest.raises(ConfigError, match="every extent at least 1"):
+            write_sequence(path, np.zeros(shape, dtype=np.float32))
+        assert not path.exists()
+
+
 class TestDatasetIO:
+    @pytest.mark.parametrize("make", [
+        lambda c: c,
+        lambda c: c.astype(np.float64),
+        lambda c: c.astype(">f4"),
+        lambda c: np.asfortranarray(c),
+        lambda c: np.stack([c, -c], axis=-1)[..., 0],
+    ])
+    def test_file_bytes_are_header_then_little_endian_f4(self, tmp_path, make):
+        cube = np.random.default_rng(3).standard_normal((2, 3, 4, 5, 6)).astype(np.float32)
+        path = tmp_path / "x.ramc"
+        write_sequence(path, make(cube))
+        header = b"RAMC" + struct.pack("<H", 1) + struct.pack("<5I", *cube.shape)
+        assert path.read_bytes() == header + cube.astype("<f4").tobytes()
+
     def test_round_trip_three_sequences(self, tmp_path):
         cfg = SMALL
         items = []

@@ -6,7 +6,8 @@ Run it on two source trees and compare the output line by line:
     PYTHONPATH=/path/to/other/checkout/src python3 tools/equivalence_hashes.py > before.txt
     diff before.txt after.txt
 
-It covers ConfMap decoding and AP/AR, checkpoint bytes, parameter names,
+It covers synthetic rendering and RAMC files, ConfMap decoding and AP/AR,
+checkpoint bytes, parameter names,
 per-layer profiles, and the forward output, loss, every gradient and the
 tape node count of a training step.  Array hashes include dtype and shape.  It uses only the public API
 plus ``tensor.active_tape``, so any revision of ``radarkit`` can run it.
@@ -28,6 +29,7 @@ from radarkit.confmap import Annotation, decode_confmap, encode_confmap
 from radarkit.evaluation import CATEGORIES, evaluate
 from radarkit.models import REFERENCE_NAMES, ModelConfig, build_model, build_reference, reference_config, save_checkpoint
 from radarkit.profiler import profile_layers
+from radarkit.synth import SCENARIOS, SynthConfig, generate_scene, render_ramap, write_sequence
 
 CHECKPOINT_CONFIGS = ("radarformer-ref", "cnn2d-ref", "transformer2d-ref", "radarformer-tiny")
 TOY_TRANSFORMER = ModelConfig(
@@ -78,6 +80,29 @@ def decoding(seed=105, frames=24, size=128) -> None:
     ])
 
 
+def rendering(tmp, seeds=(301, 302)) -> None:
+    """render_ramap cubes and annotations of seeded scenes of every
+    scenario, with and without noise, in f32 and f64, and the RAMC bytes
+    write_sequence makes of the f32 cubes."""
+    path = os.path.join(tmp, "clip.ramc")
+    for size, frames in ((32, 8), (128, 16)):
+        for sigma in (0.0, 0.08):
+            cfg = SynthConfig(height=size, width=size, frames=frames, noise_sigma=sigma)
+            for scenario in SCENARIOS:
+                scenes = [generate_scene(seed, scenario, cfg) for seed in seeds]
+                label = f"{scenario} {size}x{size}x{frames} noise {sigma}"
+                for dtype in (np.float64, np.float32):
+                    renders = [render_ramap(scene, cfg, dtype=dtype) for scene in scenes]
+                    show(f"render_ramap {label} {np.dtype(dtype).name}",
+                         *[part for cube, anns in renders for part in (cube, anns)])
+                ramc = []
+                for cube, _ in renders:
+                    write_sequence(path, cube)
+                    with open(path, "rb") as fh:
+                        ramc.append(fh.read())
+                show(f"write_sequence {label}", *ramc)
+
+
 def checkpoints(tmp) -> None:
     for name in CHECKPOINT_CONFIGS:
         for dtype in (np.float32, np.float64):
@@ -117,6 +142,7 @@ def step(label, cfg, dtype, seed) -> None:
 def main() -> int:
     decoding()
     with tempfile.TemporaryDirectory() as tmp:
+        rendering(tmp)
         checkpoints(tmp)
     profiles()
     tiny = reference_config("radarformer-tiny")
