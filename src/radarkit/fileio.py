@@ -4,41 +4,67 @@ The rule: every length read from a file is checked against the file size
 before anything is read or allocated, and every decode or conversion
 error is caught.  Each failure is a ``DataFormatError`` naming the file
 and the field, with its offset (bytes needed, bytes left) or its line.
+Binary files are streamed from the open file, never held whole.
 """
 
 import math
+import os
 import struct
+from contextlib import AbstractContextManager
 
 import numpy as np
 
 from .errors import DataFormatError
 
 
-class BinaryReader:
-    """A cursor over a whole binary file that must start with `magic` and
-    a u16 version in `versions`."""
+class BinaryReader(AbstractContextManager):
+    """A cursor over a binary file, read as it goes, that must start with
+    `magic` and a u16 version in `versions`; closes the file on exit."""
 
     def __init__(self, path, magic: bytes, versions):
         self.path, self.pos = path, 0
-        with open(path, "rb") as fh:
-            self.buf = memoryview(fh.read())
-        if self.take(len(magic), "magic") != magic:
-            self.fail(f"bad magic {bytes(self.buf[:len(magic)])!r} at offset 0")
-        (self.version,) = self.unpack("<H", "version")
-        if self.version not in versions:
-            self.fail(f"unsupported version {self.version} at offset {len(magic)}")
+        self._fh = open(path, "rb")
+        try:
+            self.size = os.fstat(self._fh.fileno()).st_size
+            if (head := self.take(len(magic), "magic")) != magic:
+                self.fail(f"bad magic {head!r} at offset 0")
+            (self.version,) = self.unpack("<H", "version")
+            if self.version not in versions:
+                self.fail(f"unsupported version {self.version} at offset {len(magic)}")
+        except BaseException:
+            self._fh.close()
+            raise
+
+    def __exit__(self, *exc):
+        self._fh.close()
 
     def fail(self, message):
         raise DataFormatError(f"{self.path}: {message}")
 
     def left(self) -> int:
-        return len(self.buf) - self.pos
+        return self.size - self.pos
 
-    def take(self, n: int, what: str) -> memoryview:
+    def _need(self, n: int, what: str) -> None:
         if n > self.left():
             self.fail(f"truncated {what} at offset {self.pos} (needs {n} bytes, {self.left()} left)")
+
+    def seek(self, pos: int, what: str) -> None:
+        """Move to offset `pos`, which must not lie past the end of the file."""
+        self._need(pos - self.pos, what)
+        self._fh.seek(pos)
+        self.pos = pos
+
+    def _read(self, n: int, what: str, alloc):
+        """alloc() filled with the next `n` bytes, called once they are known to exist."""
+        self._need(n, what)
+        buf = alloc()
+        if (got := self._fh.readinto(buf)) != n:
+            self.fail(f"short read of {what} at offset {self.pos} (got {got} of {n} bytes)")
         self.pos += n
-        return self.buf[self.pos - n:self.pos]
+        return buf
+
+    def take(self, n: int, what: str) -> bytes:
+        return bytes(self._read(n, what, lambda: bytearray(n)))
 
     def unpack(self, fmt: str, what: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
@@ -52,13 +78,8 @@ class BinaryReader:
             self.fail(f"{what} is not UTF-8 at offset {self.pos - n + e.start}")
 
     def array(self, shape, what: str) -> np.ndarray:
-        """A read-only view of the next prod(shape) little-endian f32 values."""
-        start = self.pos
-        data = np.frombuffer(self.take(4 * math.prod(shape), what), dtype="<f4")
-        try:
-            return data.reshape(shape)
-        except ValueError as e:  # more axes than numpy supports
-            self.fail(f"{what} at offset {start} has extents numpy cannot hold: {e}")
+        """The next prod(shape) little-endian f32 values, in a new array."""
+        return self._read(4 * math.prod(shape), what, lambda: np.empty(shape, dtype="<f4"))
 
 
 def read_records(path, fields, header=None):

@@ -4,6 +4,9 @@ Modules own their parameters (seeded deterministic init), a forward pass
 built from tensor-engine ops, and a ``profile`` method that reports exact
 parameter and multiply-accumulate counts for a given input shape.
 
+Parameters are created in the thread's default precision, which a model
+sets once around the construction of all its layers (``RadarDetector``).
+
 Profile entries are named by module path, the same path ``named_params()``
 uses (``trunk.blocks.0.window_attn.mlp.fc1``); a module's own parameter
 keeps its parameter name (``trunk.blocks.0.window_attn.pos``).  Leaf
@@ -102,30 +105,30 @@ def _join(path: str, name: str) -> str:
     return f"{path}.{name}" if path else name
 
 
-def _init_uniform(shape, fan_in, seeds: SeedStream, dtype) -> T.Tensor:
+def _init_uniform(shape, fan_in, seeds: SeedStream) -> T.Tensor:
     bound = math.sqrt(1.0 / max(1, fan_in))
-    return T.uniform(shape, seeds.next(), -bound, bound, requires_grad=True, dtype=dtype)
+    return T.uniform(shape, seeds.next(), -bound, bound, requires_grad=True)
 
 
 class _Conv(Module):
     """Parameters and cost of an N-d convolution; kernel, stride and
     padding are given per spatial axis or as one value for all of them."""
 
-    def __init__(self, nd, cin, cout, kernel, stride, padding, bias, seeds, dtype):
+    def __init__(self, nd, cin, cout, kernel, stride, padding, bias, seeds):
         super().__init__()
         self.cin, self.cout = cin, cout
         self.kernel = T._per_axis(kernel, nd)
         self.stride = T._per_axis(stride, nd)
         self.padding = T._per_axis(padding, nd)
         fan = cin * math.prod(self.kernel)
-        self.w = self.add_param("w", _init_uniform((cout, cin) + self.kernel, fan, seeds, dtype))
-        self.b = self.add_param("b", _init_uniform((cout,), fan, seeds, dtype)) if bias else None
+        self.w = self.add_param("w", _init_uniform((cout, cin) + self.kernel, fan, seeds))
+        self.b = self.add_param("b", _init_uniform((cout,), fan, seeds)) if bias else None
 
     def profile(self, in_shape, path=""):
         b = in_shape[0]
         out_sp = tuple(
-            (n + 2 * p - k) // s + 1
-            for n, k, s, p in zip(in_shape[2:], self.kernel, self.stride, self.padding)
+            T._out_extent(n, k, s, p, axis)
+            for axis, (n, k, s, p) in enumerate(zip(in_shape[2:], self.kernel, self.stride, self.padding), 2)
         )
         kprod = math.prod(self.kernel)
         params = self.cout * self.cin * kprod + (self.cout if self.b is not None else 0)
@@ -134,28 +137,28 @@ class _Conv(Module):
 
 
 class Conv2d(_Conv):
-    def __init__(self, cin, cout, kernel, seeds, dtype, stride=1, padding=None, bias=True):
+    def __init__(self, cin, cout, kernel, seeds, stride=1, padding=None, bias=True):
         padding = (kernel - 1) // 2 if padding is None else padding
-        super().__init__(2, cin, cout, kernel, stride, padding, bias, seeds, dtype)
+        super().__init__(2, cin, cout, kernel, stride, padding, bias, seeds)
 
     def forward(self, x):
         return T.conv2d(x, self.w, self.b, stride=self.stride, padding=self.padding)
 
 
 class Conv3d(_Conv):
-    def __init__(self, cin, cout, kernel, seeds, dtype, stride=(1, 1, 1), padding=(0, 0, 0), bias=True):
-        super().__init__(3, cin, cout, kernel, stride, padding, bias, seeds, dtype)
+    def __init__(self, cin, cout, kernel, seeds, stride=(1, 1, 1), padding=(0, 0, 0), bias=True):
+        super().__init__(3, cin, cout, kernel, stride, padding, bias, seeds)
 
     def forward(self, x):
         return T.conv3d(x, self.w, self.b, stride=self.stride, padding=self.padding)
 
 
 class Linear(Module):
-    def __init__(self, nin, nout, seeds, dtype, bias=True):
+    def __init__(self, nin, nout, seeds, bias=True):
         super().__init__()
         self.nin, self.nout = nin, nout
-        self.w = self.add_param("w", _init_uniform((nin, nout), nin, seeds, dtype))
-        self.b = self.add_param("b", _init_uniform((nout,), nin, seeds, dtype)) if bias else None
+        self.w = self.add_param("w", _init_uniform((nin, nout), nin, seeds))
+        self.b = self.add_param("b", _init_uniform((nout,), nin, seeds)) if bias else None
 
     def forward(self, x):
         lead = x.shape[:-1]
@@ -177,11 +180,11 @@ class Linear(Module):
 class LayerNorm(Module):
     """Normalizes the last axis of token tensors (..., S)."""
 
-    def __init__(self, dim, dtype, eps=1e-5):
+    def __init__(self, dim, eps=1e-5):
         super().__init__()
         self.dim, self.eps = dim, eps
-        self.gamma = self.add_param("gamma", T.full((dim,), 1.0, requires_grad=True, dtype=dtype))
-        self.beta = self.add_param("beta", T.zeros((dim,), requires_grad=True, dtype=dtype))
+        self.gamma = self.add_param("gamma", T.full((dim,), 1.0, requires_grad=True))
+        self.beta = self.add_param("beta", T.zeros((dim,), requires_grad=True))
 
     def forward(self, x):
         return T.normalize(x, self.gamma, self.beta, axes=-1, eps=self.eps)
@@ -194,12 +197,12 @@ class BatchNorm2d(Module):
     """Per-channel normalization over (B,H,W); keeps running statistics
     for inference mode."""
 
-    def __init__(self, channels, dtype, eps=1e-5, momentum=0.1):
+    def __init__(self, channels, eps=1e-5, momentum=0.1):
         super().__init__()
         self.channels, self.eps, self.momentum = channels, eps, momentum
         shape = (1, channels, 1, 1)
-        self.gamma = self.add_param("gamma", T.full(shape, 1.0, requires_grad=True, dtype=dtype))
-        self.beta = self.add_param("beta", T.zeros(shape, requires_grad=True, dtype=dtype))
+        self.gamma = self.add_param("gamma", T.full(shape, 1.0, requires_grad=True))
+        self.beta = self.add_param("beta", T.zeros(shape, requires_grad=True))
         self._buffers["running_mean"] = np.zeros(shape)
         self._buffers["running_var"] = np.ones(shape)
 
@@ -221,10 +224,10 @@ class BatchNorm2d(Module):
 
 
 class Mlp(Module):
-    def __init__(self, dim, hidden, seeds, dtype):
+    def __init__(self, dim, hidden, seeds):
         super().__init__()
-        self.fc1 = Linear(dim, hidden, seeds, dtype)
-        self.fc2 = Linear(hidden, dim, seeds, dtype)
+        self.fc1 = Linear(dim, hidden, seeds)
+        self.fc2 = Linear(hidden, dim, seeds)
 
     def forward(self, x):
         return self.fc2(T.gelu(self.fc1(x)))
@@ -235,14 +238,14 @@ class MultiheadSelfAttention(Module):
     per-head width; softmax weights applied to v; heads concatenated and
     projected back to the token width."""
 
-    def __init__(self, dim, heads, seeds, dtype):
+    def __init__(self, dim, heads, seeds):
         super().__init__()
         if dim % heads != 0:
             raise ConfigError(f"token width {dim} not divisible by {heads} heads")
         self.dim, self.heads = dim, heads
         self.head_dim = dim // heads
-        self.qkv = Linear(dim, 3 * dim, seeds, dtype)
-        self.out = Linear(dim, dim, seeds, dtype)
+        self.qkv = Linear(dim, 3 * dim, seeds)
+        self.out = Linear(dim, dim, seeds)
 
     def forward(self, tokens):
         bw, n, s = tokens.shape
@@ -251,9 +254,8 @@ class MultiheadSelfAttention(Module):
         m, sl = self.heads, self.head_dim
         qkv = self.qkv(tokens)                              # (Bw, N, 3S)
         qkv = T.reshape(qkv, (bw, n, 3, m, sl))
-        q = T.reshape(T.crop(qkv, [(0, bw), (0, n), (0, 1), (0, m), (0, sl)]), (bw, n, m, sl))
-        k = T.reshape(T.crop(qkv, [(0, bw), (0, n), (1, 2), (0, m), (0, sl)]), (bw, n, m, sl))
-        v = T.reshape(T.crop(qkv, [(0, bw), (0, n), (2, 3), (0, m), (0, sl)]), (bw, n, m, sl))
+        q, k, v = (T.reshape(T.crop(qkv, [(0, bw), (0, n), (i, i + 1), (0, m), (0, sl)]), (bw, n, m, sl))
+                   for i in range(3))
         q = T.permute(q, (0, 2, 1, 3))                      # (Bw, m, N, Sl)
         k = T.permute(k, (0, 2, 3, 1))                      # (Bw, m, Sl, N)
         v = T.permute(v, (0, 2, 1, 3))
@@ -274,12 +276,12 @@ class VitBlock(Module):
     """Pre-norm transformer sub-block on (B, N, S) tokens: t + attn(norm1(t)),
     then that plus mlp(norm2(.))."""
 
-    def __init__(self, dim, heads, mlp_hidden, seeds, dtype):
+    def __init__(self, dim, heads, mlp_hidden, seeds):
         super().__init__()
-        self.norm1 = LayerNorm(dim, dtype)
-        self.attn = MultiheadSelfAttention(dim, heads, seeds, dtype)
-        self.norm2 = LayerNorm(dim, dtype)
-        self.mlp = Mlp(dim, mlp_hidden, seeds, dtype)
+        self.norm1 = LayerNorm(dim)
+        self.attn = MultiheadSelfAttention(dim, heads, seeds)
+        self.norm2 = LayerNorm(dim)
+        self.mlp = Mlp(dim, mlp_hidden, seeds)
 
     def forward(self, tokens):
         tokens = T.add(tokens, self.attn(self.norm1(tokens)))
@@ -291,12 +293,12 @@ class PartitionAttention(VitBlock):
     partition: partition, add the learned token position embedding, run the
     pre-norm MSA + MLP of ``VitBlock``, then take the exact reverse."""
 
-    def __init__(self, dim, heads, mlp_hidden, mode, size, seeds, dtype):
+    def __init__(self, dim, heads, mlp_hidden, mode, size, seeds):
         if mode not in ("window", "grid"):
             raise ConfigError(f"unknown partition mode {mode!r}")
-        super().__init__(dim, heads, mlp_hidden, seeds, dtype)
+        super().__init__(dim, heads, mlp_hidden, seeds)
         self.mode, self.size = mode, size
-        self.pos = self.add_param("pos", T.zeros((size * size, dim), requires_grad=True, dtype=dtype))
+        self.pos = self.add_param("pos", T.zeros((size * size, dim), requires_grad=True))
 
     def forward(self, x):
         tokens = T.add_bcast(T._partition(x, self.size, self.mode), self.pos)
@@ -313,14 +315,14 @@ class MBConv(Module):
     and small-large-small kernels (1, k, 1); the residual adds the first
     convolution's output to the last convolution's output."""
 
-    def __init__(self, channels, kernel, seeds, dtype):
+    def __init__(self, channels, kernel, seeds):
         super().__init__()
         narrow = max(1, channels // 4)
-        self.conv1 = Conv2d(channels, channels, 1, seeds, dtype)
-        self.bn1 = BatchNorm2d(channels, dtype)
-        self.conv2 = Conv2d(channels, narrow, kernel, seeds, dtype)
-        self.bn2 = BatchNorm2d(narrow, dtype)
-        self.conv3 = Conv2d(narrow, channels, 1, seeds, dtype)
+        self.conv1 = Conv2d(channels, channels, 1, seeds)
+        self.bn1 = BatchNorm2d(channels)
+        self.conv2 = Conv2d(channels, narrow, kernel, seeds)
+        self.bn2 = BatchNorm2d(narrow)
+        self.conv3 = Conv2d(narrow, channels, 1, seeds)
 
     def forward(self, x):
         wide = self.conv1(x)
@@ -333,11 +335,11 @@ class MaxVitBlock(Module):
     """MBConv, then windowed local attention, then dilated grid attention;
     shape preserving."""
 
-    def __init__(self, channels, heads, mlp_hidden, window, grid, kernel, seeds, dtype):
+    def __init__(self, channels, heads, mlp_hidden, window, grid, kernel, seeds):
         super().__init__()
-        self.mbconv = MBConv(channels, kernel, seeds, dtype)
-        self.window_attn = PartitionAttention(channels, heads, mlp_hidden, "window", window, seeds, dtype)
-        self.grid_attn = PartitionAttention(channels, heads, mlp_hidden, "grid", grid, seeds, dtype)
+        self.mbconv = MBConv(channels, kernel, seeds)
+        self.window_attn = PartitionAttention(channels, heads, mlp_hidden, "window", window, seeds)
+        self.grid_attn = PartitionAttention(channels, heads, mlp_hidden, "grid", grid, seeds)
 
     def forward(self, x):
         x = self.mbconv(x)
@@ -346,10 +348,10 @@ class MaxVitBlock(Module):
 
 
 class ConvBlock2d(Module):
-    def __init__(self, channels, kernel, seeds, dtype):
+    def __init__(self, channels, kernel, seeds):
         super().__init__()
-        self.conv = Conv2d(channels, channels, kernel, seeds, dtype)
-        self.bn = BatchNorm2d(channels, dtype)
+        self.conv = Conv2d(channels, channels, kernel, seeds)
+        self.bn = BatchNorm2d(channels)
 
     def forward(self, x):
         return T.relu(self.bn(self.conv(x)))
@@ -359,15 +361,15 @@ class PatchEmbed(Module):
     """Flatten non-overlapping PxP patches into tokens, project linearly,
     and add a learned (zero-initialized) position embedding."""
 
-    def __init__(self, in_channels, patch, height, width, dim, seeds, dtype):
+    def __init__(self, in_channels, patch, height, width, dim, seeds):
         super().__init__()
         if height % patch != 0 or width % patch != 0:
             raise ConfigError(f"patch size {patch} must divide resolution {height}x{width}")
         self.patch, self.in_channels = patch, in_channels
         self.tokens_h, self.tokens_w = height // patch, width // patch
         n = self.tokens_h * self.tokens_w
-        self.proj = Linear(patch * patch * in_channels, dim, seeds, dtype)
-        self.pos = self.add_param("pos", T.zeros((n, dim), requires_grad=True, dtype=dtype))
+        self.proj = Linear(patch * patch * in_channels, dim, seeds)
+        self.pos = self.add_param("pos", T.zeros((n, dim), requires_grad=True))
 
     def forward(self, x):
         b, c, h, w = x.shape
@@ -391,11 +393,11 @@ class VitUpsample(Module):
     """Expand each token back to a PxP pixel block (a stride-P transposed
     convolution expressed as a linear map plus rearrange)."""
 
-    def __init__(self, dim, patch, out_channels, tokens_h, tokens_w, seeds, dtype):
+    def __init__(self, dim, patch, out_channels, tokens_h, tokens_w, seeds):
         super().__init__()
         self.patch, self.out_channels = patch, out_channels
         self.tokens_h, self.tokens_w = tokens_h, tokens_w
-        self.expand = Linear(dim, patch * patch * out_channels, seeds, dtype)
+        self.expand = Linear(dim, patch * patch * out_channels, seeds)
 
     def forward(self, tokens):
         b, n, _ = tokens.shape
@@ -417,11 +419,11 @@ class MNetMerge(Module):
     """Fuse the two RF channels and the chirp axis into learned channels:
     (B,2,T,C,H,W) -> (B,C_h,T,H,W)."""
 
-    def __init__(self, chirps, merged, seeds, dtype):
+    def __init__(self, chirps, merged, seeds):
         super().__init__()
         self.chirps, self.merged = chirps, merged
-        self.conv1 = Conv3d(2 * chirps, merged, (1, 3, 3), seeds, dtype, padding=(0, 1, 1))
-        self.conv2 = Conv3d(merged, merged, (1, 3, 3), seeds, dtype, padding=(0, 1, 1))
+        self.conv1 = Conv3d(2 * chirps, merged, (1, 3, 3), seeds, padding=(0, 1, 1))
+        self.conv2 = Conv3d(merged, merged, (1, 3, 3), seeds, padding=(0, 1, 1))
 
     def forward(self, cube):
         if cube.ndim != 6 or cube.shape[1] != 2:
@@ -443,11 +445,11 @@ class TemporalDownsample(Module):
     """Stride-2 temporal convolutions reduce T to 1; each stage's pre-stride
     activation is saved as the skip state for the upsampling stream."""
 
-    def __init__(self, channels, stages, seeds, dtype):
+    def __init__(self, channels, stages, seeds):
         super().__init__()
         self.stages = stages
         self.convs = [
-            Conv3d(channels, channels, (2, 3, 3), seeds, dtype, stride=(2, 1, 1), padding=(0, 1, 1))
+            Conv3d(channels, channels, (2, 3, 3), seeds, stride=(2, 1, 1), padding=(0, 1, 1))
             for _ in range(stages)
         ]
 
@@ -473,18 +475,11 @@ class TemporalUpsample(Module):
     element-wise addition of the saved skip, then a 3-D convolution.  The
     final stage emits the requested output width."""
 
-    def __init__(self, channels, out_channels, stages, seeds, dtype):
+    def __init__(self, channels, out_channels, stages, seeds):
         super().__init__()
         self.stages = stages
         self.convs = [
-            Conv3d(
-                channels,
-                out_channels if i == stages - 1 else channels,
-                (3, 3, 3),
-                seeds,
-                dtype,
-                padding=(1, 1, 1),
-            )
+            Conv3d(channels, out_channels if i == stages - 1 else channels, (3, 3, 3), seeds, padding=(1, 1, 1))
             for i in range(stages)
         ]
 

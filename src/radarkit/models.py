@@ -153,16 +153,9 @@ def config_from_text(text: str) -> ModelConfig:
 
 
 _BLOCKS = {
-    "cnn2d": lambda cfg, width, seeds, dtype: ConvBlock2d(width, cfg.stage_kernel, seeds, dtype),
-    "radarformer": lambda cfg, width, seeds, dtype: MaxVitBlock(
-        width,
-        cfg.heads,
-        cfg.mlp_hidden(width),
-        cfg.window_size,
-        cfg.grid_size,
-        cfg.stage_kernel,
-        seeds,
-        dtype,
+    "cnn2d": lambda cfg, width, seeds: ConvBlock2d(width, cfg.stage_kernel, seeds),
+    "radarformer": lambda cfg, width, seeds: MaxVitBlock(
+        width, cfg.heads, cfg.mlp_hidden(width), cfg.window_size, cfg.grid_size, cfg.stage_kernel, seeds
     ),
 }
 
@@ -171,17 +164,17 @@ class StackedTrunk(Module):
     """The variant's blocks at full resolution, stage by stage; a 1x1
     convolution changes the width between stages."""
 
-    def __init__(self, cfg: ModelConfig, seeds, dtype):
+    def __init__(self, cfg: ModelConfig, seeds):
         super().__init__()
         make_block = _BLOCKS[cfg.variant]
         self.blocks = []
         prev = cfg.stage_widths[0]
         for width, depth in zip(cfg.stage_widths, cfg.stage_depths):
             if width != prev:
-                self.blocks.append(Conv2d(prev, width, 1, seeds, dtype))
+                self.blocks.append(Conv2d(prev, width, 1, seeds))
                 prev = width
             for _ in range(depth):
-                self.blocks.append(make_block(cfg, width, seeds, dtype))
+                self.blocks.append(make_block(cfg, width, seeds))
 
     def forward(self, x):
         for block in self.blocks:
@@ -192,20 +185,14 @@ class StackedTrunk(Module):
 class VitTrunk(Module):
     """Patch-token encoder plus the paired upsample block restoring H, W."""
 
-    def __init__(self, cfg: ModelConfig, seeds, dtype):
+    def __init__(self, cfg: ModelConfig, seeds):
         super().__init__()
         dim = cfg.effective_vit_dim()
-        if dim % cfg.heads:
-            raise ConfigError(f"vit token width {dim} not divisible by {cfg.heads} heads")
         w0 = cfg.stage_widths[0]
-        self.embed = PatchEmbed(w0, cfg.patch_size, cfg.height, cfg.width, dim, seeds, dtype)
+        self.embed = PatchEmbed(w0, cfg.patch_size, cfg.height, cfg.width, dim, seeds)
         depth = sum(cfg.stage_depths)
-        self.blocks = [
-            VitBlock(dim, cfg.heads, cfg.mlp_hidden(dim), seeds, dtype) for _ in range(depth)
-        ]
-        self.upsample = VitUpsample(
-            dim, cfg.patch_size, w0, self.embed.tokens_h, self.embed.tokens_w, seeds, dtype
-        )
+        self.blocks = [VitBlock(dim, cfg.heads, cfg.mlp_hidden(dim), seeds) for _ in range(depth)]
+        self.upsample = VitUpsample(dim, cfg.patch_size, w0, self.embed.tokens_h, self.embed.tokens_w, seeds)
 
     def forward(self, x):
         tok = self.embed(x)
@@ -218,24 +205,26 @@ _TRUNKS = {"cnn2d": StackedTrunk, "transformer2d": VitTrunk, "radarformer": Stac
 
 
 class RadarDetector(Module):
-    """Full detector: (B,2,T,C,H,W) cube in, (B,K,T,H,W) ConfMap sequence out."""
+    """Full detector: (B,2,T,C,H,W) cube in, (B,K,T,H,W) ConfMap sequence out.
+    Every parameter is built in `dtype`, float64 or float32."""
 
     def __init__(self, cfg: ModelConfig, dtype=np.float64):
         super().__init__()
         self.cfg = cfg
-        self.dtype = np.dtype(dtype).type
         seeds = SeedStream(cfg.init_seed)
         ch, w0 = cfg.merge_channels, cfg.stage_widths[0]
-        self.merge = MNetMerge(cfg.chirps, ch, seeds, self.dtype)
-        self.down = TemporalDownsample(ch, cfg.temporal_stages, seeds, self.dtype)
-        self.stem1 = Conv2d(ch, w0, cfg.stem_kernels[0], seeds, self.dtype)
-        self.stem_bn1 = BatchNorm2d(w0, self.dtype)
-        self.stem2 = Conv2d(w0, w0, cfg.stem_kernels[1], seeds, self.dtype)
-        self.stem_bn2 = BatchNorm2d(w0, self.dtype)
-        self.trunk = _TRUNKS[cfg.variant](cfg, seeds, self.dtype)
-        self.head = Conv2d(w0, ch, cfg.head_kernel, seeds, self.dtype)
-        self.head_bn = BatchNorm2d(ch, self.dtype)
-        self.up = TemporalUpsample(ch, cfg.num_classes, cfg.temporal_stages, seeds, self.dtype)
+        with T.using_dtype(dtype):
+            self.dtype = T.default_dtype()
+            self.merge = MNetMerge(cfg.chirps, ch, seeds)
+            self.down = TemporalDownsample(ch, cfg.temporal_stages, seeds)
+            self.stem1 = Conv2d(ch, w0, cfg.stem_kernels[0], seeds)
+            self.stem_bn1 = BatchNorm2d(w0)
+            self.stem2 = Conv2d(w0, w0, cfg.stem_kernels[1], seeds)
+            self.stem_bn2 = BatchNorm2d(w0)
+            self.trunk = _TRUNKS[cfg.variant](cfg, seeds)
+            self.head = Conv2d(w0, ch, cfg.head_kernel, seeds)
+            self.head_bn = BatchNorm2d(ch)
+            self.up = TemporalUpsample(ch, cfg.num_classes, cfg.temporal_stages, seeds)
 
     def _check_input(self, cube):
         cfg = self.cfg
@@ -281,26 +270,25 @@ class Hourglass3d(Module):
     """Skeletal encoder/bottleneck/decoder of full 3-D convolutions kept at
     high temporal/spatial resolution.  Serves as the complexity baseline the
     lightweight models are measured against; same IO contract as the
-    detector variants."""
+    detector variants.  `dtype` works as in ``RadarDetector``."""
 
     def __init__(self, chirps=4, num_classes=3, base=32,
                  bottleneck_width=544, bottleneck_depth=8, seed=0, dtype=np.float32):
         super().__init__()
         self.chirps, self.num_classes = chirps, num_classes
-        dt = np.dtype(dtype).type
         seeds = SeedStream(seed)
-        self.merge = MNetMerge(chirps, base, seeds, dt)
-        # one stride-2 temporal stage and one spatial halving (space-to-depth);
-        # the bottleneck stack runs at (T/2, H/2, W/2)
-        self.enc_t = Conv3d(base, 2 * base, (2, 3, 3), seeds, dt, stride=(2, 1, 1), padding=(0, 1, 1))
-        self.enc_s = Conv3d(8 * base, bottleneck_width, (1, 3, 3), seeds, dt, padding=(0, 1, 1))
-        self.bottleneck = [
-            Conv3d(bottleneck_width, bottleneck_width, (3, 3, 3), seeds, dt, padding=(1, 1, 1))
-            for _ in range(bottleneck_depth)
-        ]
-        self.dec_s = Conv3d(bottleneck_width, 2 * base, (1, 3, 3), seeds, dt, padding=(0, 1, 1))
-        self.dec_t = Conv3d(2 * base, base, (3, 3, 3), seeds, dt, padding=(1, 1, 1))
-        self.head = Conv3d(base, num_classes, (1, 3, 3), seeds, dt, padding=(0, 1, 1))
+        with T.using_dtype(dtype):
+            self.dtype = T.default_dtype()
+            self.merge = MNetMerge(chirps, base, seeds)
+            # one stride-2 temporal stage and one spatial halving (space-to-depth);
+            # the bottleneck stack runs at (T/2, H/2, W/2)
+            self.enc_t = Conv3d(base, 2 * base, (2, 3, 3), seeds, stride=(2, 1, 1), padding=(0, 1, 1))
+            self.enc_s = Conv3d(8 * base, bottleneck_width, (1, 3, 3), seeds, padding=(0, 1, 1))
+            self.bottleneck = [Conv3d(bottleneck_width, bottleneck_width, (3, 3, 3), seeds, padding=(1, 1, 1))
+                               for _ in range(bottleneck_depth)]
+            self.dec_s = Conv3d(bottleneck_width, 2 * base, (1, 3, 3), seeds, padding=(0, 1, 1))
+            self.dec_t = Conv3d(2 * base, base, (3, 3, 3), seeds, padding=(1, 1, 1))
+            self.head = Conv3d(base, num_classes, (1, 3, 3), seeds, padding=(0, 1, 1))
 
     def forward_logits(self, cube):
         with T._module_scope(self):
@@ -319,24 +307,16 @@ class Hourglass3d(Module):
         return T.sigmoid(self.forward_logits(cube))
 
     def profile(self, in_shape, path=""):
-        entries, s = self.merge.profile(in_shape, _join(path, "merge"))
-        e, s = self.enc_t.profile(s, _join(path, "enc_t"))
-        entries += e
-        b, c, t, h, w = s
-        s = (b, 4 * c, t, h // 2, w // 2)
-        e, s = self.enc_s.profile(s, _join(path, "enc_s"))
-        entries += e
-        for i, conv in enumerate(self.bottleneck):
-            e, s = conv.profile(s, _join(path, f"bottleneck.{i}"))
+        entries, s = [], in_shape
+        for name, child in self.children():
+            if name == "enc_s":  # space-to-depth
+                b, c, t, h, w = s
+                s = (b, 4 * c, t, h // 2, w // 2)
+            elif name == "dec_t":  # nearest repeat along T, H and W
+                b, c, t, h, w = s
+                s = (b, c, 2 * t, 2 * h, 2 * w)
+            e, s = child.profile(s, _join(path, name))
             entries += e
-        e, s = self.dec_s.profile(s, _join(path, "dec_s"))
-        entries += e
-        b, c, t, h, w = s
-        s = (b, c, 2 * t, 2 * h, 2 * w)
-        e, s = self.dec_t.profile(s, _join(path, "dec_t"))
-        entries += e
-        e, s = self.head.profile(s, _join(path, "head"))
-        entries += e
         return entries, s
 
 
@@ -433,16 +413,10 @@ def save_checkpoint(model: RadarDetector, path) -> None:
     cfg_blob = config_to_text(model.cfg).encode("utf-8")
     blobs = [(name, p.data) for name, p in model.named_params()] + list(_named_buffers(model))
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<H", _VERSION))
-        fh.write(struct.pack("<I", len(cfg_blob)))
-        fh.write(cfg_blob)
+        fh.write(_MAGIC + struct.pack("<HI", _VERSION, len(cfg_blob)) + cfg_blob)
         for name, data in blobs:
             nb = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(nb)))
-            fh.write(nb)
-            fh.write(struct.pack("<B", data.ndim))
-            fh.write(struct.pack(f"<{data.ndim}I", *data.shape))
+            fh.write(struct.pack("<H", len(nb)) + nb + struct.pack(f"<B{data.ndim}I", data.ndim, *data.shape))
             fh.write(np.ascontiguousarray(data, dtype="<f4").tobytes())
 
 
@@ -467,36 +441,43 @@ def _min_param_count(cfg: ModelConfig) -> int:
 def load_checkpoint(path, dtype=np.float64) -> RadarDetector:
     """Read a version 1 or 2 checkpoint; version 1 leaves the buffers at their initial values.
 
-    Every blob is read before the model is built, and the config must not
-    declare more parameters than the blobs hold."""
-    r = BinaryReader(path, _MAGIC, (1, _VERSION))
-    cfg_text = r.text("<I", "config")
-    blobs = {}
-    while r.left():
-        name = r.text("<H", "blob name")
-        (rank,) = r.unpack("<B", f"blob {name!r} rank")
-        extents = r.unpack(f"<{rank}I", f"blob {name!r} extents")
-        if name in blobs:
-            r.fail(f"repeated blob {name!r}")
-        blobs[name] = r.array(extents, f"blob {name!r} data")
-    try:
-        cfg = config_from_text(cfg_text)
-        least, held = _min_param_count(cfg), sum(arr.size for arr in blobs.values())
-        if least > held:
-            raise DataFormatError(f"declares at least {least} parameters, the blobs hold {held} values")
-        model = build_model(cfg, dtype=dtype)
-    except (ConfigError, DataFormatError) as e:
-        raise DataFormatError(f"{path}: invalid embedded config: {e}") from None
-    targets = {name: p.data for name, p in model.named_params()}
-    if r.version >= 2:
-        targets.update(_named_buffers(model))
-    for name, arr in blobs.items():
-        target = targets.pop(name, None)
-        if target is None:
-            r.fail(f"unknown blob {name!r}")
-        if arr.shape != target.shape:
-            r.fail(f"blob {name!r} extents {arr.shape} != model shape {target.shape}")
-        target[...] = arr
+    `dtype` is checked before the file is opened.  Every blob header is
+    read, and bounded by the file size, before the model is built; the
+    config must not declare more parameters than the blobs hold.  Then
+    each blob is read into its parameter or buffer."""
+    T._float_dtype(dtype)
+    with BinaryReader(path, _MAGIC, (1, _VERSION)) as r:
+        cfg_text = r.text("<I", "config")
+        blobs = {}
+        while r.left():
+            name = r.text("<H", "blob name")
+            (rank,) = r.unpack("<B", f"blob {name!r} rank")
+            if rank > 64:
+                r.fail(f"blob {name!r} at offset {r.pos - 1} has rank {rank}, more than numpy's 64")
+            extents = r.unpack(f"<{rank}I", f"blob {name!r} extents")
+            if name in blobs:
+                r.fail(f"repeated blob {name!r}")
+            blobs[name] = (extents, r.pos)
+            r.seek(r.pos + 4 * math.prod(extents), f"blob {name!r} data")
+        try:
+            cfg = config_from_text(cfg_text)
+            least, held = _min_param_count(cfg), sum(math.prod(e) for e, _ in blobs.values())
+            if least > held:
+                raise DataFormatError(f"declares at least {least} parameters, the blobs hold {held} values")
+            model = build_model(cfg, dtype=dtype)
+        except (ConfigError, DataFormatError) as e:
+            raise DataFormatError(f"{path}: invalid embedded config: {e}") from None
+        targets = {name: p.data for name, p in model.named_params()}
+        if r.version >= 2:
+            targets.update(_named_buffers(model))
+        for name, (extents, offset) in blobs.items():
+            target = targets.pop(name, None)
+            if target is None:
+                r.fail(f"unknown blob {name!r}")
+            if extents != target.shape:
+                r.fail(f"blob {name!r} extents {extents} != model shape {target.shape}")
+            r.seek(offset, f"blob {name!r} data")
+            target[...] = r.array(extents, f"blob {name!r} data")
     if targets:
         r.fail(f"checkpoint missing blobs {sorted(targets)[:3]}...")
     return model

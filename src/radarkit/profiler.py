@@ -102,7 +102,7 @@ def _time(model, input_shape, warmup, runs, stride, clock, backprop, step) -> Ti
     shape = default_input_shape(model) if input_shape is None else tuple(input_shape)
     stride = shape[2] if stride is None else int(stride)
     clock = time.perf_counter if clock is None else clock
-    x = T.uniform(shape, 0, -1.0, 1.0, dtype=getattr(model, "dtype", np.float32))
+    x = T.uniform(shape, 0, -1.0, 1.0, dtype=model.dtype)
     samples = []
     with _restored(model):
         model.set_training(backprop)

@@ -32,7 +32,7 @@ import numpy as np
 from .confmap import Annotation, read_annotations, write_annotations
 from .errors import ConfigError, DataFormatError, UsageError
 from .fileio import BinaryReader, read_records
-from .tensor import _start_task
+from .tensor import _float_dtype, _start_task
 
 SCENARIOS = ("PL", "CR", "CS", "HW")
 
@@ -114,9 +114,12 @@ class Scene:
     targets: tuple[TargetSpec, ...]
 
 
-def _rng(seed, scenario):
+def _rng(seed, scenario, *stream):
+    """The generator seeded from (seed, *stream, index of `scenario`)."""
+    if scenario not in SCENARIOS:
+        raise ConfigError(f"unknown scenario {scenario!r}; choose from {SCENARIOS}")
     return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence((int(seed), SCENARIOS.index(scenario))))
+        np.random.PCG64(np.random.SeedSequence((int(seed), *stream, SCENARIOS.index(scenario))))
     )
 
 
@@ -141,10 +144,8 @@ def _bin_of(range_m, azimuth_deg, cfg: SynthConfig):
 def generate_scene(seed: int, scenario: str, cfg: SynthConfig = SynthConfig()) -> Scene:
     """Deterministic per (seed, scenario, config); every target stays
     inside the grid for all frames."""
-    if scenario not in SCENARIOS:
-        raise ConfigError(f"unknown scenario {scenario!r}; choose from {SCENARIOS}")
-    profile = PROFILES[scenario]
     rng = _rng(seed, scenario)
+    profile = PROFILES[scenario]
     mean = cfg.mean_targets if cfg.mean_targets is not None else profile.mean_targets
     count = max(1, int(rng.poisson(mean)))
 
@@ -195,18 +196,15 @@ def render_ramap(scene: Scene, cfg: SynthConfig = SynthConfig(), dtype=np.float3
 
     The targets are summed in f64 while another thread draws the f64
     noise; their sum is rounded once, to `dtype`."""
+    dtype = _float_dtype(dtype)
+    noise_rng = _rng(scene.seed, scene.scenario, 97)  # checks the scenario, also without noise
     if cfg.chirps != len(CHIRP_INDICES):
         raise ConfigError(f"renderer supports exactly {len(CHIRP_INDICES)} chirps")
     if not scene.noise_sigma >= 0:
         raise ConfigError(f"scene noise_sigma must be non-negative, got {scene.noise_sigma!r}")
     t_frames, c, h, w = scene.frames, cfg.chirps, cfg.height, cfg.width
     shape = (2, t_frames, c, h, w)
-    noise = None
-    if scene.noise_sigma > 0:
-        noise_rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence((scene.seed, 97, SCENARIOS.index(scene.scenario))))
-        )
-        noise = _start_task(_noise, noise_rng, shape, scene.noise_sigma)
+    noise = _start_task(_noise, noise_rng, shape, scene.noise_sigma) if scene.noise_sigma > 0 else None
     cube = np.zeros(shape)
     rows = np.arange(h)[:, None]
     cols = np.arange(w)[None, :]
@@ -276,21 +274,19 @@ def write_sequence(path, cube: np.ndarray) -> None:
     if cube.ndim != 5 or cube.shape[0] != 2 or min(cube.shape) < 1:
         raise ConfigError(f"sequence cube must be (2,T,C,H,W) with every extent at least 1, got {cube.shape}")
     with open(path, "wb") as fh:
-        fh.write(_RAMC_MAGIC)
-        fh.write(struct.pack("<H", _RAMC_VERSION))
-        fh.write(struct.pack("<5I", *cube.shape))
+        fh.write(_RAMC_MAGIC + struct.pack("<H5I", _RAMC_VERSION, *cube.shape))
         # through the buffer protocol: no bytes copy of the payload
         fh.write(np.ascontiguousarray(cube, dtype="<f4"))
 
 
 def read_sequence(path) -> np.ndarray:
-    r = BinaryReader(path, _RAMC_MAGIC, (_RAMC_VERSION,))
-    shape = r.unpack("<5I", "extents")
-    if shape[0] != 2 or min(shape) < 1:
-        r.fail(f"invalid extents {shape} at offset 6")
-    cube = r.array(shape, "payload").copy()
-    if r.left():
-        r.fail(f"{r.left()} trailing bytes at offset {r.pos}")
+    with BinaryReader(path, _RAMC_MAGIC, (_RAMC_VERSION,)) as r:
+        shape = r.unpack("<5I", "extents")
+        if shape[0] != 2 or min(shape) < 1:
+            r.fail(f"invalid extents {shape} at offset 6")
+        cube = r.array(shape, "payload")
+        if r.left():
+            r.fail(f"{r.left()} trailing bytes at offset {r.pos}")
     return cube
 
 

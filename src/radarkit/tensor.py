@@ -13,9 +13,10 @@ topological order.  It takes the nodes off the tape and frees as it goes:
 each node hands its output's gradient to its grad_fn and clears it from
 the output, and is dropped, with the arrays its grad_fn saved, once it has
 run.  So only leaves (tensors no recorded op produced: parameters and
-inputs) and the loss keep ``.grad``.  Two precision modes are supported:
-float64 (default, used by all gradient and oracle tests) and float32 (fast
-mode for training/profiling at scale).
+inputs) and the loss keep ``.grad``.  A tensor takes the dtype it is
+created with or else the thread's default (``using_dtype``): float64, the
+default and the precision of the gradient and oracle tests, or float32, the
+fast mode at scale.  One check refuses any other dtype with ``ConfigError``.
 
 conv2d and conv3d check their rank and share one correlation over any
 number of spatial axes: im2col columns times the flattened kernel in one
@@ -77,12 +78,17 @@ def _tls():
     return _state
 
 
+def _float_dtype(dtype):
+    """The scalar type of `dtype`, which must be float64 or float32."""
+    dt = np.dtype(dtype)
+    if dt not in (np.dtype(np.float64), np.dtype(np.float32)):
+        raise ConfigError(f"unsupported dtype {dt}; use float64 or float32")
+    return dt.type
+
+
 def set_default_dtype(dtype) -> None:
     """Set the dtype used by tensor constructors (float64 or float32)."""
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
-        raise ConfigError(f"unsupported dtype {dtype}; use float64 or float32")
-    _tls().default_dtype = dtype.type
+    _tls().default_dtype = _float_dtype(dtype)
 
 
 def default_dtype():
@@ -179,7 +185,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
-        dt = dtype if dtype is not None else default_dtype()
+        dt = default_dtype() if dtype is None else _float_dtype(dtype)
         self.data = np.ascontiguousarray(data, dtype=dt)
         self.requires_grad = bool(requires_grad)
         self.grad = None

@@ -7,6 +7,7 @@ explicit cases below are corruptions that once escaped as MemoryError,
 OverflowError, ValueError, UnicodeDecodeError or ZeroDivisionError.
 """
 
+import builtins
 import struct
 
 import numpy as np
@@ -21,7 +22,7 @@ from radarkit.confmap import (
     write_annotations,
     write_detections,
 )
-from radarkit import models
+from radarkit import fileio, models
 from radarkit.errors import DataFormatError
 from radarkit.models import ModelConfig, build_model, config_to_text, load_checkpoint, save_checkpoint
 from radarkit.synth import read_manifest, read_sequence, write_dataset, write_sequence
@@ -202,3 +203,24 @@ class TestRegressions:
         path = tmp_path / "cfg.rfck"
         path.write_bytes(_checkpoint_v1(text=text))
         _raises_naming(path, load_checkpoint, "invalid embedded config")
+
+
+class _ShortReads:
+    """A file whose readinto reports 4 bytes fewer than asked for, on reads
+    of more than 64 bytes."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def readinto(self, buf):
+        got = self._fh.readinto(buf)
+        return got - 4 if got > 64 else got
+
+
+def test_short_read_names_file_and_offset(tmp_path, monkeypatch):
+    path = _ramc(tmp_path)
+    monkeypatch.setattr(fileio, "open", lambda *a: _ShortReads(builtins.open(*a)), raising=False)
+    _raises_naming(path, read_sequence, "short read of payload at offset 26", f"got {CUBE.nbytes - 4}")

@@ -21,8 +21,6 @@ from radarkit.layers import (
 
 from oracles import msa_loops
 
-F64 = np.float64
-
 
 def uni(shape, seed, lo=-1.0, hi=1.0, grad=False):
     return T.uniform(shape, seed, lo, hi, requires_grad=grad)
@@ -30,21 +28,21 @@ def uni(shape, seed, lo=-1.0, hi=1.0, grad=False):
 
 class TestMNetMerge:
     def test_shape_flow(self):
-        merge = MNetMerge(4, 6, SeedStream(0), F64)
+        merge = MNetMerge(4, 6, SeedStream(0))
         cube = uni((1, 2, 8, 4, 12, 12), 1)
         with T.no_grad():
             out = merge(cube)
         assert out.shape == (1, 6, 8, 12, 12)
 
     def test_full_resolution_shape(self):
-        merge = MNetMerge(4, 4, SeedStream(0), np.float32)
         with T.using_dtype(np.float32), T.no_grad():
+            merge = MNetMerge(4, 4, SeedStream(0))
             cube = T.zeros((1, 2, 32, 4, 128, 128))
             out = merge(cube)
         assert out.shape == (1, 4, 32, 128, 128)
 
     def test_zero_input_gives_bias_response(self):
-        merge = MNetMerge(2, 3, SeedStream(3), F64)
+        merge = MNetMerge(2, 3, SeedStream(3))
         with T.no_grad():
             out = merge(T.zeros((1, 2, 4, 2, 8, 8))).data
         # zero input: first conv output is its bias; interior of the second
@@ -57,12 +55,12 @@ class TestMNetMerge:
             assert np.allclose(interior[c], expected[c], atol=1e-12)
 
     def test_chirp_mismatch_rejected(self):
-        merge = MNetMerge(4, 6, SeedStream(0), F64)
+        merge = MNetMerge(4, 6, SeedStream(0))
         with pytest.raises(ShapeError):
             merge(uni((1, 2, 4, 3, 8, 8), 2))
 
     def test_gradient(self):
-        merge = MNetMerge(2, 3, SeedStream(5), F64)
+        merge = MNetMerge(2, 3, SeedStream(5))
         cube = uni((1, 2, 4, 2, 6, 6), 6, grad=True)
         for p in merge.params():
             p.requires_grad = True
@@ -72,7 +70,7 @@ class TestMNetMerge:
 
 class TestTemporalStreams:
     def test_downsample_stage_shapes(self):
-        down = TemporalDownsample(3, 5, SeedStream(1), F64)
+        down = TemporalDownsample(3, 5, SeedStream(1))
         x = uni((1, 3, 32, 6, 6), 2)
         with T.no_grad():
             y, skips = down(x)
@@ -81,14 +79,14 @@ class TestTemporalStreams:
         assert len(skips) == 5
 
     def test_non_reducible_length_rejected(self):
-        down = TemporalDownsample(3, 3, SeedStream(1), F64)
+        down = TemporalDownsample(3, 3, SeedStream(1))
         with pytest.raises(ConfigError):
             down(uni((1, 3, 12, 4, 4), 3))
 
     def test_constant_over_time_folds_to_2d(self):
         # with a constant temporal axis and no temporal padding, each stage
         # equals a single-frame convolution with the kernel summed over kt
-        down = TemporalDownsample(2, 3, SeedStream(7), F64)
+        down = TemporalDownsample(2, 3, SeedStream(7))
         frame = uni((1, 2, 1, 5, 5), 8)
         x = T.repeat(frame, axis=2, factor=8)
         with T.no_grad():
@@ -101,8 +99,8 @@ class TestTemporalStreams:
         assert np.max(np.abs(got.data - ref.data.reshape(b, c, h, w))) < 1e-6
 
     def test_upsample_restores_t_and_uses_skips(self):
-        down = TemporalDownsample(3, 4, SeedStream(11), F64)
-        up = TemporalUpsample(3, 2, 4, SeedStream(12), F64)
+        down = TemporalDownsample(3, 4, SeedStream(11))
+        up = TemporalUpsample(3, 2, 4, SeedStream(12))
         x = uni((1, 3, 16, 6, 6), 13)
         with T.no_grad():
             y, skips = down(x)
@@ -113,8 +111,8 @@ class TestTemporalStreams:
         assert not np.allclose(out.data, out_noskip.data)
 
     def test_gradient_reaches_input_and_skips(self):
-        down = TemporalDownsample(2, 2, SeedStream(14), F64)
-        up = TemporalUpsample(2, 1, 2, SeedStream(15), F64)
+        down = TemporalDownsample(2, 2, SeedStream(14))
+        up = TemporalUpsample(2, 1, 2, SeedStream(15))
         x = uni((1, 2, 4, 4, 4), 16, grad=True)
         for p in list(down.params()) + list(up.params()):
             p.requires_grad = True
@@ -126,15 +124,15 @@ class TestTemporalStreams:
             assert p.grad is not None
 
     def test_skip_shape_mismatch_rejected(self):
-        up = TemporalUpsample(2, 1, 2, SeedStream(17), F64)
+        up = TemporalUpsample(2, 1, 2, SeedStream(17))
         y = uni((1, 2, 4, 4), 18)
         bad = [T.zeros((1, 2, 2, 4, 4)), T.zeros((1, 2, 3, 4, 4))]
         with pytest.raises(ShapeError):
             up(y, bad)
 
     def test_merge_stream_gradient(self):
-        down = TemporalDownsample(2, 2, SeedStream(19), F64)
-        up = TemporalUpsample(2, 1, 2, SeedStream(20), F64)
+        down = TemporalDownsample(2, 2, SeedStream(19))
+        up = TemporalUpsample(2, 1, 2, SeedStream(20))
         x = uni((1, 2, 4, 4, 4), 21, grad=True)
 
         def f(x):
@@ -146,19 +144,19 @@ class TestTemporalStreams:
 
 class TestMBConv:
     def test_shape_preserved(self):
-        block = MBConv(16, 3, SeedStream(0), F64)
+        block = MBConv(16, 3, SeedStream(0))
         x = uni((1, 16, 32, 32), 1)
         with T.no_grad():
             assert block(x).shape == (1, 16, 32, 32)
 
     def test_wide_narrow_wide_widths(self):
-        block = MBConv(16, 3, SeedStream(0), F64)
+        block = MBConv(16, 3, SeedStream(0))
         assert block.conv1.w.shape == (16, 16, 1, 1)
         assert block.conv2.w.shape == (4, 16, 3, 3)
         assert block.conv3.w.shape == (16, 4, 1, 1)
 
     def test_residual_isolation(self):
-        block = MBConv(8, 3, SeedStream(2), F64)
+        block = MBConv(8, 3, SeedStream(2))
         block.conv3.w.data[:] = 0.0
         block.conv3.b.data[:] = 0.0
         x = uni((2, 8, 6, 6), 3)
@@ -169,7 +167,7 @@ class TestMBConv:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_gradient(self, seed):
-        block = MBConv(4, 3, SeedStream(seed), F64)
+        block = MBConv(4, 3, SeedStream(seed))
         block.set_training(True)
         x = uni((1, 4, 5, 5), seed + 50, grad=True)
         err = T.finite_diff_check(lambda x: T.tsum(T.sigmoid(block(x))), [x])
@@ -188,7 +186,7 @@ class TestMSA:
         )
 
     def test_single_token(self):
-        attn = MultiheadSelfAttention(4, 2, SeedStream(0), F64)
+        attn = MultiheadSelfAttention(4, 2, SeedStream(0))
         tok = uni((1, 1, 4), 1)
         with T.no_grad():
             out = attn(tok)
@@ -198,7 +196,7 @@ class TestMSA:
         assert np.allclose(out.data[0], want, atol=1e-12)
 
     def test_identical_tokens_identical_rows(self):
-        attn = MultiheadSelfAttention(6, 3, SeedStream(2), F64)
+        attn = MultiheadSelfAttention(6, 3, SeedStream(2))
         row = T.uniform((6,), 3).data
         tok = T.from_array(np.stack([row, row])[None])
         with T.no_grad():
@@ -206,7 +204,7 @@ class TestMSA:
         assert np.allclose(out[0, 0], out[0, 1], atol=1e-14)
 
     def test_vs_step_by_step_oracle(self):
-        attn = MultiheadSelfAttention(4, 2, SeedStream(4), F64)
+        attn = MultiheadSelfAttention(4, 2, SeedStream(4))
         tok = uni((2, 3, 4), 5)
         with T.no_grad():
             got = attn(tok).data
@@ -215,7 +213,7 @@ class TestMSA:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_permutation_equivariance(self, seed):
-        attn = MultiheadSelfAttention(8, 2, SeedStream(seed), F64)
+        attn = MultiheadSelfAttention(8, 2, SeedStream(seed))
         tok = uni((1, 5, 8), seed + 10)
         perm = np.random.Generator(np.random.PCG64(seed)).permutation(5)
         with T.no_grad():
@@ -225,11 +223,11 @@ class TestMSA:
 
     def test_indivisible_heads_rejected(self):
         with pytest.raises(ConfigError):
-            MultiheadSelfAttention(5, 2, SeedStream(0), F64)
+            MultiheadSelfAttention(5, 2, SeedStream(0))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_gradient(self, seed):
-        attn = MultiheadSelfAttention(4, 2, SeedStream(seed), F64)
+        attn = MultiheadSelfAttention(4, 2, SeedStream(seed))
         tok = uni((1, 3, 4), seed + 20, grad=True)
         for p in attn.params():
             p.requires_grad = True
@@ -239,15 +237,15 @@ class TestMSA:
 
 class TestMaxVitBlock:
     def test_shape_preserved_full_resolution(self):
-        block = MaxVitBlock(32, 4, 640, 7, 7, 3, SeedStream(0), np.float32)
-        block.set_training(False)
         with T.using_dtype(np.float32), T.no_grad():
+            block = MaxVitBlock(32, 4, 640, 7, 7, 3, SeedStream(0))
+            block.set_training(False)
             x = T.uniform((1, 32, 128, 128), 1)
             out = block(x)
         assert out.shape == (1, 32, 128, 128)
 
     def test_shape_preserved_non_divisible(self):
-        block = MaxVitBlock(8, 2, 160, 7, 7, 3, SeedStream(2), F64)
+        block = MaxVitBlock(8, 2, 160, 7, 7, 3, SeedStream(2))
         block.set_training(False)
         x = uni((1, 8, 30, 26), 3)
         with T.no_grad():
@@ -255,7 +253,7 @@ class TestMaxVitBlock:
         assert out.shape == (1, 8, 30, 26)
 
     def test_attention_subblocks_reduce_to_identity(self):
-        sub = PartitionAttention(4, 2, 80, "grid", 2, SeedStream(4), F64)
+        sub = PartitionAttention(4, 2, 80, "grid", 2, SeedStream(4))
         sub.attn.out.w.data[:] = 0.0
         sub.attn.out.b.data[:] = 0.0
         sub.mlp.fc2.w.data[:] = 0.0
@@ -267,7 +265,7 @@ class TestMaxVitBlock:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_gradient_tiny(self, seed):
-        block = MaxVitBlock(4, 2, 80, 4, 4, 3, SeedStream(seed), F64)
+        block = MaxVitBlock(4, 2, 80, 4, 4, 3, SeedStream(seed))
         block.set_training(True)
         x = uni((1, 4, 8, 8), seed + 30, grad=True)
         # spot-check a few parameter tensors along with the input
@@ -313,7 +311,7 @@ class TestPartitionAttention:
     @pytest.mark.parametrize("mode", ["window", "grid"])
     @pytest.mark.parametrize("hw", [(8, 8), (6, 9)])
     def test_bitwise_equal_to_composed_reference(self, mode, hw):
-        sub = PartitionAttention(8, 2, 160, mode, 4, SeedStream(7), F64)
+        sub = PartitionAttention(8, 2, 160, mode, 4, SeedStream(7))
         sub.pos.data[...] = T.uniform(sub.pos.shape, 8).data
         x = uni((2, 8) + hw, 9, grad=True)
         upstream = uni(x.shape, 10)
@@ -322,7 +320,7 @@ class TestPartitionAttention:
         assert got == want
 
     def test_param_names_in_order(self):
-        sub = PartitionAttention(8, 2, 160, "grid", 4, SeedStream(0), F64)
+        sub = PartitionAttention(8, 2, 160, "grid", 4, SeedStream(0))
         assert [n for n, _ in sub.named_params()] == [
             "pos",
             "norm1.gamma", "norm1.beta",
@@ -332,7 +330,7 @@ class TestPartitionAttention:
         ]
 
     def test_named_modules_pre_order(self):
-        sub = PartitionAttention(8, 2, 160, "window", 4, SeedStream(0), F64)
+        sub = PartitionAttention(8, 2, 160, "window", 4, SeedStream(0))
         assert [(p, type(m).__name__) for p, m in sub.named_modules("blk")] == [
             ("blk", "PartitionAttention"),
             ("blk.norm1", "LayerNorm"),
@@ -346,15 +344,15 @@ class TestPartitionAttention:
         ]
 
     def test_children_built_like_a_vit_block(self):
-        sub = PartitionAttention(8, 2, 160, "window", 4, SeedStream(3), F64)
-        block = VitBlock(8, 2, 160, SeedStream(3), F64)
+        sub = PartitionAttention(8, 2, 160, "window", 4, SeedStream(3))
+        block = VitBlock(8, 2, 160, SeedStream(3))
         params = [(n, p.data.tobytes()) for n, p in sub.named_params()]
         assert params[1:] == [(n, p.data.tobytes()) for n, p in block.named_params()]
 
 
 class TestVitPieces:
     def test_token_count_formula(self):
-        embed = PatchEmbed(1, 16, 128, 128, 8, SeedStream(0), F64)
+        embed = PatchEmbed(1, 16, 128, 128, 8, SeedStream(0))
         assert embed.tokens_h * embed.tokens_w == (128 * 128) // 16 ** 2 == 64
         x = uni((1, 1, 128, 128), 1)
         with T.no_grad():
@@ -363,11 +361,11 @@ class TestVitPieces:
 
     def test_indivisible_patch_rejected(self):
         with pytest.raises(ConfigError):
-            PatchEmbed(1, 5, 16, 16, 8, SeedStream(0), F64)
+            PatchEmbed(1, 5, 16, 16, 8, SeedStream(0))
 
     def test_zero_pos_embed_permutation_equivariance(self):
-        embed = PatchEmbed(2, 4, 8, 8, 6, SeedStream(1), F64)
-        block = VitBlock(6, 2, 120, SeedStream(2), F64)
+        embed = PatchEmbed(2, 4, 8, 8, 6, SeedStream(1))
+        block = VitBlock(6, 2, 120, SeedStream(2))
         x = uni((1, 2, 8, 8), 3)
         rng = np.random.Generator(np.random.PCG64(4))
         perm = rng.permutation(4)
@@ -386,8 +384,8 @@ class TestVitPieces:
         assert np.allclose(got[0], base[0][perm], atol=1e-12)
 
     def test_encode_upsample_round_trip_shape(self):
-        embed = PatchEmbed(3, 4, 12, 8, 10, SeedStream(5), F64)
-        up = VitUpsample(10, 4, 3, embed.tokens_h, embed.tokens_w, SeedStream(6), F64)
+        embed = PatchEmbed(3, 4, 12, 8, 10, SeedStream(5))
+        up = VitUpsample(10, 4, 3, embed.tokens_h, embed.tokens_w, SeedStream(6))
         x = uni((2, 3, 12, 8), 7)
         with T.no_grad():
             out = up(embed(x))
@@ -395,7 +393,7 @@ class TestVitPieces:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_vit_block_gradient(self, seed):
-        block = VitBlock(4, 2, 80, SeedStream(seed), F64)
+        block = VitBlock(4, 2, 80, SeedStream(seed))
         tok = uni((1, 4, 4), seed + 40, grad=True)
         block.attn.qkv.w.requires_grad = True
         block.mlp.fc1.w.requires_grad = True
@@ -404,3 +402,20 @@ class TestVitPieces:
             [tok, block.attn.qkv.w, block.mlp.fc1.w],
         )
         assert err < 1e-4
+
+
+class TestPrecision:
+    @pytest.mark.parametrize("make", [
+        lambda: MaxVitBlock(8, 2, 160, 4, 4, 3, SeedStream(4)),
+        lambda: PatchEmbed(2, 4, 8, 8, 6, SeedStream(1)),
+        lambda: TemporalUpsample(3, 2, 2, SeedStream(12)),
+    ])
+    def test_f32_build_is_f64_build_rounded(self, make):
+        want = make()
+        with T.using_dtype(np.float32):
+            got = make()
+        pairs = list(zip(want.named_params(), got.named_params(), strict=True))
+        assert pairs
+        for (name64, p64), (name32, p32) in pairs:
+            assert name32 == name64 and p64.dtype == np.float64 and p32.dtype == np.float32
+            assert p32.data.tobytes() == p64.data.astype(np.float32).tobytes()

@@ -1,11 +1,12 @@
 """Model builders, full-pipeline contracts, and checkpoint serialization."""
 
+import builtins
 import struct
 
 import numpy as np
 import pytest
 
-from radarkit import tensor as T
+from radarkit import fileio, models, tensor as T
 from radarkit.errors import ConfigError, DataFormatError
 from radarkit.models import (
     Hourglass3d,
@@ -99,6 +100,10 @@ class TestForwardContract:
         assert out.shape == (2, 3, 4, 16, 16)
         assert np.all(out.data > 0.0) and np.all(out.data < 1.0)
 
+    def test_vit_width_not_divisible_by_heads(self):
+        with pytest.raises(ConfigError, match="width 9 not divisible by 2 heads"):
+            build_model(toy_config("transformer2d", vit_dim=9))
+
     def test_bad_cube_shapes_rejected(self):
         model = build_model(toy_config(), dtype=np.float64)
         from radarkit.errors import ShapeError
@@ -174,6 +179,43 @@ class TestHourglassReference:
         assert m.param_count() <= 200_000
 
 
+class TestPrecisionChoice:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_models_record_their_dtype(self, dtype):
+        built = (
+            build_model(toy_config(), dtype=dtype),
+            Hourglass3d(chirps=2, base=4, bottleneck_width=8, bottleneck_depth=1, dtype=dtype),
+        )
+        for model in built:
+            assert model.dtype is dtype
+            assert {p.dtype for p in model.params()} == {np.dtype(dtype)}
+        assert T.default_dtype() is np.float64
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.float16])
+    def test_non_float_dtype_rejected(self, dtype):
+        makers = (
+            lambda: build_model(toy_config(), dtype=dtype),
+            lambda: build_reference("radarformer-tiny", dtype=dtype),
+            lambda: build_reference("hourglass3d-ref", dtype=dtype),
+            lambda: Hourglass3d(chirps=2, base=4, bottleneck_width=8, bottleneck_depth=1, dtype=dtype),
+        )
+        for build in makers:
+            with pytest.raises(ConfigError, match=np.dtype(dtype).name):
+                build()
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.float16])
+    def test_load_checkpoint_rejects_dtype_before_opening(self, tmp_path, monkeypatch, dtype):
+        path = tmp_path / "m.rfck"
+        save_checkpoint(build_model(toy_config()), path)
+        opened = []
+        monkeypatch.setattr(fileio, "open", lambda *a: opened.append(a) or builtins.open(*a), raising=False)
+        with pytest.raises(ConfigError, match=np.dtype(dtype).name):
+            load_checkpoint(path, dtype=dtype)
+        assert opened == []
+        load_checkpoint(path, dtype=np.float32)
+        assert len(opened) == 1
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         model = build_model(toy_config(init_seed=3), dtype=np.float64)
@@ -197,6 +239,19 @@ class TestCheckpoint:
             a = model.forward(cube).data
             b = loaded.forward(cube).data
         assert np.array_equal(a, b)
+
+    def test_blob_data_read_after_model_is_built(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.rfck"
+        saved = build_model(toy_config())
+        save_checkpoint(saved, path)
+        events = []
+        build, array = models.build_model, fileio.BinaryReader.array
+        monkeypatch.setattr(models, "build_model", lambda *a, **k: events.append("build") or build(*a, **k))
+        monkeypatch.setattr(fileio.BinaryReader, "array",
+                            lambda r, shape, what: events.append(shape) or array(r, shape, what))
+        load_checkpoint(path)
+        blobs = [p.shape for _, p in saved.named_params()] + [b.shape for _, b in _named_buffers(saved)]
+        assert events == ["build"] + blobs
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.rfck"

@@ -6,7 +6,7 @@ import pytest
 from radarkit import tensor as T
 from radarkit.errors import ConfigError, ShapeError
 from radarkit.layers import Conv2d, Conv3d, Linear, Mlp, MultiheadSelfAttention, SeedStream
-from radarkit.models import REFERENCE_NAMES, build_model, build_reference
+from radarkit.models import REFERENCE_NAMES, Hourglass3d, build_model, build_reference
 from radarkit.profiler import (
     LayerProfile,
     compare_report,
@@ -21,25 +21,23 @@ from radarkit.profiler import (
 
 from oracles import MacCounter, conv2d_loops, conv3d_loops, matmul_loops, msa_loops
 
-F64 = np.float64
-
 
 class TestParamCounts:
     def test_conv2d_formula(self):
-        conv = Conv2d(2, 4, 3, SeedStream(0), F64)
+        conv = Conv2d(2, 4, 3, SeedStream(0))
         entries, _ = conv.profile((1, 2, 8, 8))
         assert entries[0][1] == 2 * 4 * 9 + 4 == 76
 
     def test_linear_formula(self):
-        lin = Linear(8, 4, SeedStream(0), F64)
+        lin = Linear(8, 4, SeedStream(0))
         entries, _ = lin.profile((1, 8))
         assert entries[0][1] == 8 * 4 + 4 == 36
 
     def test_bias_free_drops_cout_term(self):
-        conv = Conv2d(2, 4, 3, SeedStream(0), F64, bias=False)
+        conv = Conv2d(2, 4, 3, SeedStream(0), bias=False)
         entries, _ = conv.profile((1, 2, 8, 8))
         assert entries[0][1] == 72
-        lin = Linear(8, 4, SeedStream(0), F64, bias=False)
+        lin = Linear(8, 4, SeedStream(0), bias=False)
         entries, _ = lin.profile((1, 8))
         assert entries[0][1] == 32
 
@@ -51,12 +49,12 @@ class TestParamCounts:
 
 class TestMacCounts:
     def test_conv2d_same_pad_formula(self):
-        conv = Conv2d(2, 4, 3, SeedStream(0), F64)
+        conv = Conv2d(2, 4, 3, SeedStream(0))
         entries, _ = conv.profile((1, 2, 8, 8))
         assert entries[0][2] == 8 * 8 * 4 * (2 * 9) == 4608
 
     def test_attention_four_terms(self):
-        attn = MultiheadSelfAttention(4, 1, SeedStream(0), F64)
+        attn = MultiheadSelfAttention(4, 1, SeedStream(0))
         entries, _ = attn.profile((1, 16, 4))
         assert entries[0][2] == 768 + 1024 + 1024 + 256 == 3072
 
@@ -64,7 +62,7 @@ class TestMacCounts:
         # adds never appear as profile entries; total MACs of a norm are 0
         from radarkit.layers import LayerNorm
 
-        ln = LayerNorm(8, F64)
+        ln = LayerNorm(8)
         entries, _ = ln.profile((2, 4, 8))
         assert sum(m for _, _, m in entries) == 0
 
@@ -74,7 +72,7 @@ class TestMacCounts:
         w = rng.standard_normal((4, 3, 3, 3))
         counter = MacCounter()
         conv2d_loops(x, w, None, (1, 1), (1, 1), counter)
-        conv = Conv2d(3, 4, 3, SeedStream(0), F64)
+        conv = Conv2d(3, 4, 3, SeedStream(0))
         entries, _ = conv.profile((2, 3, 6, 6))
         assert entries[0][2] == counter.macs
 
@@ -84,7 +82,7 @@ class TestMacCounts:
         w = rng.standard_normal((3, 2, 2, 3, 3))
         counter = MacCounter()
         conv3d_loops(x, w, None, (2, 1, 1), (0, 1, 1), counter)
-        conv = Conv3d(2, 3, (2, 3, 3), SeedStream(0), F64, stride=(2, 1, 1), padding=(0, 1, 1))
+        conv = Conv3d(2, 3, (2, 3, 3), SeedStream(0), stride=(2, 1, 1), padding=(0, 1, 1))
         entries, _ = conv.profile((1, 2, 4, 5, 5))
         assert entries[0][2] == counter.macs
 
@@ -92,12 +90,12 @@ class TestMacCounts:
         rng = np.random.Generator(np.random.PCG64(2))
         counter = MacCounter()
         matmul_loops(rng.standard_normal((7, 5)), rng.standard_normal((5, 3)), counter)
-        lin = Linear(5, 3, SeedStream(0), F64)
+        lin = Linear(5, 3, SeedStream(0))
         entries, _ = lin.profile((7, 5))
         assert entries[0][2] == counter.macs
 
     def test_msa_vs_instrumented_counter(self):
-        attn = MultiheadSelfAttention(4, 2, SeedStream(3), F64)
+        attn = MultiheadSelfAttention(4, 2, SeedStream(3))
         tok = T.uniform((2, 5, 4), 4)
         counter = MacCounter()
         s = 4
@@ -113,7 +111,7 @@ class TestMacCounts:
         assert entries[0][2] == counter.macs
 
     def test_mlp_vs_instrumented_counter(self):
-        mlp = Mlp(4, 80, SeedStream(5), F64)
+        mlp = Mlp(4, 80, SeedStream(5))
         counter = MacCounter()
         rng = np.random.Generator(np.random.PCG64(6))
         x = rng.standard_normal((3, 4))
@@ -178,6 +176,16 @@ class TestReferenceProfiles:
         assert set(names) <= {p for p, _ in walk(model)} | {n for n, _ in model.named_params()}
 
 
+class TestProfileShapes:
+    def test_non_integral_extent_rejected_like_forward(self):
+        conv = Conv2d(1, 1, 3, SeedStream(0), stride=2, padding=1)
+        with pytest.raises(ShapeError, match="not integral") as profiled:
+            conv.profile((1, 1, 8, 8))
+        with pytest.raises(ShapeError) as forward:
+            conv(T.zeros((1, 1, 8, 8)))
+        assert str(profiled.value) == str(forward.value)
+
+
 class TestTiming:
     class _MockModel:
         """Advances an injected fake clock by a fixed amount per forward."""
@@ -214,6 +222,11 @@ class TestTiming:
         model = build_reference("radarformer-tiny", dtype=np.float32)
         res = time_inference(model, (1, 2, 8, 4, 16, 16), warmup=1, runs=3)
         assert res.std_ms >= 0.0
+        assert res.mean_ms > 0.0
+
+    def test_f64_hourglass_timed_in_its_dtype(self):
+        model = Hourglass3d(chirps=2, base=4, bottleneck_width=8, bottleneck_depth=1, dtype=np.float64)
+        res = time_inference(model, (1, 2, 4, 2, 8, 8), warmup=0, runs=3)
         assert res.mean_ms > 0.0
 
     def test_too_few_runs_rejected(self):

@@ -254,6 +254,16 @@ class TestConfigErrors:
         with pytest.raises(ConfigError, match="SynthConfig.height"):
             SynthConfig(height=2, width=2)
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.1])
+    def test_unknown_scene_scenario_named(self, sigma):
+        with pytest.raises(ConfigError, match="'XX'"):
+            render_ramap(Scene(0, "XX", 2, sigma, ()), SMALL)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.float16])
+    def test_non_float_dtype_rejected(self, dtype):
+        with pytest.raises(ConfigError, match=np.dtype(dtype).name):
+            render_ramap(generate_scene(1, "PL", SMALL), SMALL, dtype=dtype)
+
     def test_negative_scene_noise_rejected(self):
         scene = Scene(0, "PL", 2, -0.1, ())
         with pytest.raises(ConfigError, match="noise_sigma"):
@@ -298,6 +308,15 @@ class TestDatasetIO:
             cube2, anns2 = ds.load(name)
             assert cube2.tobytes() == cube.astype("<f4").tobytes()
             assert anns2 == anns
+
+    def test_read_gives_owned_aligned_writable_array(self, tmp_path):
+        cube = np.random.default_rng(3).standard_normal((2, 3, 4, 5, 6)).astype(np.float32)
+        path = tmp_path / "c.ramc"
+        write_sequence(path, cube)
+        back = read_sequence(path)
+        flags = back.flags
+        assert flags.owndata and flags.aligned and flags.writeable and flags.c_contiguous
+        assert back.dtype == np.dtype("<f4") and back.tobytes() == cube.tobytes()
 
     def test_truncated_sequence_names_file(self, tmp_path):
         cube = np.zeros((2, 2, 4, 8, 8), dtype=np.float32)

@@ -453,7 +453,7 @@ class TestDebugChecks:
             T.gelu(T.from_array(np.array([np.nan])))
 
     def test_module_outside_the_tree_named_by_class(self):
-        lin = Linear(2, 2, SeedStream(0), np.float64)
+        lin = Linear(2, 2, SeedStream(0))
         lin.w.data[0, 0] = np.nan
 
         class Caller(Module):
@@ -697,6 +697,19 @@ class TestPrecisionModes:
             assert a.dtype == np.float32
             out = T.matmul(a, a)
             assert out.dtype == np.float32
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.float16])
+    def test_non_float_dtype_rejected(self, dtype):
+        makers = (
+            lambda: T.zeros((2,), dtype=dtype),
+            lambda: T.from_array(np.ones(2), dtype=dtype),
+            lambda: T.uniform((2,), 0, dtype=dtype),
+            lambda: T.set_default_dtype(dtype),
+        )
+        for make in makers:
+            with pytest.raises(ConfigError, match=np.dtype(dtype).name):
+                make()
+        assert T.default_dtype() is np.float64
 
     def test_mixed_dtype_rejected(self):
         a = T.uniform((2, 2), 20)

@@ -6,8 +6,9 @@ Run it on two source trees and compare the output line by line:
     PYTHONPATH=/path/to/other/checkout/src python3 tools/equivalence_hashes.py > before.txt
     diff before.txt after.txt
 
-It covers synthetic rendering and RAMC files, ConfMap decoding and AP/AR,
-checkpoint bytes, parameter names,
+It covers synthetic rendering and RAMC files written and read back, ConfMap
+decoding and AP/AR, checkpoint bytes, parameter names, the parameters of a
+small 3-D hourglass in f32 and f64,
 per-layer profiles, and the forward output, loss, every gradient and the
 tape node count of a training step.  Array hashes include dtype and shape.  It uses only the public API
 plus ``tensor.active_tape``, so any revision of ``radarkit`` can run it.
@@ -27,9 +28,11 @@ import numpy as np
 from radarkit import tensor as T
 from radarkit.confmap import Annotation, decode_confmap, encode_confmap
 from radarkit.evaluation import CATEGORIES, evaluate
-from radarkit.models import REFERENCE_NAMES, ModelConfig, build_model, build_reference, reference_config, save_checkpoint
+from radarkit.models import (
+    REFERENCE_NAMES, Hourglass3d, ModelConfig, build_model, build_reference, reference_config, save_checkpoint,
+)
 from radarkit.profiler import profile_layers
-from radarkit.synth import SCENARIOS, SynthConfig, generate_scene, render_ramap, write_sequence
+from radarkit.synth import SCENARIOS, SynthConfig, generate_scene, read_sequence, render_ramap, write_sequence
 
 CHECKPOINT_CONFIGS = ("radarformer-ref", "cnn2d-ref", "transformer2d-ref", "radarformer-tiny")
 TOY_TRANSFORMER = ModelConfig(
@@ -114,6 +117,23 @@ def checkpoints(tmp) -> None:
             show(f"named_params {name} {np.dtype(dtype).name}", [n for n, _ in model.named_params()])
 
 
+def hourglass_params() -> None:
+    """Parameter names and values of a small Hourglass3d in each precision."""
+    for dtype in (np.float32, np.float64):
+        model = Hourglass3d(chirps=2, base=4, bottleneck_width=8, bottleneck_depth=2, dtype=dtype)
+        show(f"named_params hourglass3d-small {np.dtype(dtype).name}",
+             *[a for n, p in model.named_params() for a in (n, p.data)])
+
+
+def reading(tmp, seed=303) -> None:
+    """read_sequence of one written noisy clip."""
+    path = os.path.join(tmp, "clip.ramc")
+    cfg = SynthConfig(height=64, width=48, frames=8, noise_sigma=0.08)
+    cube, _ = render_ramap(generate_scene(seed, "CS", cfg), cfg)
+    write_sequence(path, cube)
+    show("read_sequence CS 64x48x8", read_sequence(path))
+
+
 def profiles() -> None:
     for name in REFERENCE_NAMES:
         model = build_reference(name, dtype=np.float32)
@@ -144,6 +164,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         rendering(tmp)
         checkpoints(tmp)
+        reading(tmp)
+    hourglass_params()
     profiles()
     tiny = reference_config("radarformer-tiny")
     for dtype in (np.float32, np.float64):
