@@ -15,6 +15,9 @@ suppression radius proportional to the rendered spread at every range;
 this is what makes decode(encode(scene)) an exact identity for scenes
 whose objects are pairwise at least 6 sigma apart.
 
+One OLS, `DEFAULT_OLS` on the `RANGE_RESOLUTION_M` grid that `synth`
+renders, serves the encoder, the decoder and AP/AR matching in `evaluation`.
+
 One broadcasting f64 kernel, `ols_kernel`, computes OLS for the decoder,
 for AP/AR matching in `evaluation` and, as a 0-d call, for the scalar
 `ols`; all three therefore give the same bits for the same points.  Peak
@@ -100,27 +103,27 @@ def _check_grid(obj, k: int, h: int, w: int) -> None:
         )
 
 
-def encode_confmap(annotations, k: int, h: int, w: int, params: OlsParams = DEFAULT_OLS) -> np.ndarray:
+def encode_confmap(annotations, k: int, h: int, w: int) -> np.ndarray:
     """Render annotations into a (K,H,W) float array in [0,1]."""
     cm = np.zeros((k, h, w))
     rows = np.arange(h)[:, None]
     cols = np.arange(w)[None, :]
     for ann in annotations:
         _check_grid(ann, k, h, w)
-        sigma = params.sigma_bins(ann.class_id, ann.range_bin)
+        sigma = DEFAULT_OLS.sigma_bins(ann.class_id, ann.range_bin)
         d2 = (rows - ann.range_bin) ** 2 + (cols - ann.azimuth_bin) ** 2
         bump = np.exp(-d2 / (2.0 * sigma * sigma))
         np.maximum(cm[ann.class_id], bump, out=cm[ann.class_id])
     return cm
 
 
-def ols_kernel(r, a, g_r, g_a, g_class, params: OlsParams = DEFAULT_OLS):
+def ols_kernel(r, a, g_r, g_a, g_class):
     """OLS in [0,1] between points (r, a) and same-grid points (g_r, g_a)
     of class `g_class`, broadcast elementwise in f64.  Symmetric in the two
     locations (the scale uses their mean range).  The kernel width
     s*kappa is clamped to the encoding-sigma band, so similarity contours
     track the rendered Gaussian spread."""
-    return _ols_body(r, a, g_r, g_a, params.kappa(g_class), params)
+    return _ols_body(r, a, g_r, g_a, DEFAULT_OLS.kappa(g_class), DEFAULT_OLS)
 
 
 def _ols_body(r, a, g_r, g_a, kappa, params: OlsParams):
@@ -133,9 +136,9 @@ def _ols_body(r, a, g_r, g_a, kappa, params: OlsParams):
     return np.exp(-(d_m * d_m) / (2.0 * sk_m * sk_m))
 
 
-def ols(p, g, params: OlsParams = DEFAULT_OLS) -> float:
+def ols(p, g) -> float:
     """`ols_kernel` for one point pair; the class is taken from `g`."""
-    return float(ols_kernel(p.range_bin, p.azimuth_bin, g.range_bin, g.azimuth_bin, g.class_id, params))
+    return float(ols_kernel(p.range_bin, p.azimuth_bin, g.range_bin, g.azimuth_bin, g.class_id))
 
 
 def _rank_key(d: Detection):
@@ -175,7 +178,7 @@ def _columns(points):
             np.array([p.azimuth_bin for p in points], dtype=np.float64))
 
 
-def l_nms(candidates, ols_threshold: float, params: OlsParams = DEFAULT_OLS) -> list[Detection]:
+def l_nms(candidates, ols_threshold: float) -> list[Detection]:
     """Greedy location NMS over the candidates in the order given: accept
     the first pending candidate, drop every pending same-class candidate
     whose OLS against it exceeds the threshold, repeat.  Classes never
@@ -185,20 +188,19 @@ def l_nms(candidates, ols_threshold: float, params: OlsParams = DEFAULT_OLS) -> 
     cls, r, a = _columns(candidates)
     kept = []
     for c in np.unique(cls):
-        kappa = params.kappa(c)
+        kappa = DEFAULT_OLS.kappa(c)
         pending = np.flatnonzero(cls == c)
         while pending.size:
             best, pending = pending[0], pending[1:]
             kept.append(best)
             if pending.size:
-                sim = _ols_body(r[pending], a[pending], r[best], a[best], kappa, params)
+                sim = _ols_body(r[pending], a[pending], r[best], a[best], kappa, DEFAULT_OLS)
                 pending = pending[sim <= ols_threshold]
     return [candidates[i] for i in sorted(kept)]
 
 
-def decode_confmap(confmap, floor: float = 0.3, ols_threshold: float = 0.3,
-                   params: OlsParams = DEFAULT_OLS) -> list[Detection]:
-    return l_nms(peak_detect(confmap, floor), ols_threshold, params)
+def decode_confmap(confmap, floor: float = 0.3, ols_threshold: float = 0.3) -> list[Detection]:
+    return l_nms(peak_detect(confmap, floor), ols_threshold)
 
 
 # ---------------------------------------------------------------------------

@@ -18,31 +18,31 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # ols is not called here; perfbench/tracer.py counts calls of evaluation.ols by name
-from .confmap import DEFAULT_OLS, OlsParams, _columns, _rank_key, ols, ols_kernel  # noqa: F401
+from .confmap import _columns, _rank_key, ols, ols_kernel  # noqa: F401
 from .errors import DataFormatError
 
 OLS_THRESHOLDS = tuple(round(0.50 + 0.05 * i, 2) for i in range(9))
 CATEGORIES = ("PL", "CR", "CS", "HW")
 
 
-def match_frame(dets, gts, threshold: float, params: OlsParams = DEFAULT_OLS):
+def match_frame(dets, gts, threshold: float):
     """Greedy one-to-one matching on one frame; returns (tp, fp, fn).
 
     `dets` must be sorted by descending confidence.
     """
-    flags = _match_flags(_ols_rows(dets, gts, params), len(gts), threshold)
+    flags = _match_flags(_ols_rows(dets, gts), len(gts), threshold)
     tp = sum(flags)
     return tp, len(dets) - tp, len(gts) - tp
 
 
-def _ols_rows(dets, gts, params):
+def _ols_rows(dets, gts):
     """The det x gt OLS matrix of one frame as nested lists, -1.0 across
     classes; every threshold of the sweep reuses it."""
     if not dets or not gts:
         return [[] for _ in dets]
     d_cls, d_r, d_a = _columns(dets)
     g_cls, g_r, g_a = _columns(gts)
-    sim = ols_kernel(d_r[:, None], d_a[:, None], g_r, g_a, g_cls, params)
+    sim = ols_kernel(d_r[:, None], d_a[:, None], g_r, g_a, g_cls)
     return np.where(d_cls[:, None] == g_cls, sim, -1.0).tolist()
 
 
@@ -84,14 +84,14 @@ def _ap_101(precision: np.ndarray, recall: np.ndarray) -> float:
     return ap / 101.0
 
 
-def _eval_frames(frames, thresholds, params):
+def _eval_frames(frames, thresholds):
     """frames: list of (dets_sorted, gts). Returns (ap, ar, per_threshold)."""
     gt_total = sum(len(g) for _, g in frames)
     neg_conf = [-d.confidence for dets, _ in frames for d in dets]
     # one stable ranking of the pooled detections serves every threshold;
     # ties, -0.0 against 0.0 included, keep frame-then-detection order
     ranked = np.array(sorted(range(len(neg_conf)), key=neg_conf.__getitem__), dtype=np.intp)
-    frames = [(_ols_rows(dets, gts, params), len(gts)) for dets, gts in frames]
+    frames = [(_ols_rows(dets, gts), len(gts)) for dets, gts in frames]
     per_threshold = {}
     aps, ars = [], []
     for thr in thresholds:
@@ -117,8 +117,7 @@ def _eval_frames(frames, thresholds, params):
     return float(np.mean(aps)), float(np.mean(ars)), per_threshold
 
 
-def evaluate(detections, annotations, categories=None, frame_ids=None,
-             params: OlsParams = DEFAULT_OLS, thresholds=OLS_THRESHOLDS) -> EvalResult:
+def evaluate(detections, annotations, categories=None, frame_ids=None, thresholds=OLS_THRESHOLDS) -> EvalResult:
     """Aggregate AP/AR over all frames and per scenario category.
 
     `categories` optionally maps frame_id -> scenario tag.  `frame_ids`
@@ -154,7 +153,7 @@ def evaluate(detections, annotations, categories=None, frame_ids=None,
             out.append((dets, gts_by_frame.get(fid, [])))
         return out
 
-    ap, ar, per_thr = _eval_frames(frame_list(universe), thresholds, params)
+    ap, ar, per_thr = _eval_frames(frame_list(universe), thresholds)
     result = EvalResult(ap_total=ap, ar_total=ar, per_threshold=per_thr)
     if categories:
         tags = sorted({t for t in categories.values()})
@@ -162,7 +161,7 @@ def evaluate(detections, annotations, categories=None, frame_ids=None,
             ids = [fid for fid in universe if categories.get(fid) == tag]
             if not ids:
                 continue
-            cap, car_, _ = _eval_frames(frame_list(ids), thresholds, params)
+            cap, car_, _ = _eval_frames(frame_list(ids), thresholds)
             result.per_category[tag] = (cap, car_)
     return result
 

@@ -10,9 +10,11 @@ sets once around the construction of all its layers (``RadarDetector``).
 Profile entries are named by module path, the same path ``named_params()``
 uses (``trunk.blocks.0.window_attn.mlp.fc1``); a module's own parameter
 keeps its parameter name (``trunk.blocks.0.window_attn.pos``).  Leaf
-modules hold the cost formulas.  By default a module chains its children
-in order, each on the previous one's output shape; modules whose forward
+modules that multiply hold the cost formulas.  By default a module chains
+its children in order, each on the previous one's output shape, and a
+module without children gives one row of zero MACs; modules whose forward
 reshapes between children override ``profile`` for that reshape only.
+The norms use ``_NORM_EPS`` = 1e-5, batch norm ``_BN_MOMENTUM`` = 0.1.
 
 MAC conventions (shared with the profiler): convolutions count
 out_elems * Cin * prod(kernel); matmuls count m*k*n per batch item;
@@ -28,6 +30,9 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ShapeError
+
+_NORM_EPS = 1e-5
+_BN_MOMENTUM = 0.1
 
 
 class SeedStream:
@@ -93,7 +98,10 @@ class Module:
 
     def profile(self, in_shape, path: str = ""):
         """Return ([(name, param_count, mac_count)], out_shape) for the
-        module at `path`; by default the children in order."""
+        module at `path`; by default the children in order, and for a
+        module without children one shape-preserving row of zero MACs."""
+        if next(self.children(), None) is None:
+            return [(path, self.param_count(), 0)], in_shape
         entries, shape = [], in_shape
         for name, child in self.children():
             e, shape = child.profile(shape, _join(path, name))
@@ -114,7 +122,7 @@ class _Conv(Module):
     """Parameters and cost of an N-d convolution; kernel, stride and
     padding are given per spatial axis or as one value for all of them."""
 
-    def __init__(self, nd, cin, cout, kernel, stride, padding, bias, seeds):
+    def __init__(self, nd, cin, cout, kernel, stride, padding, seeds):
         super().__init__()
         self.cin, self.cout = cin, cout
         self.kernel = T._per_axis(kernel, nd)
@@ -122,7 +130,7 @@ class _Conv(Module):
         self.padding = T._per_axis(padding, nd)
         fan = cin * math.prod(self.kernel)
         self.w = self.add_param("w", _init_uniform((cout, cin) + self.kernel, fan, seeds))
-        self.b = self.add_param("b", _init_uniform((cout,), fan, seeds)) if bias else None
+        self.b = self.add_param("b", _init_uniform((cout,), fan, seeds))
 
     def profile(self, in_shape, path=""):
         b = in_shape[0]
@@ -130,35 +138,33 @@ class _Conv(Module):
             T._out_extent(n, k, s, p, axis)
             for axis, (n, k, s, p) in enumerate(zip(in_shape[2:], self.kernel, self.stride, self.padding), 2)
         )
-        kprod = math.prod(self.kernel)
-        params = self.cout * self.cin * kprod + (self.cout if self.b is not None else 0)
-        macs = b * self.cout * math.prod(out_sp) * self.cin * kprod
-        return [(path, params, macs)], (b, self.cout) + out_sp
+        macs = b * self.cout * math.prod(out_sp) * self.cin * math.prod(self.kernel)
+        return [(path, self.param_count(), macs)], (b, self.cout) + out_sp
 
 
 class Conv2d(_Conv):
-    def __init__(self, cin, cout, kernel, seeds, stride=1, padding=None, bias=True):
+    def __init__(self, cin, cout, kernel, seeds, stride=1, padding=None):
         padding = (kernel - 1) // 2 if padding is None else padding
-        super().__init__(2, cin, cout, kernel, stride, padding, bias, seeds)
+        super().__init__(2, cin, cout, kernel, stride, padding, seeds)
 
     def forward(self, x):
         return T.conv2d(x, self.w, self.b, stride=self.stride, padding=self.padding)
 
 
 class Conv3d(_Conv):
-    def __init__(self, cin, cout, kernel, seeds, stride=(1, 1, 1), padding=(0, 0, 0), bias=True):
-        super().__init__(3, cin, cout, kernel, stride, padding, bias, seeds)
+    def __init__(self, cin, cout, kernel, seeds, stride=(1, 1, 1), padding=(0, 0, 0)):
+        super().__init__(3, cin, cout, kernel, stride, padding, seeds)
 
     def forward(self, x):
         return T.conv3d(x, self.w, self.b, stride=self.stride, padding=self.padding)
 
 
 class Linear(Module):
-    def __init__(self, nin, nout, seeds, bias=True):
+    def __init__(self, nin, nout, seeds):
         super().__init__()
         self.nin, self.nout = nin, nout
         self.w = self.add_param("w", _init_uniform((nin, nout), nin, seeds))
-        self.b = self.add_param("b", _init_uniform((nout,), nin, seeds)) if bias else None
+        self.b = self.add_param("b", _init_uniform((nout,), nin, seeds))
 
     def forward(self, x):
         lead = x.shape[:-1]
@@ -171,35 +177,28 @@ class Linear(Module):
         return out
 
     def profile(self, in_shape, path=""):
-        lead = int(np.prod(in_shape[:-1]))
-        params = self.nin * self.nout + (self.nout if self.b is not None else 0)
-        macs = lead * self.nin * self.nout
-        return [(path, params, macs)], in_shape[:-1] + (self.nout,)
+        macs = int(np.prod(in_shape[:-1])) * self.nin * self.nout
+        return [(path, self.param_count(), macs)], in_shape[:-1] + (self.nout,)
 
 
 class LayerNorm(Module):
     """Normalizes the last axis of token tensors (..., S)."""
 
-    def __init__(self, dim, eps=1e-5):
+    def __init__(self, dim):
         super().__init__()
-        self.dim, self.eps = dim, eps
         self.gamma = self.add_param("gamma", T.full((dim,), 1.0, requires_grad=True))
         self.beta = self.add_param("beta", T.zeros((dim,), requires_grad=True))
 
     def forward(self, x):
-        return T.normalize(x, self.gamma, self.beta, axes=-1, eps=self.eps)
-
-    def profile(self, in_shape, path=""):
-        return [(path, 2 * self.dim, 0)], in_shape
+        return T.normalize(x, self.gamma, self.beta, axes=-1, eps=_NORM_EPS)
 
 
 class BatchNorm2d(Module):
     """Per-channel normalization over (B,H,W); keeps running statistics
     for inference mode."""
 
-    def __init__(self, channels, eps=1e-5, momentum=0.1):
+    def __init__(self, channels):
         super().__init__()
-        self.channels, self.eps, self.momentum = channels, eps, momentum
         shape = (1, channels, 1, 1)
         self.gamma = self.add_param("gamma", T.full(shape, 1.0, requires_grad=True))
         self.beta = self.add_param("beta", T.zeros(shape, requires_grad=True))
@@ -210,17 +209,14 @@ class BatchNorm2d(Module):
         if self.training:
             mu = x.data.mean(axis=(0, 2, 3), keepdims=True)
             var = x.data.var(axis=(0, 2, 3), keepdims=True)
-            m = self.momentum
+            m = _BN_MOMENTUM
             self._buffers["running_mean"] = (1 - m) * self._buffers["running_mean"] + m * mu
             self._buffers["running_var"] = (1 - m) * self._buffers["running_var"] + m * var
-            return T.normalize(x, self.gamma, self.beta, axes=(0, 2, 3), eps=self.eps)
-        inv = 1.0 / np.sqrt(self._buffers["running_var"] + self.eps)
+            return T.normalize(x, self.gamma, self.beta, axes=(0, 2, 3), eps=_NORM_EPS)
+        inv = 1.0 / np.sqrt(self._buffers["running_var"] + _NORM_EPS)
         a = self.gamma.data * inv
         b = self.beta.data - self._buffers["running_mean"] * a
         return T.affine_const(x, a.astype(x.data.dtype), b.astype(x.data.dtype))
-
-    def profile(self, in_shape, path=""):
-        return [(path, 2 * self.channels, 0)], in_shape
 
 
 class Mlp(Module):
@@ -267,9 +263,8 @@ class MultiheadSelfAttention(Module):
 
     def profile(self, in_shape, path=""):
         bw, n, s = in_shape
-        params = (s * 3 * s + 3 * s) + (s * s + s)
         macs = bw * (3 * n * s * s + n * n * s + n * n * s + n * s * s)
-        return [(path, params, macs)], in_shape
+        return [(path, self.param_count(), macs)], in_shape
 
 
 class VitBlock(Module):
@@ -425,19 +420,23 @@ class MNetMerge(Module):
         self.conv1 = Conv3d(2 * chirps, merged, (1, 3, 3), seeds, padding=(0, 1, 1))
         self.conv2 = Conv3d(merged, merged, (1, 3, 3), seeds, padding=(0, 1, 1))
 
+    def _check(self, shape):
+        """`shape` if ``forward`` can merge a cube of it, else ShapeError."""
+        if len(shape) != 6 or shape[1] != 2:
+            raise ShapeError(f"expected (B,2,T,C,H,W) cube, got {shape}")
+        if shape[3] != self.chirps:
+            raise ShapeError(f"cube has {shape[3]} chirps, model expects {self.chirps}")
+        return shape
+
     def forward(self, cube):
-        if cube.ndim != 6 or cube.shape[1] != 2:
-            raise ShapeError(f"expected (B,2,T,C,H,W) cube, got {cube.shape}")
-        b, two, t, c, h, w = cube.shape
-        if c != self.chirps:
-            raise ShapeError(f"cube has {c} chirps, model expects {self.chirps}")
+        b, two, t, c, h, w = self._check(cube.shape)
         x = T.permute(cube, (0, 1, 3, 2, 4, 5))             # (B,2,C,T,H,W)
         x = T.reshape(x, (b, 2 * c, t, h, w))
         x = T.relu(self.conv1(x))
         return T.relu(self.conv2(x))
 
     def profile(self, in_shape, path=""):
-        b, two, t, c, h, w = in_shape
+        b, two, t, c, h, w = self._check(in_shape)
         return super().profile((b, 2 * c, t, h, w), path)
 
 

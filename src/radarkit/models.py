@@ -226,14 +226,18 @@ class RadarDetector(Module):
             self.head_bn = BatchNorm2d(ch)
             self.up = TemporalUpsample(ch, cfg.num_classes, cfg.temporal_stages, seeds)
 
-    def _check_input(self, cube):
+    @property
+    def input_shape(self) -> tuple:
+        return (1, 2, self.cfg.frames, self.cfg.chirps, self.cfg.height, self.cfg.width)
+
+    def _check_input(self, shape):
         cfg = self.cfg
-        if cube.ndim != 6:
-            raise ShapeError(f"expected rank-6 cube, got {cube.shape}")
-        b, two, t, c, h, w = cube.shape
+        if len(shape) != 6:
+            raise ShapeError(f"expected rank-6 cube, got {shape}")
+        b, two, t, c, h, w = shape
         if two != 2 or c != cfg.chirps or t != cfg.frames:
             raise ShapeError(
-                f"cube {cube.shape} incompatible with config "
+                f"cube {shape} incompatible with config "
                 f"(2,{cfg.frames},{cfg.chirps},H,W)"
             )
         if cfg.variant == "transformer2d" and (h, w) != (cfg.height, cfg.width):
@@ -241,8 +245,12 @@ class RadarDetector(Module):
                 f"transformer2d is resolution-bound to {cfg.height}x{cfg.width}, got {h}x{w}"
             )
 
+    def profile(self, in_shape, path=""):
+        self._check_input(in_shape)
+        return super().profile(in_shape, path)
+
     def forward_logits(self, cube: T.Tensor) -> T.Tensor:
-        self._check_input(cube)
+        self._check_input(cube.shape)
         # training calls this directly; the scope roots debug-check paths here
         with T._module_scope(self):
             x = self.merge(cube)
@@ -275,7 +283,7 @@ class Hourglass3d(Module):
     def __init__(self, chirps=4, num_classes=3, base=32,
                  bottleneck_width=544, bottleneck_depth=8, seed=0, dtype=np.float32):
         super().__init__()
-        self.chirps, self.num_classes = chirps, num_classes
+        self.input_shape = (1, 2, 32, chirps, 128, 128)
         seeds = SeedStream(seed)
         with T.using_dtype(dtype):
             self.dtype = T.default_dtype()
@@ -324,53 +332,54 @@ class Hourglass3d(Module):
 # reference configurations
 
 
+_REFERENCE_CONFIGS = {
+    "radarformer-ref": ModelConfig(
+        variant="radarformer",
+        merge_channels=16,
+        stage_widths=(64, 64),
+        stage_depths=(8, 8),
+        heads=4,
+        mlp_ratio=20.0,
+    ),
+    "cnn2d-ref": ModelConfig(
+        variant="cnn2d",
+        merge_channels=16,
+        stage_widths=(136,),
+        stage_depths=(12,),
+        heads=4,
+        mlp_ratio=20.0,
+    ),
+    "transformer2d-ref": ModelConfig(
+        variant="transformer2d",
+        merge_channels=16,
+        stage_widths=(48,),
+        stage_depths=(4,),
+        heads=4,
+        mlp_ratio=20.0,
+        patch_size=16,
+        vit_dim=288,
+    ),
+    "radarformer-tiny": ModelConfig(
+        variant="radarformer",
+        frames=8,
+        height=32,
+        width=32,
+        merge_channels=8,
+        stem_kernels=(3, 5),
+        head_kernel=5,
+        stage_widths=(16,),
+        stage_depths=(2,),
+        window_size=4,
+        grid_size=4,
+        heads=2,
+        mlp_ratio=20.0,
+    ),
+}
+
+
 def reference_config(name: str) -> ModelConfig:
     try:
-        return dict(
-            (
-                ("radarformer-ref", ModelConfig(
-                    variant="radarformer",
-                    merge_channels=16,
-                    stage_widths=(64, 64),
-                    stage_depths=(8, 8),
-                    heads=4,
-                    mlp_ratio=20.0,
-                )),
-                ("cnn2d-ref", ModelConfig(
-                    variant="cnn2d",
-                    merge_channels=16,
-                    stage_widths=(136,),
-                    stage_depths=(12,),
-                    heads=4,
-                    mlp_ratio=20.0,
-                )),
-                ("transformer2d-ref", ModelConfig(
-                    variant="transformer2d",
-                    merge_channels=16,
-                    stage_widths=(48,),
-                    stage_depths=(4,),
-                    heads=4,
-                    mlp_ratio=20.0,
-                    patch_size=16,
-                    vit_dim=288,
-                )),
-                ("radarformer-tiny", ModelConfig(
-                    variant="radarformer",
-                    frames=8,
-                    height=32,
-                    width=32,
-                    merge_channels=8,
-                    stem_kernels=(3, 5),
-                    head_kernel=5,
-                    stage_widths=(16,),
-                    stage_depths=(2,),
-                    window_size=4,
-                    grid_size=4,
-                    heads=2,
-                    mlp_ratio=20.0,
-                )),
-            )
-        )[name]
+        return _REFERENCE_CONFIGS[name]
     except KeyError:
         raise ConfigError(f"unknown reference config {name!r}") from None
 
@@ -382,13 +391,7 @@ def build_reference(name: str, dtype=np.float32):
     return build_model(reference_config(name), dtype=dtype)
 
 
-REFERENCE_NAMES = (
-    "radarformer-ref",
-    "cnn2d-ref",
-    "transformer2d-ref",
-    "radarformer-tiny",
-    "hourglass3d-ref",
-)
+REFERENCE_NAMES = (*_REFERENCE_CONFIGS, "hourglass3d-ref")
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ Counting conventions (documented so the GMAC column is auditable):
 convolutions cost out_elems * Cin * prod(kernel) MACs, matmuls m*k*n per
 batch item, attention per token group 3*N*S^2 + 2*N^2*S + N*S^2;
 normalization, softmax, activations, bias and elementwise adds, and data
-movement cost zero.  Parameter counts: conv Cout*Cin*prod(k) (+Cout with
-bias), linear in*out (+out), norms 2*width, embeddings their extent
-product.  Counts are pure functions of (config, input shape).
+movement cost zero.  Parameter counts: conv Cout*Cin*prod(k) + Cout,
+linear in*out + out, norms 2*width, embeddings their extent product.
+Counts are pure functions of (config, input shape); a cube rank, RF
+channel, chirp or frame count the forward refuses raises its ShapeError.
 
 Per-layer rows come from each model's ``profile()``: one row per leaf
 module, named by its ``named_params()`` path, plus one row per embedding
@@ -26,7 +27,6 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError
 from .layers import Module
-from .models import Hourglass3d, RadarDetector
 
 
 @dataclass(frozen=True)
@@ -36,17 +36,9 @@ class LayerProfile:
     mac_count: int
 
 
-def default_input_shape(model) -> tuple:
-    if isinstance(model, RadarDetector):
-        cfg = model.cfg
-        return (1, 2, cfg.frames, cfg.chirps, cfg.height, cfg.width)
-    if isinstance(model, Hourglass3d):
-        return (1, 2, 32, model.chirps, 128, 128)
-    raise ConfigError(f"cannot infer an input shape for {type(model).__name__}")
-
-
 def profile_layers(model, input_shape=None) -> list[LayerProfile]:
-    shape = default_input_shape(model) if input_shape is None else tuple(input_shape)
+    """Rows of ``model.profile`` at `input_shape`, by default ``model.input_shape``."""
+    shape = model.input_shape if input_shape is None else tuple(input_shape)
     entries, _ = model.profile(shape)
     return [LayerProfile(name, int(p), int(m)) for name, p, m in entries]
 
@@ -99,7 +91,7 @@ def _time(model, input_shape, warmup, runs, stride, clock, backprop, step) -> Ti
         raise ConfigError(f"timing needs runs >= 3, got {runs}")
     if stride is not None and stride < 1:
         raise ConfigError(f"timing needs stride >= 1, got {stride}")
-    shape = default_input_shape(model) if input_shape is None else tuple(input_shape)
+    shape = model.input_shape if input_shape is None else tuple(input_shape)
     stride = shape[2] if stride is None else int(stride)
     clock = time.perf_counter if clock is None else clock
     x = T.uniform(shape, 0, -1.0, 1.0, dtype=model.dtype)
@@ -164,17 +156,18 @@ def compare_report(models: dict, input_shape, with_timing: bool = False,
     rows = []
     merge_row = None
     for name, model in models.items():
-        _, params = count_params(model, input_shape)
-        _, macs = count_macs(model, input_shape)
+        layers = profile_layers(model, input_shape)
+        params = sum(l.param_count for l in layers)
+        macs = sum(l.mac_count for l in layers)
         bp_ms = infer_ms = None
         if with_timing:
             shape = timing_shape if timing_shape is not None else input_shape
             infer_ms = time_inference(model, shape, runs=runs).mean_ms
             bp_ms = time_backprop(model, shape, runs=runs).mean_ms
         rows.append(ReportRow(name, macs / 1e9, params / 1e6, bp_ms, infer_ms))
-        if merge_row is None and hasattr(model, "merge"):
-            _, mp = count_params(model.merge, input_shape)
-            _, mm = count_macs(model.merge, input_shape)
+        merge = [l for l in layers if l.name.startswith("merge.")]
+        if merge_row is None and merge:
+            mm, mp = sum(l.mac_count for l in merge), sum(l.param_count for l in merge)
             merge_row = ReportRow("m-net", mm / 1e9, mp / 1e6, None, None)
     if merge_row is not None:
         rows.insert(0, merge_row)

@@ -10,6 +10,7 @@ with R(t) the linearly moving range, lambda = 3.9 mm (77 GHz carrier) and
 dt_chirp the chirp interval when 256 chirps span one 30 fps frame; of
 those, chirps (0, 64, 128, 192) are rendered.  Channel 0 carries the real
 part, channel 1 the imaginary part, plus additive complex Gaussian noise.
+A range bin is the codec's, ``confmap.RANGE_RESOLUTION_M`` meters wide.
 
 Scenario tags (PL/CR/CS/HW) select target count, class mix, and speed
 profiles.  Everything is a pure function of (seed, scenario, config).
@@ -29,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .confmap import Annotation, read_annotations, write_annotations
+from .confmap import RANGE_RESOLUTION_M, Annotation, read_annotations, write_annotations
 from .errors import ConfigError, DataFormatError, UsageError
 from .fileio import BinaryReader, read_records
 from .tensor import _float_dtype, _start_task
@@ -66,9 +67,7 @@ AMPLITUDE_RANGES = ((0.6, 1.2), (1.2, 2.5), (2.5, 5.0))
 class SynthConfig:
     height: int = 128
     width: int = 128
-    chirps: int = 4
     frames: int = 128                 # frames per generated sequence
-    range_resolution_m: float = 0.23
     azimuth_span_deg: float = 90.0    # mapped across the azimuth bins
     noise_sigma: float = 0.08
     blob_sigma_range: float = 2.0     # bins
@@ -82,9 +81,9 @@ class SynthConfig:
             if not ok:
                 raise ConfigError(f"SynthConfig.{field} must be {want}, got {getattr(self, field)!r}")
 
-        for field in ("height", "width", "chirps", "frames"):
+        for field in ("height", "width", "frames"):
             check(field, getattr(self, field) >= 1, "at least 1")
-        for field in ("range_resolution_m", "azimuth_span_deg", "blob_sigma_range", "blob_sigma_azimuth"):
+        for field in ("azimuth_span_deg", "blob_sigma_range", "blob_sigma_azimuth"):
             check(field, getattr(self, field) > 0, "positive")
         for field in ("noise_sigma", "min_separation_bins", "edge_margin_bins"):
             check(field, getattr(self, field) >= 0, "non-negative")
@@ -125,8 +124,8 @@ def _rng(seed, scenario, *stream):
 
 def _range_bounds_m(cfg: SynthConfig):
     """Lowest and highest range, in meters, a target may reach."""
-    lo_m = max(1.0, cfg.edge_margin_bins * cfg.range_resolution_m)
-    hi_m = (cfg.height - 1 - cfg.edge_margin_bins) * cfg.range_resolution_m
+    lo_m = max(1.0, cfg.edge_margin_bins * RANGE_RESOLUTION_M)
+    hi_m = (cfg.height - 1 - cfg.edge_margin_bins) * RANGE_RESOLUTION_M
     return lo_m, hi_m
 
 
@@ -136,7 +135,7 @@ def _azimuth_bounds_deg(cfg: SynthConfig):
 
 
 def _bin_of(range_m, azimuth_deg, cfg: SynthConfig):
-    r = range_m / cfg.range_resolution_m
+    r = range_m / RANGE_RESOLUTION_M
     a = (azimuth_deg / cfg.azimuth_span_deg + 0.5) * (cfg.width - 1)
     return r, a
 
@@ -198,11 +197,9 @@ def render_ramap(scene: Scene, cfg: SynthConfig = SynthConfig(), dtype=np.float3
     noise; their sum is rounded once, to `dtype`."""
     dtype = _float_dtype(dtype)
     noise_rng = _rng(scene.seed, scene.scenario, 97)  # checks the scenario, also without noise
-    if cfg.chirps != len(CHIRP_INDICES):
-        raise ConfigError(f"renderer supports exactly {len(CHIRP_INDICES)} chirps")
     if not scene.noise_sigma >= 0:
         raise ConfigError(f"scene noise_sigma must be non-negative, got {scene.noise_sigma!r}")
-    t_frames, c, h, w = scene.frames, cfg.chirps, cfg.height, cfg.width
+    t_frames, c, h, w = scene.frames, len(CHIRP_INDICES), cfg.height, cfg.width
     shape = (2, t_frames, c, h, w)
     noise = _start_task(_noise, noise_rng, shape, scene.noise_sigma) if scene.noise_sigma > 0 else None
     cube = np.zeros(shape)
@@ -355,14 +352,13 @@ class Dataset:
 
 
 def generate_dataset(directory, seed: int, sequences: int, cfg: SynthConfig = SynthConfig(),
-                     scenario_cycle=SCENARIOS, val_fraction: float = 0.2,
                      dtype=np.float32) -> DatasetManifest:
-    """Generate a scenario-mixed dataset; the trailing fraction of the
-    sequences becomes the validation split."""
+    """Generate a dataset that cycles through `SCENARIOS`; the trailing
+    fifth of the sequences becomes the validation split."""
     items = []
-    n_val = int(round(sequences * val_fraction))
+    n_val = int(round(sequences * 0.2))
     for i in range(sequences):
-        scenario = scenario_cycle[i % len(scenario_cycle)]
+        scenario = SCENARIOS[i % len(SCENARIOS)]
         scene = generate_scene(seed + i, scenario, cfg)
         cube, annotations = render_ramap(scene, cfg, dtype=dtype)
         split = "val" if i >= sequences - n_val else "train"

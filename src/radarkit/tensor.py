@@ -223,15 +223,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def _check_extents(shape):
     shape = tuple(int(s) for s in shape)
@@ -898,7 +889,7 @@ def grid_reverse(tokens: Tensor, g: int, b: int, c: int, h: int, w: int) -> Tens
 
 
 # ---------------------------------------------------------------------------
-# backward pass and the gradient checker
+# backward pass
 
 
 def backward(loss: Tensor) -> None:
@@ -943,40 +934,3 @@ def backward(loss: Tensor) -> None:
         nodes.clear()
         tape._spent = True
 
-
-def finite_diff_check(f, xs, eps: float = 1e-5) -> float:
-    """Max relative error between tape gradients of scalar f(*xs) and
-    central finite differences, taken over every coordinate of every
-    input with requires_grad; frozen inputs are skipped.
-
-    Relative error per coordinate: |analytic - numeric| / max(1, |numeric|).
-    """
-    xs = list(xs)
-    for x in xs:
-        x.zero_grad()
-    reset_tape()
-    out = f(*xs)
-    if out.shape != ():
-        raise UsageError("finite_diff_check requires a scalar-valued function")
-    backward(out)
-    analytic = [x.grad.copy() if x.requires_grad else None for x in xs]
-
-    worst = 0.0
-    with no_grad():
-        for x, an in zip(xs, analytic):
-            if not x.requires_grad:
-                continue
-            flat = x.data.reshape(-1)
-            gflat = an.reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + eps
-                fp = f(*xs).item()
-                flat[i] = orig - eps
-                fm = f(*xs).item()
-                flat[i] = orig
-                numeric = (fp - fm) / (2.0 * eps)
-                err = abs(gflat[i] - numeric) / max(1.0, abs(numeric))
-                worst = max(worst, err)
-    reset_tape()
-    return worst

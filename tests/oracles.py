@@ -3,13 +3,16 @@
 Everything here is written as plain nested loops on numpy scalars so it
 shares no code path with the library.  The optional MacCounter literally
 increments once per multiply-accumulate, providing the instrumented
-reference for the profiler's closed-form counts.
+reference for the profiler's closed-form counts.  ``finite_diff_check``
+compares the tape's gradients with central finite differences of the
+forward.
 """
 
 import numpy as np
 
+from radarkit import tensor as T
 from radarkit.confmap import Annotation, Detection
-from radarkit.errors import ConfigError
+from radarkit.errors import ConfigError, UsageError
 from radarkit.synth import (
     CHIRP_INDICES,
     CHIRPS_PER_FRAME,
@@ -209,9 +212,7 @@ def render_loops(scene: Scene, cfg: SynthConfig = SynthConfig(), dtype=np.float3
     """The renderer as it was before the noise draw moved to a worker
     thread: targets summed frame by frame in f64, then the f64 noise
     scaled and added on the calling thread, then one cast to `dtype`."""
-    if cfg.chirps != len(CHIRP_INDICES):
-        raise ConfigError(f"renderer supports exactly {len(CHIRP_INDICES)} chirps")
-    t_frames, c, h, w = scene.frames, cfg.chirps, cfg.height, cfg.width
+    t_frames, c, h, w = scene.frames, len(CHIRP_INDICES), cfg.height, cfg.width
     cube = np.zeros((2, t_frames, c, h, w))
     rows = np.arange(h)[:, None]
     cols = np.arange(w)[None, :]
@@ -273,3 +274,41 @@ def msa_loops(tokens, wq, wk, wv, bq, bk, bv, wo, bo, heads, counter=None):
             merged[:, h * sl:(h + 1) * sl] = matmul_loops(attn, vs, counter)
         out[bi] = matmul_loops(merged, wo, counter) + bo
     return out
+
+
+def finite_diff_check(f, xs, eps: float = 1e-5) -> float:
+    """Max relative error between tape gradients of scalar f(*xs) and
+    central finite differences, taken over every coordinate of every
+    input with requires_grad; frozen inputs are skipped.
+
+    Relative error per coordinate: |analytic - numeric| / max(1, |numeric|).
+    """
+    xs = list(xs)
+    for x in xs:
+        x.zero_grad()
+    T.reset_tape()
+    out = f(*xs)
+    if out.shape != ():
+        raise UsageError("finite_diff_check requires a scalar-valued function")
+    T.backward(out)
+    analytic = [x.grad.copy() if x.requires_grad else None for x in xs]
+
+    worst = 0.0
+    with T.no_grad():
+        for x, an in zip(xs, analytic):
+            if not x.requires_grad:
+                continue
+            flat = x.data.reshape(-1)
+            gflat = an.reshape(-1)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + eps
+                fp = f(*xs).item()
+                flat[i] = orig - eps
+                fm = f(*xs).item()
+                flat[i] = orig
+                numeric = (fp - fm) / (2.0 * eps)
+                err = abs(gflat[i] - numeric) / max(1.0, abs(numeric))
+                worst = max(worst, err)
+    T.reset_tape()
+    return worst

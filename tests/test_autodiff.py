@@ -9,6 +9,8 @@ from radarkit import tensor as T
 from radarkit.errors import UsageError
 from radarkit.models import build_reference
 
+from oracles import finite_diff_check
+
 
 def uni(shape, seed, lo=-1.0, hi=1.0):
     return T.uniform(shape, seed, lo, hi, requires_grad=True)
@@ -168,18 +170,18 @@ class TestBackwardMemory:
 class TestFiniteDiffChecker:
     def test_linear_function(self):
         x = uni((6,), 7)
-        err = T.finite_diff_check(lambda t: T.tsum(t), [x])
+        err = finite_diff_check(lambda t: T.tsum(t), [x])
         assert err < 1e-10
 
     def test_sigmoid_sum(self):
         x = uni((10,), 8)
-        err = T.finite_diff_check(lambda t: T.tsum(T.sigmoid(t)), [x])
+        err = finite_diff_check(lambda t: T.tsum(T.sigmoid(t)), [x])
         assert err < 1e-6
 
     def test_frozen_input_skipped(self):
         x = uni((4,), 9)
         frozen = T.uniform((4,), 10)
-        err = T.finite_diff_check(lambda a, b: T.tsum(T.mul(a, b)), [x, frozen])
+        err = finite_diff_check(lambda a, b: T.tsum(T.mul(a, b)), [x, frozen])
         assert err < 1e-8
         assert frozen.grad is None
 
@@ -193,14 +195,14 @@ class TestPerOpGradients:
     def test_matmul(self, seed):
         a = uni((3, 4), seed)
         b = uni((4, 2), seed + 100)
-        err = T.finite_diff_check(lambda a, b: T.tsum(T.mul(y := T.matmul(a, b), y)), [a, b])
+        err = finite_diff_check(lambda a, b: T.tsum(T.mul(y := T.matmul(a, b), y)), [a, b])
         assert err < FD_TOL
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_batched_matmul(self, seed):
         a = uni((2, 3, 4), seed)
         b = uni((4, 5), seed + 100)
-        err = T.finite_diff_check(lambda a, b: T.tsum(T.sigmoid(T.matmul(a, b))), [a, b])
+        err = finite_diff_check(lambda a, b: T.tsum(T.sigmoid(T.matmul(a, b))), [a, b])
         assert err < FD_TOL
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -208,7 +210,7 @@ class TestPerOpGradients:
         x = uni((2, 2, 6, 6), seed)
         w = uni((3, 2, 3, 3), seed + 100)
         b = uni((3,), seed + 200)
-        err = T.finite_diff_check(
+        err = finite_diff_check(
             lambda x, w, b: T.tsum(T.sigmoid(T.conv2d(x, w, b, stride=1, padding=1))), [x, w, b]
         )
         assert err < FD_TOL
@@ -217,7 +219,7 @@ class TestPerOpGradients:
     def test_conv2d_strided(self, seed):
         x = uni((1, 2, 7, 7), seed)
         w = uni((2, 2, 3, 3), seed + 100)
-        err = T.finite_diff_check(
+        err = finite_diff_check(
             lambda x, w: T.tsum(T.sigmoid(T.conv2d(x, w, stride=2, padding=1))), [x, w]
         )
         assert err < FD_TOL
@@ -227,7 +229,7 @@ class TestPerOpGradients:
         x = uni((1, 2, 4, 5, 5), seed)
         w = uni((2, 2, 2, 3, 3), seed + 100)
         b = uni((2,), seed + 200)
-        err = T.finite_diff_check(
+        err = finite_diff_check(
             lambda x, w, b: T.tsum(T.sigmoid(T.conv3d(x, w, b, stride=(2, 1, 1), padding=(0, 1, 1)))),
             [x, w, b],
         )
@@ -237,7 +239,7 @@ class TestPerOpGradients:
     def test_softmax(self, seed):
         x = uni((4, 6), seed)
         w = T.uniform((4, 6), seed + 100)
-        err = T.finite_diff_check(
+        err = finite_diff_check(
             lambda x: T.tsum(T.mul(T.softmax(x, axis=-1), w)), [x]
         )
         assert err < FD_TOL
@@ -247,7 +249,7 @@ class TestPerOpGradients:
         x = uni((3, 8), seed)
         g = uni((8,), seed + 100, 0.5, 1.5)
         b = uni((8,), seed + 200)
-        err = T.finite_diff_check(
+        err = finite_diff_check(
             lambda x, g, b: T.tsum(T.sigmoid(T.normalize(x, g, b, axes=-1, eps=1e-3))), [x, g, b]
         )
         assert err < FD_TOL
@@ -257,7 +259,7 @@ class TestPerOpGradients:
         x = uni((4, 3, 5, 5), seed)
         g = uni((1, 3, 1, 1), seed + 100, 0.5, 1.5)
         b = uni((1, 3, 1, 1), seed + 200)
-        err = T.finite_diff_check(
+        err = finite_diff_check(
             lambda x, g, b: T.tsum(T.sigmoid(T.normalize(x, g, b, axes=(0, 2, 3), eps=1e-3))),
             [x, g, b],
         )
@@ -268,14 +270,14 @@ class TestPerOpGradients:
     def test_activations(self, kind, seed):
         # keep points away from relu's kink where the numeric derivative lies
         x = uni((12,), seed, 0.1, 2.0) if kind == "relu" else uni((12,), seed, -3.0, 3.0)
-        err = T.finite_diff_check(lambda x: T.tsum(getattr(T, kind)(x)), [x])
+        err = finite_diff_check(lambda x: T.tsum(getattr(T, kind)(x)), [x])
         assert err < FD_TOL
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_ewise(self, seed):
         a = uni((3, 4), seed)
         b = uni((3, 4), seed + 100)
-        err = T.finite_diff_check(lambda a, b: T.tsum(T.mul(T.add(a, b), b)), [a, b])
+        err = finite_diff_check(lambda a, b: T.tsum(T.mul(T.add(a, b), b)), [a, b])
         assert err < FD_TOL
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -289,13 +291,13 @@ class TestPerOpGradients:
             y = T.crop(y, [(1, 5), (0, 2), (0, 3)])
             return T.tsum(T.mul(y, w))
 
-        err = T.finite_diff_check(f, [x])
+        err = finite_diff_check(f, [x])
         assert err < 1e-6
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_repeat(self, seed):
         x = uni((2, 3, 2, 2), seed)
-        err = T.finite_diff_check(
+        err = finite_diff_check(
             lambda x: T.tsum(T.sigmoid(T.repeat(x, axis=2, factor=2))), [x]
         )
         assert err < FD_TOL
@@ -311,14 +313,14 @@ class TestPerOpGradients:
             y2 = T.grid_reverse(t2, 3, 1, 2, 6, 6)
             return T.tsum(T.sigmoid(y2))
 
-        err = T.finite_diff_check(f, [x])
+        err = finite_diff_check(f, [x])
         assert err < FD_TOL
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_bce_with_logits(self, seed):
         x = uni((3, 4), seed, -2, 2)
         t = np.random.Generator(np.random.PCG64(seed + 300)).uniform(0, 1, (3, 4))
-        err = T.finite_diff_check(lambda x: T.bce_with_logits(x, t), [x])
+        err = finite_diff_check(lambda x: T.bce_with_logits(x, t), [x])
         assert err < FD_TOL
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -339,7 +341,7 @@ class TestPerOpGradients:
             out = T.matmul(a, tok)
             return T.tsum(T.sigmoid(out))
 
-        err = T.finite_diff_check(f, [x, w, g, b, wq])
+        err = finite_diff_check(f, [x, w, g, b, wq])
         assert err < FD_TOL
 
 

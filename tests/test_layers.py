@@ -19,7 +19,7 @@ from radarkit.layers import (
     VitUpsample,
 )
 
-from oracles import msa_loops
+from oracles import finite_diff_check, msa_loops
 
 
 def uni(shape, seed, lo=-1.0, hi=1.0, grad=False):
@@ -64,7 +64,7 @@ class TestMNetMerge:
         cube = uni((1, 2, 4, 2, 6, 6), 6, grad=True)
         for p in merge.params():
             p.requires_grad = True
-        err = T.finite_diff_check(lambda c: T.tsum(T.sigmoid(merge(c))), [cube])
+        err = finite_diff_check(lambda c: T.tsum(T.sigmoid(merge(c))), [cube])
         assert err < 1e-4
 
 
@@ -139,7 +139,7 @@ class TestTemporalStreams:
             y, skips = down(x)
             return T.tsum(T.sigmoid(up(y, skips)))
 
-        assert T.finite_diff_check(f, [x]) < 1e-4
+        assert finite_diff_check(f, [x]) < 1e-4
 
 
 class TestMBConv:
@@ -170,7 +170,7 @@ class TestMBConv:
         block = MBConv(4, 3, SeedStream(seed))
         block.set_training(True)
         x = uni((1, 4, 5, 5), seed + 50, grad=True)
-        err = T.finite_diff_check(lambda x: T.tsum(T.sigmoid(block(x))), [x])
+        err = finite_diff_check(lambda x: T.tsum(T.sigmoid(block(x))), [x])
         assert err < 1e-4
 
 
@@ -231,7 +231,7 @@ class TestMSA:
         tok = uni((1, 3, 4), seed + 20, grad=True)
         for p in attn.params():
             p.requires_grad = True
-        err = T.finite_diff_check(lambda t: T.tsum(T.sigmoid(attn(t))), [tok])
+        err = finite_diff_check(lambda t: T.tsum(T.sigmoid(attn(t))), [tok])
         assert err < 1e-4
 
 
@@ -276,7 +276,7 @@ class TestMaxVitBlock:
         def f(x, *_):
             return T.tsum(T.sigmoid(block(x)))
 
-        err = T.finite_diff_check(
+        err = finite_diff_check(
             f, [x, block.mbconv.conv1.w, block.window_attn.attn.qkv.w, block.grid_attn.pos]
         )
         assert err < 1e-4
@@ -397,7 +397,7 @@ class TestVitPieces:
         tok = uni((1, 4, 4), seed + 40, grad=True)
         block.attn.qkv.w.requires_grad = True
         block.mlp.fc1.w.requires_grad = True
-        err = T.finite_diff_check(
+        err = finite_diff_check(
             lambda t, *_: T.tsum(T.sigmoid(block(t))),
             [tok, block.attn.qkv.w, block.mlp.fc1.w],
         )

@@ -22,6 +22,8 @@ from radarkit.models import (
     _named_buffers,
 )
 
+from oracles import finite_diff_check
+
 
 def toy_config(variant="radarformer", **kw):
     base = dict(
@@ -153,7 +155,7 @@ class TestForwardContract:
 
         # eps below the distance of any pre-activation to a relu kink; larger
         # steps cross kinks and corrupt the numeric reference
-        err = T.finite_diff_check(f, [patch] + picked, eps=1e-7)
+        err = finite_diff_check(f, [patch] + picked, eps=1e-7)
         assert err < 1e-4
 
 

@@ -33,14 +33,6 @@ class TestParamCounts:
         entries, _ = lin.profile((1, 8))
         assert entries[0][1] == 8 * 4 + 4 == 36
 
-    def test_bias_free_drops_cout_term(self):
-        conv = Conv2d(2, 4, 3, SeedStream(0), bias=False)
-        entries, _ = conv.profile((1, 2, 8, 8))
-        assert entries[0][1] == 72
-        lin = Linear(8, 4, SeedStream(0), bias=False)
-        entries, _ = lin.profile((1, 8))
-        assert entries[0][1] == 32
-
     def test_totals_match_actual_parameter_buffers(self):
         model = build_reference("radarformer-tiny", dtype=np.float32)
         _, total = count_params(model)
@@ -184,6 +176,26 @@ class TestProfileShapes:
         with pytest.raises(ShapeError) as forward:
             conv(T.zeros((1, 1, 8, 8)))
         assert str(profiled.value) == str(forward.value)
+
+    @pytest.mark.parametrize("name, shape", [
+        ("radarformer-tiny", (1, 2, 16, 4, 32, 32)),
+        ("radarformer-tiny", (1, 2, 8, 3, 32, 32)),
+        ("radarformer-tiny", (1, 3, 8, 4, 32, 32)),
+        ("radarformer-tiny", (1, 2, 8, 4, 32)),
+        ("hourglass3d-small", (1, 2, 8, 3, 32, 32)),
+        ("hourglass3d-small", (1, 3, 8, 4, 32, 32)),
+        ("hourglass3d-small", (1, 2, 8, 4, 32)),
+    ])
+    def test_cube_rejected_like_forward(self, name, shape):
+        if name == "radarformer-tiny":
+            model = build_reference(name)
+        else:
+            model = Hourglass3d(chirps=4, base=4, bottleneck_width=8, bottleneck_depth=2)
+        with pytest.raises(ShapeError) as forward:
+            model(T.zeros(shape, dtype=np.float32))
+        with pytest.raises(ShapeError) as counted:
+            count_macs(model, shape)
+        assert str(counted.value) == str(forward.value)
 
 
 class TestTiming:

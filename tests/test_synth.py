@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from radarkit import synth
+from radarkit.confmap import RANGE_RESOLUTION_M
 from radarkit.errors import ConfigError, DataFormatError, UsageError
 from radarkit.synth import (
     CHIRP_INDICES,
@@ -66,7 +67,7 @@ class TestGenerateScene:
             scene = generate_scene(seed, scenario, cfg)
             for t in scene.targets:
                 for frame in (0, cfg.frames - 1):
-                    r_bin = (t.range_m + t.speed_mps * frame / FRAME_RATE_HZ) / cfg.range_resolution_m
+                    r_bin = (t.range_m + t.speed_mps * frame / FRAME_RATE_HZ) / RANGE_RESOLUTION_M
                     assert lo <= r_bin <= hi, (seed, scenario, t)
                 assert -45.0 <= t.azimuth_deg <= 45.0
 
@@ -75,7 +76,7 @@ class TestGenerateScene:
         for seed in range(30):
             scene = generate_scene(seed, "CS", cfg)
             bins = [
-                (t.range_m / cfg.range_resolution_m,
+                (t.range_m / RANGE_RESOLUTION_M,
                  (t.azimuth_deg / 90.0 + 0.5) * (cfg.width - 1))
                 for t in scene.targets
             ]
@@ -226,10 +227,8 @@ class TestConfigErrors:
         ("frames", 0),
         ("height", 0),
         ("width", 0),
-        ("chirps", 0),
         ("blob_sigma_range", 0),
         ("blob_sigma_azimuth", -1.0),
-        ("range_resolution_m", 0.0),
         ("azimuth_span_deg", float("nan")),
         ("noise_sigma", -0.1),
         ("min_separation_bins", -1.0),

@@ -8,10 +8,11 @@ Run it on two source trees and compare the output line by line:
 
 It covers synthetic rendering and RAMC files written and read back, ConfMap
 decoding and AP/AR, checkpoint bytes, parameter names, the parameters of a
-small 3-D hourglass in f32 and f64,
-per-layer profiles, and the forward output, loss, every gradient and the
-tape node count of a training step.  Array hashes include dtype and shape.  It uses only the public API
-plus ``tensor.active_tape``, so any revision of ``radarkit`` can run it.
+small 3-D hourglass in f32 and f64, per-layer profiles, the rows of
+``compare_report``, and the forward output, loss, every gradient and the
+tape node count of a training step.  Array hashes include dtype and shape.
+It uses only the public API plus ``tensor.active_tape``, so any revision of
+``radarkit`` can run it.
 The radarformer-ref step at the end peaks at about 1.2 GB.
 """
 
@@ -31,7 +32,7 @@ from radarkit.evaluation import CATEGORIES, evaluate
 from radarkit.models import (
     REFERENCE_NAMES, Hourglass3d, ModelConfig, build_model, build_reference, reference_config, save_checkpoint,
 )
-from radarkit.profiler import profile_layers
+from radarkit.profiler import compare_report, profile_layers
 from radarkit.synth import SCENARIOS, SynthConfig, generate_scene, read_sequence, render_ramap, write_sequence
 
 CHECKPOINT_CONFIGS = ("radarformer-ref", "cnn2d-ref", "transformer2d-ref", "radarformer-tiny")
@@ -141,6 +142,17 @@ def profiles() -> None:
         del model
 
 
+def reports() -> None:
+    """compare_report rows (name, GMACs, params) of radarformer-tiny and a
+    small 3-D hourglass at one 8-frame 32x32 cube, without timing."""
+    models = {
+        "radarformer-tiny": build_reference("radarformer-tiny", dtype=np.float32),
+        "hourglass3d-small": Hourglass3d(chirps=4, base=4, bottleneck_width=8, bottleneck_depth=2),
+    }
+    rows = compare_report(models, (1, 2, 8, 4, 32, 32))
+    show("compare_report tiny hourglass3d-small", [(r.name, r.gmacs, r.params_m) for r in rows])
+
+
 def step(label, cfg, dtype, seed) -> None:
     """Forward in train mode, mean BCE against seeded targets, backward."""
     model = build_model(cfg, dtype=dtype)
@@ -167,6 +179,7 @@ def main() -> int:
         reading(tmp)
     hourglass_params()
     profiles()
+    reports()
     tiny = reference_config("radarformer-tiny")
     for dtype in (np.float32, np.float64):
         dt = np.dtype(dtype).name
