@@ -1,12 +1,14 @@
 """AP/AR computation over the OLS threshold sweep.
 
-Detections are matched per frame by greedy confidence order: each
-detection takes the unmatched same-class ground truth with the highest
-OLS, provided that OLS clears the threshold.  Each frame's det x gt OLS
-matrix comes from one `confmap.ols_kernel` call, and the pooled
-confidence ranking from one stable sort; both serve every threshold of
-the sweep.  Precision/recall curves are built from the
-pooled confidence-ranked detections; AP uses 101-point interpolated
+One ranking rule: a frame's detections are ranked by `confmap._rank_key`
+(descending confidence; ties on class, range, azimuth), whatever order the
+caller gives them in.  One matching pass: each frame's det x gt OLS matrix
+comes from one `confmap.ols_kernel` call, and at each threshold each
+detection, in rank order, takes the untaken same-class ground truth with
+the highest OLS, provided that OLS clears the threshold.  The total and
+every scenario category pool those stored matches: one stable sort on
+descending confidence, in frame-then-detection order, ranks the pooled
+detections into precision/recall curves.  AP uses 101-point interpolated
 integration per threshold and both AP and AR average over the nine
 thresholds 0.50..0.90 (step 0.05).
 """
@@ -28,40 +30,39 @@ CATEGORIES = ("PL", "CR", "CS", "HW")
 def match_frame(dets, gts, threshold: float):
     """Greedy one-to-one matching on one frame; returns (tp, fp, fn).
 
-    `dets` must be sorted by descending confidence.
+    The detections are ranked by `_rank_key` first, as `evaluate` ranks them.
     """
-    flags = _match_flags(_ols_rows(dets, gts), len(gts), threshold)
+    (flags,) = _match(sorted(dets, key=_rank_key), gts, (threshold,))
     tp = sum(flags)
     return tp, len(dets) - tp, len(gts) - tp
 
 
-def _ols_rows(dets, gts):
-    """The det x gt OLS matrix of one frame as nested lists, -1.0 across
-    classes; every threshold of the sweep reuses it."""
+def _match(dets, gts, thresholds):
+    """One flag list per threshold, one flag per detection in the order
+    given: the detection takes the untaken ground truth of highest OLS (the
+    first on ties) if that OLS clears the threshold.  The det x gt OLS
+    matrix, -1.0 across classes, is built once for all thresholds."""
     if not dets or not gts:
-        return [[] for _ in dets]
+        return [[False] * len(dets) for _ in thresholds]
     d_cls, d_r, d_a = _columns(dets)
     g_cls, g_r, g_a = _columns(gts)
     sim = ols_kernel(d_r[:, None], d_a[:, None], g_r, g_a, g_cls)
-    return np.where(d_cls[:, None] == g_cls, sim, -1.0).tolist()
-
-
-def _match_flags(rows, n_gts, threshold):
-    """Each detection row, in order, takes the untaken ground truth of
-    highest OLS (the first on ties) if that OLS clears the threshold."""
-    taken = [False] * n_gts
-    flags = []
-    for row in rows:
-        best, best_ols = -1, -1.0
-        for i, o in enumerate(row):
-            if o > best_ols and not taken[i]:
-                best, best_ols = i, o
-        if best >= 0 and best_ols >= threshold:
-            taken[best] = True
-            flags.append(True)
-        else:
-            flags.append(False)
-    return flags
+    rows = np.where(d_cls[:, None] == g_cls, sim, -1.0).tolist()
+    out = []
+    for thr in thresholds:
+        taken = [False] * len(gts)
+        flags = []
+        for row in rows:
+            best, best_ols = -1, -1.0
+            for i, o in enumerate(row):
+                if o > best_ols and not taken[i]:
+                    best, best_ols = i, o
+            hit = best >= 0 and best_ols >= thr
+            if hit:
+                taken[best] = True
+            flags.append(hit)
+        out.append(flags)
+    return out
 
 
 @dataclass
@@ -74,46 +75,33 @@ class EvalResult:
 
 
 def _ap_101(precision: np.ndarray, recall: np.ndarray) -> float:
+    """Sum, in grid order, of the highest precision at recall >= each of
+    101 levels.  Recall never decreases along the ranking, so each level's
+    points are a suffix, and one suffix maximum serves every level."""
     if len(precision) == 0:
         return 0.0
-    grid = np.linspace(0.0, 1.0, 101)
-    ap = 0.0
-    for r in grid:
-        mask = recall >= r - 1e-12
-        ap += precision[mask].max() if mask.any() else 0.0
-    return ap / 101.0
+    best = np.append(np.maximum.accumulate(precision[::-1])[::-1], 0.0)
+    start = np.searchsorted(recall, np.linspace(0.0, 1.0, 101) - 1e-12)
+    return sum(best[start], 0.0) / 101.0
 
 
-def _eval_frames(frames, thresholds):
-    """frames: list of (dets_sorted, gts). Returns (ap, ar, per_threshold)."""
-    gt_total = sum(len(g) for _, g in frames)
-    neg_conf = [-d.confidence for dets, _ in frames for d in dets]
+def _pool(frames, thresholds):
+    """AP, AR and per-threshold curves of matched frames, each a (negated
+    confidences, flags per threshold, ground-truth count) triple."""
+    gt_total = sum(n for _, _, n in frames)
+    neg_conf = [c for confs, _, _ in frames for c in confs]
     # one stable ranking of the pooled detections serves every threshold;
     # ties, -0.0 against 0.0 included, keep frame-then-detection order
     ranked = np.array(sorted(range(len(neg_conf)), key=neg_conf.__getitem__), dtype=np.intp)
-    frames = [(_ols_rows(dets, gts), len(gts)) for dets, gts in frames]
-    per_threshold = {}
-    aps, ars = [], []
-    for thr in thresholds:
-        pooled = []
-        for rows, n_gts in frames:
-            pooled += _match_flags(rows, n_gts, thr)
-        matched = sum(pooled)
-        flags = np.array(pooled, dtype=bool)[ranked]
-        tp_cum = np.cumsum(flags)
-        fp_cum = np.cumsum(~flags)
-        precision = tp_cum / np.maximum(1, tp_cum + fp_cum)
+    per_threshold, aps, ars = {}, [], []
+    for k, thr in enumerate(thresholds):
+        pooled = [hit for _, flags, _ in frames for hit in flags[k]]
+        tp_cum = np.cumsum(np.array(pooled, dtype=bool)[ranked])
+        precision = tp_cum / np.arange(1, len(pooled) + 1)
         recall = tp_cum / gt_total if gt_total else np.zeros_like(tp_cum, dtype=float)
-        ap = _ap_101(precision, recall) if gt_total else 0.0
-        ar = (matched / gt_total) if gt_total else 0.0
-        aps.append(ap)
-        ars.append(ar)
-        per_threshold[thr] = {
-            "precision": precision,
-            "recall": recall,
-            "ap": ap,
-            "ar": ar,
-        }
+        aps.append(_ap_101(precision, recall) if gt_total else 0.0)
+        ars.append(sum(pooled) / gt_total if gt_total else 0.0)
+        per_threshold[thr] = {"precision": precision, "recall": recall, "ap": aps[-1], "ar": ars[-1]}
     return float(np.mean(aps)), float(np.mean(ars)), per_threshold
 
 
@@ -121,48 +109,35 @@ def evaluate(detections, annotations, categories=None, frame_ids=None, threshold
     """Aggregate AP/AR over all frames and per scenario category.
 
     `categories` optionally maps frame_id -> scenario tag.  `frame_ids`
-    optionally fixes the frame universe; detections outside it are a data
-    error (misaligned inputs).
+    optionally fixes the frame universe; detections or annotations outside
+    it are a data error (misaligned inputs).
     """
-    gts_by_frame: dict[int, list] = {}
-    for a in annotations:
-        gts_by_frame.setdefault(a.frame_id, []).append(a)
-    dets_by_frame: dict[int, list] = {}
+    by_frame: dict[int, tuple[list, list]] = {}
     for d in detections:
-        dets_by_frame.setdefault(d.frame_id, []).append(d)
+        by_frame.setdefault(d.frame_id, ([], []))[0].append(d)
+    for a in annotations:
+        by_frame.setdefault(a.frame_id, ([], []))[1].append(a)
 
-    if frame_ids is None:
-        universe = sorted(set(gts_by_frame) | set(dets_by_frame))
-    else:
-        universe = sorted(frame_ids)
-        stray = set(dets_by_frame) - set(universe)
+    universe = sorted(by_frame if frame_ids is None else frame_ids)
+    known = set(universe)
+    for i, kind in enumerate(("detections", "annotations")):
+        stray = sorted(fid for fid, pair in by_frame.items() if pair[i] and fid not in known)
         if stray:
-            raise DataFormatError(
-                f"detections reference frames outside the dataset: {sorted(stray)[:5]}"
-            )
-        stray = set(gts_by_frame) - set(universe)
-        if stray:
-            raise DataFormatError(
-                f"annotations reference frames outside the dataset: {sorted(stray)[:5]}"
-            )
+            raise DataFormatError(f"{kind} reference frames outside the dataset: {stray[:5]}")
 
-    def frame_list(ids):
-        out = []
-        for fid in ids:
-            dets = sorted(dets_by_frame.get(fid, []), key=_rank_key)
-            out.append((dets, gts_by_frame.get(fid, [])))
-        return out
+    matched = {}
+    for fid in universe:
+        if fid not in matched:
+            dets, gts = by_frame.get(fid, ([], []))
+            dets = sorted(dets, key=_rank_key)
+            matched[fid] = ([-d.confidence for d in dets], _match(dets, gts, thresholds), len(gts))
 
-    ap, ar, per_thr = _eval_frames(frame_list(universe), thresholds)
+    ap, ar, per_thr = _pool([matched[fid] for fid in universe], thresholds)
     result = EvalResult(ap_total=ap, ar_total=ar, per_threshold=per_thr)
-    if categories:
-        tags = sorted({t for t in categories.values()})
-        for tag in tags:
-            ids = [fid for fid in universe if categories.get(fid) == tag]
-            if not ids:
-                continue
-            cap, car_, _ = _eval_frames(frame_list(ids), thresholds)
-            result.per_category[tag] = (cap, car_)
+    for tag in sorted(set(categories.values())) if categories else ():
+        frames = [matched[fid] for fid in universe if categories.get(fid) == tag]
+        if frames:
+            result.per_category[tag] = _pool(frames, thresholds)[:2]
     return result
 
 

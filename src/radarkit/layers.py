@@ -452,11 +452,14 @@ class TemporalDownsample(Module):
             for _ in range(stages)
         ]
 
+    def _check(self, shape):
+        """`shape` if ``forward`` can reduce its T to 1, else ConfigError."""
+        if shape[2] != 2 ** self.stages:
+            raise ConfigError(f"temporal extent {shape[2]} not reducible by {self.stages} stride-2 stages")
+        return shape
+
     def forward(self, x):
-        if x.shape[2] != 2 ** self.stages:
-            raise ConfigError(
-                f"temporal extent {x.shape[2]} not reducible by {self.stages} stride-2 stages"
-            )
+        self._check(x.shape)
         skips = []
         for conv in self.convs:
             skips.append(x)
@@ -465,7 +468,7 @@ class TemporalDownsample(Module):
         return T.reshape(x, (b, c, h, w)), skips
 
     def profile(self, in_shape, path=""):
-        entries, (b, c, t, h, w) = super().profile(in_shape, path)
+        entries, (b, c, t, h, w) = super().profile(self._check(in_shape), path)
         return entries, (b, c, h, w)
 
 
@@ -509,12 +512,19 @@ class TemporalUpsample(Module):
         return entries, s
 
 
-def space_to_depth3d(x, factor: int = 2):
-    """(B,C,T,H,W) -> (B, C*factor^2, T, H/factor, W/factor), exact rearrange."""
-    b, c, t, h, w = x.shape
+def _space_to_depth_shape(shape, factor: int):
+    """The shape ``space_to_depth3d`` makes of `shape`, else ShapeError."""
+    b, c, t, h, w = shape
     if h % factor or w % factor:
         raise ShapeError(f"spatial extents {h}x{w} not divisible by {factor}")
+    return (b, c * factor * factor, t, h // factor, w // factor)
+
+
+def space_to_depth3d(x, factor: int = 2):
+    """(B,C,T,H,W) -> (B, C*factor^2, T, H/factor, W/factor), exact rearrange."""
+    out = _space_to_depth_shape(x.shape, factor)
+    b, c, t, h, w = x.shape
     f = factor
     y = T.reshape(x, (b, c, t, h // f, f, w // f, f))
     y = T.permute(y, (0, 1, 4, 6, 2, 3, 5))
-    return T.reshape(y, (b, c * f * f, t, h // f, w // f))
+    return T.reshape(y, out)

@@ -38,6 +38,7 @@ from .layers import (
     VitUpsample,
     ConvBlock2d,
     _join,
+    _space_to_depth_shape,
     space_to_depth3d,
 )
 
@@ -82,6 +83,8 @@ class ModelConfig:
             raise ConfigError(f"frames must be a power of two >= 2, got {t}")
         if len(self.stage_widths) != len(self.stage_depths) or not self.stage_widths:
             raise ConfigError("stage_widths and stage_depths must be non-empty and equal length")
+        if min(self.stage_depths) < 0:
+            raise ConfigError(f"stage depths must be >= 0, got {self.stage_depths}")
         if self.stage_widths[0] != self.stage_widths[-1]:
             raise ConfigError("first and last stage widths must match for the trunk residual")
         if min(self.height, self.width, self.chirps, self.merge_channels, self.num_classes, self.heads,
@@ -317,9 +320,8 @@ class Hourglass3d(Module):
     def profile(self, in_shape, path=""):
         entries, s = [], in_shape
         for name, child in self.children():
-            if name == "enc_s":  # space-to-depth
-                b, c, t, h, w = s
-                s = (b, 4 * c, t, h // 2, w // 2)
+            if name == "enc_s":
+                s = _space_to_depth_shape(s, 2)
             elif name == "dec_t":  # nearest repeat along T, H and W
                 b, c, t, h, w = s
                 s = (b, c, 2 * t, 2 * h, 2 * w)
@@ -424,21 +426,30 @@ def save_checkpoint(model: RadarDetector, path) -> None:
 
 
 def _min_param_count(cfg: ModelConfig) -> int:
-    """A lower bound on the parameter count, from the config alone, that
-    grows with every field that sizes a weight: the first merge
-    convolution, stem2, the head and, in each trunk block, a width x width
-    weight, its k x k convolution and its position embeddings."""
-    w0, ch, k = cfg.stage_widths[0], cfg.merge_channels, cfg.stage_kernel
-    least = 18 * cfg.chirps * ch + w0 * w0 * cfg.stem_kernels[1] ** 2 + ch * w0 * cfg.head_kernel ** 2
+    """A lower bound on the parameter count, from the config alone: the
+    weights of every convolution, linear map and position embedding.  The
+    biases and norm scales it leaves out number at most three times these
+    weights, so no field can size a weight that the bound misses."""
+    w0, ch, k, stages = cfg.stage_widths[0], cfg.merge_channels, cfg.stage_kernel, cfg.temporal_stages
+    least = (18 * cfg.chirps * ch + 9 * ch * ch + 18 * stages * ch * ch       # merge, down
+             + 27 * (stages - 1) * ch * ch + 27 * ch * cfg.num_classes          # up
+             + (ch * cfg.stem_kernels[0] ** 2 + w0 * cfg.stem_kernels[1] ** 2 + ch * cfg.head_kernel ** 2) * w0)
+
+    def attention(dim, tokens):
+        return (4 * dim + 2 * cfg.mlp_hidden(dim) + tokens) * dim
+
     if cfg.variant == "transformer2d":
         dim, p = cfg.effective_vit_dim(), cfg.patch_size
         tokens = (cfg.height // p) * (cfg.width // p)
-        return least + (p * p * w0 + tokens + sum(cfg.stage_depths) * dim) * dim
+        return least + (2 * p * p * w0 + tokens) * dim + sum(cfg.stage_depths) * attention(dim, 0)
     if cfg.variant == "cnn2d":
         per_width = lambda w: w * w * k * k
     else:
-        per_width = lambda w: w * w + w * k * k + w * (cfg.window_size ** 2 + cfg.grid_size ** 2)
-    return least + sum(d * per_width(w) for w, d in zip(cfg.stage_widths, cfg.stage_depths))
+        per_width = lambda w: (w + max(1, w // 4) * (k * k + 1)) * w \
+            + attention(w, cfg.window_size ** 2) + attention(w, cfg.grid_size ** 2)
+    widths = cfg.stage_widths
+    transitions = sum(a * b for a, b in zip(widths, widths[1:]) if a != b)
+    return least + transitions + sum(d * per_width(w) for w, d in zip(widths, cfg.stage_depths))
 
 
 def load_checkpoint(path, dtype=np.float64) -> RadarDetector:

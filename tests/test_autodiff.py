@@ -192,6 +192,15 @@ SEEDS = [0, 1, 2, 3, 4]
 
 class TestPerOpGradients:
     @pytest.mark.parametrize("seed", SEEDS)
+    def test_affine_const(self, seed):
+        # the eval-mode BatchNorm op: per-channel constants over (B, H, W)
+        x = uni((2, 3, 4, 4), seed)
+        rng = np.random.default_rng(seed)
+        a, b = rng.uniform(-2.0, 2.0, (1, 3, 1, 1)), rng.uniform(-1.0, 1.0, (1, 3, 1, 1))
+        err = finite_diff_check(lambda x: T.tsum(T.sigmoid(T.affine_const(x, a, b))), [x])
+        assert err < FD_TOL
+
+    @pytest.mark.parametrize("seed", SEEDS)
     def test_matmul(self, seed):
         a = uni((3, 4), seed)
         b = uni((4, 2), seed + 100)

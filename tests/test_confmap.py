@@ -209,6 +209,11 @@ class TestPeakDetect:
         dets = peak_detect(cm, 0.1)
         assert [d.confidence for d in dets] == [0.9, 0.5]
 
+    @pytest.mark.parametrize("floor", [-0.1, 1.0])
+    def test_floor_outside_unit_interval_rejected(self, floor):
+        with pytest.raises(ConfigError, match=f"peak floor must lie in \\[0,1\\), got {floor}"):
+            peak_detect(np.zeros((1, 8, 8)), floor)
+
     def test_plateau_is_not_strict_maximum(self):
         cm = np.zeros((1, 8, 8))
         cm[0, 3, 3] = cm[0, 3, 4] = 0.8

@@ -1,14 +1,17 @@
 """Matching and the AP/AR protocol over the nine-threshold sweep."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from radarkit.confmap import DEFAULT_OLS, Annotation, Detection, ols
+from radarkit import evaluation
+from radarkit.confmap import DEFAULT_OLS, Annotation, Detection, _rank_key, ols, ols_kernel
 from radarkit.errors import ConfigError, DataFormatError
 from radarkit.evaluation import (
+    CATEGORIES,
     OLS_THRESHOLDS,
     evaluate,
     format_report,
@@ -188,13 +191,15 @@ class TestEvaluate:
                            st.sampled_from([0.2, 0.5, 0.9])), max_size=10),
         st.lists(st.tuples(st.integers(0, 2), st.integers(0, 40), st.integers(0, 40)), max_size=6),
     )
+    # tied confidences: ranked by azimuth, the second detection comes first
+    @example(raw_dets=[(0, 1.0, 1.0, 0.2), (0, 1.0, 0.0, 0.2)], raw_gts=[(0, 0, 0), (0, 1, 0)])
     @settings(max_examples=80, deadline=None)
     def test_matching_equals_scalar_greedy(self, raw_dets, raw_gts):
-        dets = sorted((det(*d) for d in raw_dets), key=lambda d: -d.confidence)
+        dets = [det(*d) for d in raw_dets]
         gts = [gt(*g) for g in raw_gts]
         res = evaluate(dets, gts)
         for thr in OLS_THRESHOLDS:
-            tp = sum(greedy_match_scalar(dets, gts, thr, DEFAULT_OLS))
+            tp = sum(greedy_match_scalar(sorted(dets, key=_rank_key), gts, thr, DEFAULT_OLS))
             assert match_frame(dets, gts, thr) == (tp, len(dets) - tp, len(gts) - tp)
             assert res.per_threshold[thr]["ar"] == (tp / len(gts) if gts else 0.0)
 
@@ -214,11 +219,43 @@ class TestEvaluate:
             assert np.array_equal(row["recall"], tp_cum / len(confs))
             assert row["ar"] == sum(hits) / len(confs)
 
+    def test_match_frame_agrees_with_evaluate_in_any_order(self):
+        # four tied detections; in caller order the one at azimuth 1 would
+        # take the ground truth at (1, 0) away from the one at azimuth 0
+        gts = [gt(0, 0, 0), gt(0, 1, 0), gt(0, 3, 3)]
+        dets = [det(0, 1, 1, 0.2), det(0, 1, 0, 0.2), det(0, 3, 4, 0.2), det(0, 9, 9, 0.2)]
+        rows = evaluate(dets, gts).per_threshold
+        for order in itertools.permutations(dets):
+            for thr, row in rows.items():
+                tp, fp, fn = match_frame(list(order), gts, thr)
+                assert row["ar"] == tp / len(gts)
+                assert (fp, fn) == (len(dets) - tp, len(gts) - tp)
+
+    def test_one_ols_matrix_per_frame(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return ols_kernel(*args)
+
+        monkeypatch.setattr(evaluation, "ols_kernel", counted)
+        # frames 0-3 hold detections and annotations, frame 4 only an
+        # annotation and frame 5 only a detection
+        gts = [gt(0, 10, 10, f) for f in range(5)]
+        dets = [det(0, 10, 11, 0.9, f) for f in (0, 1, 2, 3, 5)]
+        res = evaluate(dets, gts, categories={f: CATEGORIES[f % 4] for f in range(6)})
+        assert len(calls) == 4
+        assert res.per_category["PL"] == (51 / 101, 0.5)  # recall 0.5 at precision 1
+
     def test_misaligned_frames_rejected(self):
         gts = [gt(0, 10, 10, frame=0)]
         dets = [det(0, 10, 10, 0.9, frame=5)]
         with pytest.raises(DataFormatError):
             evaluate(dets, gts, frame_ids=[0, 1])
+
+    def test_annotations_outside_frame_ids_rejected(self):
+        with pytest.raises(DataFormatError, match=r"annotations reference frames outside the dataset: \[5, 7\]"):
+            evaluate([det(0, 10, 10, 0.9, 0)], [gt(0, 10, 10, 7), gt(0, 10, 10, 5)], frame_ids=[0, 1])
 
     def test_per_category_aggregation(self):
         gts = [gt(0, 10, 10, 0), gt(0, 20, 20, 1)]

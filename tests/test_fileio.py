@@ -165,20 +165,65 @@ class TestRegressions:
         path.write_bytes(_checkpoint_v1(_blob_head(b"\xff\xfe", (1,)) + bytes(4)))
         _raises_naming(path, load_checkpoint, "UTF-8", "offset")
 
-    # a (100000, 100000, 3, 3) weight is 671 GiB; the model must not be built
-    @pytest.mark.parametrize("old, new", [
-        ("stage_widths = 8", "stage_widths = 100000"),
-        ("chirps = 2", "chirps = 1000000000"),
-        ("window_size = 4", "window_size = 1000000"),
-        ("stage_kernel = 3", "stage_kernel = 100001"),
+    # a (100000, 100000, 3, 3) weight is 671 GiB; the model must not be built.
+    # The cases that hold values hold as many as a bound that missed the
+    # weights their fields size: the last temporal upsampling convolution,
+    # merge.conv2 and the temporal stream, the 1x1 stage transitions,
+    # MBConv's middle convolution and the MLPs.
+    @pytest.mark.parametrize("edits, held", [
+        *(pytest.param({old: new}, 0, id=f"{old}-{new}") for old, new in [
+            ("stage_widths = 8", "stage_widths = 100000"),
+            ("chirps = 2", "chirps = 1000000000"),
+            ("window_size = 4", "window_size = 1000000"),
+            ("stage_kernel = 3", "stage_kernel = 100001"),
+        ]),
+        ({"num_classes = 3": "num_classes = 200000000"}, 1400),
+        ({"merge_channels = 4": "merge_channels = 200"}, 22568),
+        ({"stage_widths = 8": "stage_widths = 8,200000000,8", "stage_depths = 1": "stage_depths = 1,0,1"}, 1792),
+        ({"stage_kernel = 3": "stage_kernel = 41"}, 14776),
+        ({"mlp_ratio = 20.0": "mlp_ratio = 150.0", "stage_depths = 1": "stage_depths = 100"}, 40208),
     ])
-    def test_checkpoint_config_declares_more_params_than_file(self, tmp_path, monkeypatch, old, new):
+    def test_checkpoint_config_declares_more_params_than_file(self, tmp_path, monkeypatch, edits, held):
         text = config_to_text(TOY)
-        assert old in text
+        for old, new in edits.items():
+            assert old in text
+            text = text.replace(old, new)
         path = tmp_path / "wide.rfck"
-        path.write_bytes(_checkpoint_v1(text=text.replace(old, new)))
+        path.write_bytes(_checkpoint_v1(_blob_head(b"pad", (held,)) + bytes(4 * held), text) if held
+                         else _checkpoint_v1(text=text))
         monkeypatch.setattr(models, "build_model", lambda *a, **k: pytest.fail("model was built"))
-        _raises_naming(path, load_checkpoint, "at least", "hold 0 values")
+        _raises_naming(path, load_checkpoint, "at least", f"hold {held} values")
+
+    @pytest.mark.parametrize("extents", [(3, 1, 1, 1, 1), (2, 1, 0, 1, 1)])
+    def test_ramc_invalid_extents(self, tmp_path, extents):
+        path = tmp_path / "bad.ramc"
+        path.write_bytes(b"RAMC" + struct.pack("<H5I", 1, *extents) + bytes(4 * 3))
+        _raises_naming(path, read_sequence, f"invalid extents {extents} at offset 6")
+
+    def test_ramc_trailing_bytes(self, tmp_path):
+        path = _ramc(tmp_path)
+        good = path.read_bytes()
+        path.write_bytes(good + b"xyz")
+        _raises_naming(path, read_sequence, f"3 trailing bytes at offset {len(good)}")
+
+    @pytest.mark.parametrize("case, message", [
+        ("repeated", "repeated blob 'merge.conv1.w'"),
+        ("unknown", "unknown blob 'extra'"),
+        ("misshaped", "blob 'merge.conv1.w' extents (144,) != model shape (4, 4, 1, 3, 3)"),
+    ])
+    def test_checkpoint_blob_rejected(self, tmp_path, case, message):
+        blobs = [(name, p.data) for name, p in build_model(TOY).named_params()]
+        name, data = blobs[0]
+        if case == "repeated":
+            blobs.append((name, data))
+        elif case == "unknown":
+            blobs.append(("extra", data))
+        else:
+            blobs[0] = (name, data.reshape(-1))
+        path = tmp_path / "blobs.rfck"
+        path.write_bytes(_checkpoint_v1(b"".join(
+            _blob_head(n.encode(), d.shape) + d.astype("<f4").tobytes() for n, d in blobs)))
+        _raises_naming(path, load_checkpoint, message)
 
     @pytest.mark.parametrize("name", ["ann", "det", "manifest"])
     def test_non_ascii_byte_names_line(self, tmp_path, name):
@@ -194,6 +239,8 @@ class TestRegressions:
         {"stage_widths = 8": "stage_widths = 0"},
         {"stage_kernel = 3": "stage_kernel = -3"},
         {"init_seed = 0": "init_seed = -1"},
+        # the negative depth cancels the other stages' share of the bound
+        {"stage_widths = 8": "stage_widths = 8,8,8", "stage_depths = 1": "stage_depths = 1,-10,1"},
     ])
     def test_invalid_embedded_config(self, tmp_path, edits):
         text = config_to_text(TOY)

@@ -83,6 +83,14 @@ class TestTemporalStreams:
         with pytest.raises(ConfigError):
             down(uni((1, 3, 12, 4, 4), 3))
 
+    def test_profile_rejects_length_like_forward(self):
+        down = TemporalDownsample(3, 2, SeedStream(1))
+        with pytest.raises(ConfigError) as forward:
+            down(uni((1, 3, 16, 4, 4), 3))
+        with pytest.raises(ConfigError) as profiled:
+            down.profile((1, 3, 16, 4, 4))
+        assert str(profiled.value) == str(forward.value)
+
     def test_constant_over_time_folds_to_2d(self):
         # with a constant temporal axis and no temporal padding, each stage
         # equals a single-frame convolution with the kernel summed over kt

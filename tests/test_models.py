@@ -5,6 +5,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from radarkit import fileio, models, tensor as T
 from radarkit.errors import ConfigError, DataFormatError
@@ -48,6 +49,27 @@ def toy_config(variant="radarformer", **kw):
     return ModelConfig(**base)
 
 
+@st.composite
+def small_configs(draw):
+    """Valid configs of every variant, small enough to build."""
+    heads = draw(st.sampled_from([1, 2]))
+    width = st.integers(1, 6).map(lambda n: heads * n)
+    w0, inner = draw(width), draw(st.lists(width, max_size=2))
+    widths = (w0, *inner, w0) if inner else (w0,)
+    patch = draw(st.sampled_from([1, 2, 4]))
+    odd = st.sampled_from([1, 3])
+    return toy_config(
+        draw(st.sampled_from(["cnn2d", "transformer2d", "radarformer"])),
+        frames=draw(st.sampled_from([2, 4, 8])), chirps=draw(st.integers(1, 3)),
+        height=4 * patch, width=4 * patch, patch_size=patch,
+        merge_channels=draw(st.integers(1, 6)), num_classes=draw(st.integers(1, 4)),
+        stem_kernels=tuple(sorted((draw(odd), draw(odd)))), head_kernel=draw(odd), stage_kernel=draw(odd),
+        stage_widths=widths, stage_depths=tuple(draw(st.integers(0, 2)) for _ in widths),
+        window_size=draw(st.integers(1, 3)), grid_size=draw(st.integers(1, 3)), heads=heads,
+        mlp_ratio=draw(st.floats(20.0, 150.0)), vit_dim=draw(st.sampled_from([0, 2 * heads])),
+    )
+
+
 class TestModelConfig:
     def test_valid_defaults(self):
         cfg = ModelConfig()
@@ -71,6 +93,7 @@ class TestModelConfig:
         dict(stage_widths=(0,)),
         dict(stage_kernel=4),
         dict(init_seed=-1),
+        dict(stage_widths=(8, 8), stage_depths=(1, -1)),
     ])
     def test_invalid_configs_rejected(self, bad):
         with pytest.raises(ConfigError):
@@ -339,6 +362,13 @@ class TestCheckpoint:
     ], ids=lambda cfg: cfg.variant)
     def test_min_param_count_is_a_lower_bound(self, cfg):
         assert 0 < _min_param_count(cfg) <= build_model(cfg, dtype=np.float32).param_count()
+
+    @given(small_configs())
+    @settings(max_examples=60, deadline=None)
+    def test_min_param_count_within_a_factor_of_four(self, cfg):
+        # biases and norm scales add at most three values per weight
+        count = build_model(cfg, dtype=np.float32).param_count()
+        assert _min_param_count(cfg) <= count <= 4 * _min_param_count(cfg)
 
     def test_profile_matches_param_count(self):
         model = build_model(toy_config(), dtype=np.float64)

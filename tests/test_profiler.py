@@ -185,6 +185,7 @@ class TestProfileShapes:
         ("hourglass3d-small", (1, 2, 8, 3, 32, 32)),
         ("hourglass3d-small", (1, 3, 8, 4, 32, 32)),
         ("hourglass3d-small", (1, 2, 8, 4, 32)),
+        ("hourglass3d-small", (1, 2, 8, 4, 31, 31)),
     ])
     def test_cube_rejected_like_forward(self, name, shape):
         if name == "radarformer-tiny":
