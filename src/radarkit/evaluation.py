@@ -109,8 +109,8 @@ def evaluate(detections, annotations, categories=None, frame_ids=None, threshold
     """Aggregate AP/AR over all frames and per scenario category.
 
     `categories` optionally maps frame_id -> scenario tag.  `frame_ids`
-    optionally fixes the frame universe; detections or annotations outside
-    it are a data error (misaligned inputs).
+    optionally fixes the frame universe; a repeated id, or detections or
+    annotations outside it, are a data error (misaligned inputs).
     """
     by_frame: dict[int, tuple[list, list]] = {}
     for d in detections:
@@ -119,6 +119,9 @@ def evaluate(detections, annotations, categories=None, frame_ids=None, threshold
         by_frame.setdefault(a.frame_id, ([], []))[1].append(a)
 
     universe = sorted(by_frame if frame_ids is None else frame_ids)
+    repeated = sorted({a for a, b in zip(universe, universe[1:]) if a == b})
+    if repeated:
+        raise DataFormatError(f"frame_ids repeat frames {repeated[:5]}")
     known = set(universe)
     for i, kind in enumerate(("detections", "annotations")):
         stray = sorted(fid for fid, pair in by_frame.items() if pair[i] and fid not in known)
@@ -127,10 +130,9 @@ def evaluate(detections, annotations, categories=None, frame_ids=None, threshold
 
     matched = {}
     for fid in universe:
-        if fid not in matched:
-            dets, gts = by_frame.get(fid, ([], []))
-            dets = sorted(dets, key=_rank_key)
-            matched[fid] = ([-d.confidence for d in dets], _match(dets, gts, thresholds), len(gts))
+        dets, gts = by_frame.get(fid, ([], []))
+        dets = sorted(dets, key=_rank_key)
+        matched[fid] = ([-d.confidence for d in dets], _match(dets, gts, thresholds), len(gts))
 
     ap, ar, per_thr = _pool([matched[fid] for fid in universe], thresholds)
     result = EvalResult(ap_total=ap, ar_total=ar, per_threshold=per_thr)

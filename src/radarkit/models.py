@@ -112,21 +112,20 @@ class ModelConfig:
         return self.vit_dim if self.vit_dim > 0 else self.stage_widths[0]
 
 
-_CFG_INT_TUPLES = {"stem_kernels", "stage_widths", "stage_depths"}
-
-
 def config_to_text(cfg: ModelConfig) -> str:
     lines = []
     for f in fields(cfg):
         v = getattr(cfg, f.name)
-        if f.name in _CFG_INT_TUPLES:
+        if isinstance(v, tuple):
             v = ",".join(str(x) for x in v)
         lines.append(f"{f.name} = {v}")
     return "\n".join(lines) + "\n"
 
 
 def config_from_text(text: str) -> ModelConfig:
-    known = {f.name: f.type for f in fields(ModelConfig)}
+    """Parse ``key = value`` lines (``#`` starts a comment).  Each value parses
+    as the type of its field's default, a tuple item by comma-separated item."""
+    defaults = {f.name: f.default for f in fields(ModelConfig)}
     kwargs = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -135,17 +134,14 @@ def config_from_text(text: str) -> ModelConfig:
         if "=" not in line:
             raise DataFormatError(f"model config line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in known:
+        if key not in defaults:
             raise DataFormatError(f"model config line {lineno}: unknown key {key!r}")
+        default = defaults[key]
         try:
-            if key in _CFG_INT_TUPLES:
-                kwargs[key] = tuple(int(x) for x in value.split(",") if x)
-            elif key == "variant":
-                kwargs[key] = value
-            elif key == "mlp_ratio":
-                kwargs[key] = float(value)
+            if isinstance(default, tuple):
+                kwargs[key] = tuple(type(default[0])(x) for x in value.split(",") if x)
             else:
-                kwargs[key] = int(value)
+                kwargs[key] = type(default)(value)
         except ValueError:
             raise DataFormatError(f"model config line {lineno}: invalid {key} {value!r}") from None
     return ModelConfig(**kwargs)
@@ -425,40 +421,14 @@ def save_checkpoint(model: RadarDetector, path) -> None:
             fh.write(np.ascontiguousarray(data, dtype="<f4").tobytes())
 
 
-def _min_param_count(cfg: ModelConfig) -> int:
-    """A lower bound on the parameter count, from the config alone: the
-    weights of every convolution, linear map and position embedding.  The
-    biases and norm scales it leaves out number at most three times these
-    weights, so no field can size a weight that the bound misses."""
-    w0, ch, k, stages = cfg.stage_widths[0], cfg.merge_channels, cfg.stage_kernel, cfg.temporal_stages
-    least = (18 * cfg.chirps * ch + 9 * ch * ch + 18 * stages * ch * ch       # merge, down
-             + 27 * (stages - 1) * ch * ch + 27 * ch * cfg.num_classes          # up
-             + (ch * cfg.stem_kernels[0] ** 2 + w0 * cfg.stem_kernels[1] ** 2 + ch * cfg.head_kernel ** 2) * w0)
-
-    def attention(dim, tokens):
-        return (4 * dim + 2 * cfg.mlp_hidden(dim) + tokens) * dim
-
-    if cfg.variant == "transformer2d":
-        dim, p = cfg.effective_vit_dim(), cfg.patch_size
-        tokens = (cfg.height // p) * (cfg.width // p)
-        return least + (2 * p * p * w0 + tokens) * dim + sum(cfg.stage_depths) * attention(dim, 0)
-    if cfg.variant == "cnn2d":
-        per_width = lambda w: w * w * k * k
-    else:
-        per_width = lambda w: (w + max(1, w // 4) * (k * k + 1)) * w \
-            + attention(w, cfg.window_size ** 2) + attention(w, cfg.grid_size ** 2)
-    widths = cfg.stage_widths
-    transitions = sum(a * b for a, b in zip(widths, widths[1:]) if a != b)
-    return least + transitions + sum(d * per_width(w) for w, d in zip(widths, cfg.stage_depths))
-
-
 def load_checkpoint(path, dtype=np.float64) -> RadarDetector:
     """Read a version 1 or 2 checkpoint; version 1 leaves the buffers at their initial values.
 
     `dtype` is checked before the file is opened.  Every blob header is
-    read, and bounded by the file size, before the model is built; the
-    config must not declare more parameters than the blobs hold.  Then
-    each blob is read into its parameter or buffer."""
+    read, and bounded by the file size, before the model is built, and the
+    build is bounded by the values the blobs hold: a parameter past them is
+    refused before it is allocated.  Then each blob is read into its
+    parameter or buffer."""
     T._float_dtype(dtype)
     with BinaryReader(path, _MAGIC, (1, _VERSION)) as r:
         cfg_text = r.text("<I", "config")
@@ -475,10 +445,8 @@ def load_checkpoint(path, dtype=np.float64) -> RadarDetector:
             r.seek(r.pos + 4 * math.prod(extents), f"blob {name!r} data")
         try:
             cfg = config_from_text(cfg_text)
-            least, held = _min_param_count(cfg), sum(math.prod(e) for e, _ in blobs.values())
-            if least > held:
-                raise DataFormatError(f"declares at least {least} parameters, the blobs hold {held} values")
-            model = build_model(cfg, dtype=dtype)
+            with T._element_budget(sum(math.prod(e) for e, _ in blobs.values())):
+                model = build_model(cfg, dtype=dtype)
         except (ConfigError, DataFormatError) as e:
             raise DataFormatError(f"{path}: invalid embedded config: {e}") from None
         targets = {name: p.data for name, p in model.named_params()}

@@ -17,6 +17,9 @@ inputs) and the loss keep ``.grad``.  A tensor takes the dtype it is
 created with or else the thread's default (``using_dtype``): float64, the
 default and the precision of the gradient and oracle tests, or float32, the
 fast mode at scale.  One check refuses any other dtype with ``ConfigError``.
+``models.load_checkpoint`` builds its model inside ``_element_budget``, where
+``zeros``, ``full`` and ``uniform`` refuse, before allocating, any tensor that
+would take the total past the values the file holds.
 
 conv2d and conv3d check their rank and share one correlation over any
 number of spatial axes: im2col columns times the flattened kernel in one
@@ -75,6 +78,7 @@ def _tls():
         _state.default_dtype = np.float64
         _state.debug_checks = False
         _state.modules = []
+        _state.budget = None
     return _state
 
 
@@ -96,15 +100,26 @@ def default_dtype():
 
 
 @contextmanager
-def using_dtype(dtype):
-    """Temporarily switch the default dtype."""
+def _scoped(name: str, value):
+    """Set this thread's setting `name` to `value` inside the block."""
     st = _tls()
-    old = st.default_dtype
-    set_default_dtype(dtype)
+    old = getattr(st, name)
+    setattr(st, name, value)
     try:
         yield
     finally:
-        st.default_dtype = old
+        setattr(st, name, old)
+
+
+def using_dtype(dtype):
+    """Temporarily switch the default dtype."""
+    return _scoped("default_dtype", _float_dtype(dtype))
+
+
+def _element_budget(limit: int):
+    """Inside the block, ``zeros``, ``full`` and ``uniform`` refuse with
+    ``ConfigError`` a tensor that takes this thread's total past `limit`."""
+    return _scoped("budget", [limit, 0])
 
 
 def set_debug_checks(enabled: bool) -> None:
@@ -135,16 +150,9 @@ def _module_path(stack) -> str:
     return ".".join(parts) or type(stack[0]).__name__
 
 
-@contextmanager
 def no_grad():
     """Suspend tape recording inside the block."""
-    st = _tls()
-    old = st.grad_enabled
-    st.grad_enabled = False
-    try:
-        yield
-    finally:
-        st.grad_enabled = old
+    return _scoped("grad_enabled", False)
 
 
 class Tape:
@@ -209,9 +217,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(()))
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -228,6 +233,12 @@ def _check_extents(shape):
     shape = tuple(int(s) for s in shape)
     if any(s < 1 for s in shape):
         raise ShapeError(f"extents must be >= 1, got {shape}")
+    budget = _tls().budget
+    if budget is not None:
+        budget[1] += math.prod(shape)
+        if budget[1] > budget[0]:
+            raise ConfigError(f"a {shape} tensor takes the parameters to {budget[1]} values; "
+                              f"the blobs hold {budget[0]} values")
     return shape
 
 
@@ -272,6 +283,14 @@ def _make(out_data, inputs, grad_fn) -> Tensor:
     if req:
         st.tape.record(_Node(out, grad_fn))
     return out
+
+
+def _broadcasts_into(shape, *others) -> bool:
+    """Whether arrays of the `others` shapes broadcast up to exactly `shape`."""
+    try:
+        return np.broadcast_shapes(shape, *others) == shape
+    except ValueError:
+        return False
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -319,11 +338,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def add_bcast(x: Tensor, b: Tensor) -> Tensor:
     """Add with explicit numpy broadcasting of `b` up to `x.shape` (bias add)."""
     _same_dtype(x, b)
-    try:
-        out = x.data + b.data
-    except ValueError as e:
-        raise ShapeError(str(e)) from None
-    if out.shape != x.shape:
+    if not _broadcasts_into(x.shape, b.shape):
         raise ShapeError(f"bias shape {b.shape} does not broadcast into {x.shape}")
 
     def grad_fn(g):
@@ -332,7 +347,7 @@ def add_bcast(x: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b.accumulate_grad(_unbroadcast(g, b.shape))
 
-    return _make(out, (x, b), grad_fn)
+    return _make(x.data + b.data, (x, b), grad_fn)
 
 
 def scale(x: Tensor, c: float) -> Tensor:
@@ -347,15 +362,14 @@ def scale(x: Tensor, c: float) -> Tensor:
 
 def affine_const(x: Tensor, a: np.ndarray, b: np.ndarray) -> Tensor:
     """y = x*a + b with constant (non-learned) broadcastable arrays a, b."""
-    out = x.data * a + b
-    if out.shape != x.shape:
+    if not _broadcasts_into(x.shape, np.shape(a), np.shape(b)):
         raise ShapeError("affine constants must broadcast into x")
 
     def grad_fn(g):
         if x.requires_grad:
             x.accumulate_grad(g * a)
 
-    return _make(out, (x,), grad_fn)
+    return _make(x.data * a + b, (x,), grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -593,14 +607,14 @@ def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes, eps: float) -> Tenso
     axes = tuple(_axis(ax, x.ndim) for ax in given)
     if len(set(axes)) != len(axes):
         raise ShapeError(f"normalize axes {given} name the same axis twice for rank {x.ndim}")
+    if not _broadcasts_into(x.shape, gamma.shape, beta.shape):
+        raise ShapeError("gamma/beta must broadcast into x")
     mu = x.data.mean(axis=axes, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=axes, keepdims=True)
     inv = 1.0 / np.sqrt(var + x.data.dtype.type(eps))
     y0 = xc * inv
     out = gamma.data * y0 + beta.data
-    if out.shape != x.shape:
-        raise ShapeError("gamma/beta must broadcast into x")
 
     def grad_fn(g):
         if beta.requires_grad:

@@ -44,6 +44,10 @@ class TestBackwardBasics:
         T.reset_tape()
         with pytest.raises(UsageError):
             T.backward(T.zeros(()))
+        loss = T.tsum(T.zeros((2,), requires_grad=True))
+        T.reset_tape()
+        with pytest.raises(UsageError, match="tape is empty"):
+            T.backward(loss)
 
     def test_grad_accumulates_across_uses(self):
         x = uni((4,), 5)
@@ -198,6 +202,12 @@ class TestPerOpGradients:
         rng = np.random.default_rng(seed)
         a, b = rng.uniform(-2.0, 2.0, (1, 3, 1, 1)), rng.uniform(-1.0, 1.0, (1, 3, 1, 1))
         err = finite_diff_check(lambda x: T.tsum(T.sigmoid(T.affine_const(x, a, b))), [x])
+        assert err < FD_TOL
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_tsum_axis(self, seed):
+        x = uni((3, 4, 2), seed)
+        err = finite_diff_check(lambda x: T.tsum(T.mul(s := T.tsum(x, axis=1), s)), [x])
         assert err < FD_TOL
 
     @pytest.mark.parametrize("seed", SEEDS)

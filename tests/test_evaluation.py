@@ -257,6 +257,12 @@ class TestEvaluate:
         with pytest.raises(DataFormatError, match=r"annotations reference frames outside the dataset: \[5, 7\]"):
             evaluate([det(0, 10, 10, 0.9, 0)], [gt(0, 10, 10, 7), gt(0, 10, 10, 5)], frame_ids=[0, 1])
 
+    def test_repeated_frame_id_rejected(self):
+        dets, gts = [det(0, 10, 10, 0.9, 0)], [gt(0, 10, 10, 0), gt(0, 20, 20, 1)]
+        assert evaluate(dets, gts, frame_ids=[0, 1]).ar_total == 0.5
+        with pytest.raises(DataFormatError, match=r"frame_ids repeat frames \[0\]"):
+            evaluate(dets, gts, frame_ids=[0, 0, 1])
+
     def test_per_category_aggregation(self):
         gts = [gt(0, 10, 10, 0), gt(0, 20, 20, 1)]
         dets = [det(0, 10, 10, 0.9, 0)]  # frame 0 perfect, frame 1 missed

@@ -358,6 +358,28 @@ class TestPartitionAttention:
         assert params[1:] == [(n, p.data.tobytes()) for n, p in block.named_params()]
 
 
+# each layer's input checks: (call, error, phrase)
+LAYER_ERRORS = {
+    "msa-width": (lambda: MultiheadSelfAttention(4, 2, SeedStream(0))(T.zeros((1, 3, 6))),
+                  ShapeError, "token width 6 != attention width 4"),
+    "partition-mode": (lambda: PartitionAttention(4, 2, 8, "diagonal", 2, SeedStream(0)),
+                       ConfigError, "unknown partition mode 'diagonal'"),
+    "patch-embed-resolution": (lambda: PatchEmbed(1, 4, 8, 8, 4, SeedStream(0))(T.zeros((1, 1, 8, 12))),
+                               ShapeError, "does not match embed resolution"),
+    "vit-upsample-tokens": (lambda: VitUpsample(4, 2, 1, 2, 2, SeedStream(0))(T.zeros((1, 5, 4))),
+                            ShapeError, "token count"),
+    "temporal-upsample-skips": (lambda: TemporalUpsample(2, 1, 2, SeedStream(0))(T.zeros((1, 2, 4, 4)), []),
+                                ShapeError, "expected 2 skip tensors, got 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LAYER_ERRORS))
+def test_layer_input_errors(case):
+    call, error, phrase = LAYER_ERRORS[case]
+    with T.no_grad(), pytest.raises(error, match=phrase):
+        call()
+
+
 class TestVitPieces:
     def test_token_count_formula(self):
         embed = PatchEmbed(1, 16, 128, 128, 8, SeedStream(0))

@@ -9,6 +9,7 @@ from radarkit.layers import Conv2d, Conv3d, Linear, Mlp, MultiheadSelfAttention,
 from radarkit.models import REFERENCE_NAMES, Hourglass3d, build_model, build_reference
 from radarkit.profiler import (
     LayerProfile,
+    ReportRow,
     compare_report,
     count_macs,
     count_params,
@@ -333,3 +334,11 @@ class TestCompareReport:
         path = tmp_path / "report.kv"
         write_compare_report_kv(rows, path)
         assert "tiny.gmacs" in path.read_text()
+
+    def test_kv_writes_timing_of_timed_rows(self, tmp_path):
+        rows = [ReportRow("m-net", 0.5, 0.25, None, None), ReportRow("tiny", 1.5, 0.0695, 12.3456, 4.5)]
+        path = tmp_path / "report.kv"
+        write_compare_report_kv(rows, path)
+        assert path.read_text() == ("m-net.gmacs = 0.500000\nm-net.params_m = 0.250000\n"
+                                    "tiny.gmacs = 1.500000\ntiny.params_m = 0.069500\n"
+                                    "tiny.bp_ms = 12.346\ntiny.infer_ms = 4.500\n")

@@ -367,6 +367,18 @@ class TestDatasetIO:
         with pytest.raises(DataFormatError, match=message):
             read_manifest(tmp_path)
 
+    def test_missing_file_named(self, tmp_path):
+        write_dataset(tmp_path, [("000_seq", np.zeros((2, 1, 4, 4, 4), dtype=np.float32), [], "PL", "train")])
+        (tmp_path / "000_seq.ann").unlink()
+        with pytest.raises(DataFormatError, match="000_seq.ann: referenced by manifest but missing"):
+            Dataset(tmp_path)
+
+    def test_load_frame_count_checked(self, tmp_path):
+        write_dataset(tmp_path, [("000_seq", np.zeros((2, 1, 4, 4, 4), dtype=np.float32), [], "PL", "train")])
+        write_sequence(tmp_path / "000_seq.ramc", np.zeros((2, 3, 4, 4, 4), dtype=np.float32))
+        with pytest.raises(DataFormatError, match=r"000_seq.ramc: frame count 3 does not match manifest \(1\)"):
+            Dataset(tmp_path).load("000_seq")
+
     def test_load_name_not_in_manifest(self, tmp_path):
         cube = np.zeros((2, 1, 4, 4, 4), dtype=np.float32)
         write_dataset(tmp_path, [("000_seq", cube, [], "PL", "train")])

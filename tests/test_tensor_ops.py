@@ -46,6 +46,46 @@ class TestCreate:
             T.zeros(shape)
 
 
+    def test_repr(self):
+        t = T.zeros((2, 3), requires_grad=True, dtype=np.float32)
+        assert repr(t) == "Tensor(shape=(2, 3), dtype=float32, requires_grad=True)"
+
+
+# each op's argument checks: (call, phrase of its ShapeError)
+SHAPE_ERRORS = {
+    "add_bcast-incompatible": (lambda: T.add_bcast(T.zeros((2, 3)), T.zeros((4,))), "does not broadcast into"),
+    "add_bcast-grows-x": (lambda: T.add_bcast(T.zeros((1, 3)), T.zeros((2, 3))), "does not broadcast into"),
+    "affine_const-grows-x": (lambda: T.affine_const(T.zeros((1, 3)), np.ones((2, 3)), 0.0), "must broadcast"),
+    "affine_const-incompatible": (lambda: T.affine_const(T.zeros((2, 3)), 1.0, np.ones(4)), "must broadcast"),
+    "matmul-rank-1": (lambda: T.matmul(T.zeros((3,)), T.zeros((3, 2))), "rank >= 2"),
+    "matmul-batch": (lambda: T.matmul(T.zeros((2, 3, 4)), T.zeros((3, 4, 5))), "broadcast"),
+    "conv-channels": (lambda: T.conv2d(T.zeros((1, 2, 5, 5)), T.zeros((3, 4, 3, 3))), "x has 2, w expects 4"),
+    "conv-bias": (lambda: T.conv2d(T.zeros((1, 2, 5, 5)), T.zeros((3, 2, 3, 3)), T.zeros((2,))), r"shape \(3,\)"),
+    "conv2d-rank": (lambda: T.conv2d(T.zeros((2, 5, 5)), T.zeros((3, 2, 3, 3))), "conv2d expects"),
+    "conv3d-rank": (lambda: T.conv3d(T.zeros((1, 2, 5, 5)), T.zeros((3, 2, 3, 3))), "conv3d expects"),
+    "normalize-grows-x": (lambda: T.normalize(T.zeros((1, 3)), T.zeros((2, 3)), T.zeros((3,)), 1, 1e-5),
+                          "gamma/beta"),
+    "normalize-incompatible": (lambda: T.normalize(T.zeros((1, 3)), T.zeros((4,)), T.zeros((3,)), 1, 1e-5),
+                               "gamma/beta"),
+    "bce-targets": (lambda: T.bce_with_logits(T.zeros((2, 3)), np.zeros((3, 2))), "targets shape"),
+    "permute": (lambda: T.permute(T.zeros((2, 3)), (0, 0)), "invalid permutation"),
+    "pad-axes": (lambda: T.pad(T.zeros((2, 3)), [(1, 1)]), "cover every axis"),
+    "pad-negative": (lambda: T.pad(T.zeros((2, 3)), [(0, 0), (-1, 0)]), ">= 0"),
+    "crop-axes": (lambda: T.crop(T.zeros((2, 3)), [(0, 1)]), "cover every axis"),
+    "crop-bounds": (lambda: T.crop(T.zeros((2, 3)), [(0, 2), (2, 2)]), "invalid crop"),
+    "repeat-factor": (lambda: T.repeat(T.zeros((2, 3)), 0, 0), "factor must be >= 1"),
+    "partition-rank": (lambda: T.window_partition(T.zeros((2, 3, 4)), 2), "expects rank-4"),
+    "reverse-tokens": (lambda: T.window_reverse(T.zeros((4, 4, 3)), 2, 1, 3, 4, 6), "inconsistent"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHAPE_ERRORS))
+def test_op_shape_errors(case):
+    call, phrase = SHAPE_ERRORS[case]
+    with pytest.raises(ShapeError, match=phrase):
+        call()
+
+
 class TestMatmul:
     def test_identity(self):
         i2 = T.from_array(np.eye(2))

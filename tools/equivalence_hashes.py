@@ -7,11 +7,12 @@ Run it on two source trees and compare the output line by line:
     diff before.txt after.txt
 
 It covers synthetic rendering and RAMC files written and read back, ConfMap
-decoding and AP/AR, checkpoint bytes, parameter names, the parameters of a
-small 3-D hourglass in f32 and f64, per-layer profiles, the rows of
-``compare_report``, and the forward output, loss, every gradient and the
-tape node count of a training step.  Array hashes include dtype and shape.
-It uses only the public API plus ``tensor.active_tape``, so any revision of
+decoding and AP/AR, checkpoint bytes and the models loaded back from them,
+parameter names, the parameters of a small 3-D hourglass in f32 and f64,
+per-layer profiles, the rows of ``compare_report``, and the forward output,
+loss, every gradient and the tape node count of a training step.  Array
+hashes include dtype and shape.  It uses only the public API plus
+``tensor.active_tape`` and each module's ``_buffers``, so any revision of
 ``radarkit`` can run it.
 The radarformer-ref step at the end peaks at about 1.2 GB.
 """
@@ -30,7 +31,8 @@ from radarkit import tensor as T
 from radarkit.confmap import Annotation, decode_confmap, encode_confmap
 from radarkit.evaluation import CATEGORIES, evaluate
 from radarkit.models import (
-    REFERENCE_NAMES, Hourglass3d, ModelConfig, build_model, build_reference, reference_config, save_checkpoint,
+    REFERENCE_NAMES, Hourglass3d, ModelConfig, build_model, build_reference, config_to_text, load_checkpoint,
+    reference_config, save_checkpoint,
 )
 from radarkit.profiler import compare_report, profile_layers
 from radarkit.synth import SCENARIOS, SynthConfig, generate_scene, read_sequence, render_ramap, write_sequence
@@ -108,14 +110,22 @@ def rendering(tmp, seeds=(301, 302)) -> None:
 
 
 def checkpoints(tmp) -> None:
+    """Checkpoint bytes and parameter names of each reference config in
+    each precision, and the config text, parameters and module buffers of
+    the model that load_checkpoint builds from those bytes."""
     for name in CHECKPOINT_CONFIGS:
         for dtype in (np.float32, np.float64):
+            label = f"{name} {np.dtype(dtype).name}"
             path = os.path.join(tmp, "model.rfck")
             model = build_model(reference_config(name), dtype=dtype)
             save_checkpoint(model, path)
             with open(path, "rb") as fh:
-                show(f"checkpoint {name} {np.dtype(dtype).name}", fh.read())
-            show(f"named_params {name} {np.dtype(dtype).name}", [n for n, _ in model.named_params()])
+                show(f"checkpoint {label}", fh.read())
+            show(f"named_params {label}", [n for n, _ in model.named_params()])
+            loaded = load_checkpoint(path, dtype=dtype)
+            show(f"load_checkpoint {label}", config_to_text(loaded.cfg),
+                 *[a for n, p in loaded.named_params() for a in (n, p.data)],
+                 *[a for where, m in loaded.named_modules() for n, buf in m._buffers.items() for a in (where, n, buf)])
 
 
 def hourglass_params() -> None:
