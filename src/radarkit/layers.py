@@ -10,10 +10,12 @@ sets once around the construction of all its layers (``RadarDetector``).
 Profile entries are named by module path, the same path ``named_params()``
 uses (``trunk.blocks.0.window_attn.mlp.fc1``); a module's own parameter
 keeps its parameter name (``trunk.blocks.0.window_attn.pos``).  Leaf
-modules that multiply hold the cost formulas.  By default a module chains
-its children in order, each on the previous one's output shape, and a
-module without children gives one row of zero MACs; modules whose forward
-reshapes between children override ``profile`` for that reshape only.
+modules that multiply hold the cost formulas; their ``profile`` refuses
+what the forward refuses by one rule (``tensor._conv_shape`` or
+``_check``).  By default a module chains its children in order, each on
+the previous one's output shape, and a module without children gives one
+row of zero MACs; modules whose forward reshapes between children override
+``profile`` for that reshape only.
 The norms use ``_NORM_EPS`` = 1e-5, batch norm ``_BN_MOMENTUM`` = 0.1.
 
 MAC conventions (shared with the profiler): convolutions count
@@ -119,44 +121,37 @@ def _init_uniform(shape, fan_in, seeds: SeedStream) -> T.Tensor:
 
 
 class _Conv(Module):
-    """Parameters and cost of an N-d convolution; kernel, stride and
+    """An N-d convolution: ``forward`` runs the ``tensor`` function named by
+    the subclass's `op`, looked up at call time, and ``profile`` takes the
+    output shape from that op's rule, ``tensor._conv_shape``.  Stride and
     padding are given per spatial axis or as one value for all of them."""
 
-    def __init__(self, nd, cin, cout, kernel, stride, padding, seeds):
+    def __init__(self, cin, cout, kernel, seeds, stride=1, padding=0):
         super().__init__()
-        self.cin, self.cout = cin, cout
-        self.kernel = T._per_axis(kernel, nd)
-        self.stride = T._per_axis(stride, nd)
-        self.padding = T._per_axis(padding, nd)
-        fan = cin * math.prod(self.kernel)
-        self.w = self.add_param("w", _init_uniform((cout, cin) + self.kernel, fan, seeds))
+        self.stride, self.padding = T._per_axis(stride, len(kernel)), T._per_axis(padding, len(kernel))
+        fan = cin * math.prod(kernel)
+        self.w = self.add_param("w", _init_uniform((cout, cin) + kernel, fan, seeds))
         self.b = self.add_param("b", _init_uniform((cout,), fan, seeds))
 
+    def forward(self, x):
+        return getattr(T, self.op)(x, self.w, self.b, stride=self.stride, padding=self.padding)
+
     def profile(self, in_shape, path=""):
-        b = in_shape[0]
-        out_sp = tuple(
-            T._out_extent(n, k, s, p, axis)
-            for axis, (n, k, s, p) in enumerate(zip(in_shape[2:], self.kernel, self.stride, self.padding), 2)
-        )
-        macs = b * self.cout * math.prod(out_sp) * self.cin * math.prod(self.kernel)
-        return [(path, self.param_count(), macs)], (b, self.cout) + out_sp
+        out = T._conv_shape(in_shape, self.w.shape, self.stride, self.padding, self.op)
+        return [(path, self.param_count(), math.prod(out) * math.prod(self.w.shape[1:]))], out
 
 
 class Conv2d(_Conv):
-    def __init__(self, cin, cout, kernel, seeds, stride=1, padding=None):
-        padding = (kernel - 1) // 2 if padding is None else padding
-        super().__init__(2, cin, cout, kernel, stride, padding, seeds)
+    """Stride-1 2-D convolution with an odd kernel and same padding."""
 
-    def forward(self, x):
-        return T.conv2d(x, self.w, self.b, stride=self.stride, padding=self.padding)
+    op = "conv2d"
+
+    def __init__(self, cin, cout, kernel, seeds):
+        super().__init__(cin, cout, (kernel, kernel), seeds, padding=(kernel - 1) // 2)
 
 
 class Conv3d(_Conv):
-    def __init__(self, cin, cout, kernel, seeds, stride=(1, 1, 1), padding=(0, 0, 0)):
-        super().__init__(3, cin, cout, kernel, stride, padding, seeds)
-
-    def forward(self, x):
-        return T.conv3d(x, self.w, self.b, stride=self.stride, padding=self.padding)
+    op = "conv3d"
 
 
 class Linear(Module):
@@ -166,18 +161,23 @@ class Linear(Module):
         self.w = self.add_param("w", _init_uniform((nin, nout), nin, seeds))
         self.b = self.add_param("b", _init_uniform((nout,), nin, seeds))
 
+    def _check(self, shape):
+        if len(shape) < 2 or shape[-1] != self.nin:
+            raise ShapeError(f"Linear expects (..., N, {self.nin}) input, got {shape}")
+        return shape
+
     def forward(self, x):
-        lead = x.shape[:-1]
+        lead = self._check(x.shape)[:-1]
         if len(lead) > 1:
             # one 2-D GEMM instead of a loop of small batched ones
-            x = T.reshape(x, (int(np.prod(lead)), self.nin))
+            x = T.reshape(x, (math.prod(lead), self.nin))
         out = T.matmul(x, self.w, bias=self.b)
         if len(lead) > 1:
             out = T.reshape(out, lead + (self.nout,))
         return out
 
     def profile(self, in_shape, path=""):
-        macs = int(np.prod(in_shape[:-1])) * self.nin * self.nout
+        macs = math.prod(self._check(in_shape)[:-1]) * self.nin * self.nout
         return [(path, self.param_count(), macs)], in_shape[:-1] + (self.nout,)
 
 
@@ -202,8 +202,8 @@ class BatchNorm2d(Module):
         shape = (1, channels, 1, 1)
         self.gamma = self.add_param("gamma", T.full(shape, 1.0, requires_grad=True))
         self.beta = self.add_param("beta", T.zeros(shape, requires_grad=True))
-        self._buffers["running_mean"] = np.zeros(shape)
-        self._buffers["running_var"] = np.ones(shape)
+        self._buffers["running_mean"] = np.zeros_like(self.gamma.data)
+        self._buffers["running_var"] = np.ones_like(self.gamma.data)
 
     def forward(self, x):
         if self.training:
@@ -213,9 +213,11 @@ class BatchNorm2d(Module):
             self._buffers["running_mean"] = (1 - m) * self._buffers["running_mean"] + m * mu
             self._buffers["running_var"] = (1 - m) * self._buffers["running_var"] + m * var
             return T.normalize(x, self.gamma, self.beta, axes=(0, 2, 3), eps=_NORM_EPS)
-        inv = 1.0 / np.sqrt(self._buffers["running_var"] + _NORM_EPS)
+        # in f64 for statistics of either dtype, so equal values give equal constants
+        mean, var = (self._buffers[k].astype(np.float64) for k in ("running_mean", "running_var"))
+        inv = 1.0 / np.sqrt(var + _NORM_EPS)
         a = self.gamma.data * inv
-        b = self.beta.data - self._buffers["running_mean"] * a
+        b = self.beta.data - mean * a
         return T.affine_const(x, a.astype(x.data.dtype), b.astype(x.data.dtype))
 
 
@@ -243,10 +245,13 @@ class MultiheadSelfAttention(Module):
         self.qkv = Linear(dim, 3 * dim, seeds)
         self.out = Linear(dim, dim, seeds)
 
+    def _check(self, shape):
+        if len(shape) != 3 or shape[2] != self.dim:
+            raise ShapeError(f"expected (B, N, {self.dim}) tokens, got {shape}")
+        return shape
+
     def forward(self, tokens):
-        bw, n, s = tokens.shape
-        if s != self.dim:
-            raise ShapeError(f"token width {s} != attention width {self.dim}")
+        bw, n, s = self._check(tokens.shape)
         m, sl = self.heads, self.head_dim
         qkv = self.qkv(tokens)                              # (Bw, N, 3S)
         qkv = T.reshape(qkv, (bw, n, 3, m, sl))
@@ -262,7 +267,7 @@ class MultiheadSelfAttention(Module):
         return self.out(mixed)
 
     def profile(self, in_shape, path=""):
-        bw, n, s = in_shape
+        bw, n, s = self._check(in_shape)
         macs = bw * (3 * n * s * s + n * n * s + n * n * s + n * s * s)
         return [(path, self.param_count(), macs)], in_shape
 
@@ -360,28 +365,26 @@ class PatchEmbed(Module):
         super().__init__()
         if height % patch != 0 or width % patch != 0:
             raise ConfigError(f"patch size {patch} must divide resolution {height}x{width}")
-        self.patch, self.in_channels = patch, in_channels
+        self.patch = patch
         self.tokens_h, self.tokens_w = height // patch, width // patch
         n = self.tokens_h * self.tokens_w
         self.proj = Linear(patch * patch * in_channels, dim, seeds)
         self.pos = self.add_param("pos", T.zeros((n, dim), requires_grad=True))
 
+    def _check(self, shape):
+        """The (B, N, P*P*C) tokens ``forward`` makes of a `shape` map, else ShapeError."""
+        if len(shape) != 4 or shape[2:] != (self.tokens_h * self.patch, self.tokens_w * self.patch):
+            raise ShapeError(f"input {shape} does not match embed resolution")
+        return shape[0], self.tokens_h * self.tokens_w, self.patch * self.patch * shape[1]
+
     def forward(self, x):
-        b, c, h, w = x.shape
-        if h != self.tokens_h * self.patch or w != self.tokens_w * self.patch:
-            raise ShapeError(f"input {h}x{w} does not match embed resolution")
+        flat = self._check(x.shape)
         tok = T.window_partition(x, self.patch)             # (B*N, P*P, C)
-        n = self.tokens_h * self.tokens_w
-        tok = T.reshape(tok, (b, n, self.patch * self.patch * c))
-        return T.add_bcast(self.proj(tok), self.pos)
+        return T.add_bcast(self.proj(T.reshape(tok, flat)), self.pos)
 
     def profile(self, in_shape, path=""):
-        b = in_shape[0]
-        n = self.tokens_h * self.tokens_w
-        flat = (b, n, self.patch * self.patch * self.in_channels)
-        entries, out = self.proj.profile(flat, _join(path, "proj"))
-        entries.append((_join(path, "pos"), self.pos.size, 0))
-        return entries, out
+        entries, out = self.proj.profile(self._check(in_shape), _join(path, "proj"))
+        return entries + [(_join(path, "pos"), self.pos.size, 0)], out
 
 
 class VitUpsample(Module):
@@ -394,20 +397,21 @@ class VitUpsample(Module):
         self.tokens_h, self.tokens_w = tokens_h, tokens_w
         self.expand = Linear(dim, patch * patch * out_channels, seeds)
 
-    def forward(self, tokens):
-        b, n, _ = tokens.shape
-        if n != self.tokens_h * self.tokens_w:
+    def _check(self, shape):
+        """The (B, C, H, W) map ``forward`` makes of `shape` tokens, else ShapeError."""
+        if shape[1] != self.tokens_h * self.tokens_w:
             raise ShapeError("token count does not match target grid")
-        p, c = self.patch, self.out_channels
+        return shape[0], self.out_channels, self.tokens_h * self.patch, self.tokens_w * self.patch
+
+    def forward(self, tokens):
+        b, c, h, w = self._check(tokens.shape)
         x = self.expand(tokens)                              # (B, N, P*P*C)
-        x = T.reshape(x, (b * n, p * p, c))
-        return T.window_reverse(x, p, b, c, self.tokens_h * p, self.tokens_w * p)
+        x = T.reshape(x, (b * tokens.shape[1], self.patch ** 2, c))
+        return T.window_reverse(x, self.patch, b, c, h, w)
 
     def profile(self, in_shape, path=""):
-        entries, _ = self.expand.profile(in_shape, _join(path, "expand"))
-        b = in_shape[0]
-        out = (b, self.out_channels, self.tokens_h * self.patch, self.tokens_w * self.patch)
-        return entries, out
+        out = self._check(in_shape)
+        return self.expand.profile(in_shape, _join(path, "expand"))[0], out
 
 
 class MNetMerge(Module):
@@ -453,9 +457,9 @@ class TemporalDownsample(Module):
         ]
 
     def _check(self, shape):
-        """`shape` if ``forward`` can reduce its T to 1, else ConfigError."""
-        if shape[2] != 2 ** self.stages:
-            raise ConfigError(f"temporal extent {shape[2]} not reducible by {self.stages} stride-2 stages")
+        """`shape` if ``forward`` can reduce its T to 1, else ShapeError."""
+        if len(shape) != 5 or shape[2] != 2 ** self.stages:
+            raise ShapeError(f"temporal extent of {shape} not reducible by {self.stages} stride-2 stages")
         return shape
 
     def forward(self, x):

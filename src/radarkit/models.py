@@ -21,6 +21,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import tensor as T
+from .confmap import CLASS_NAMES
 from .errors import ConfigError, DataFormatError, ShapeError
 from .fileio import BinaryReader
 from .layers import (
@@ -276,14 +277,13 @@ def build_model(cfg: ModelConfig, dtype=np.float64) -> RadarDetector:
 class Hourglass3d(Module):
     """Skeletal encoder/bottleneck/decoder of full 3-D convolutions kept at
     high temporal/spatial resolution.  Serves as the complexity baseline the
-    lightweight models are measured against; same IO contract as the
-    detector variants.  `dtype` works as in ``RadarDetector``."""
+    lightweight models are measured against, with seed-0 weights and the
+    detectors' IO contract over ``CLASS_NAMES``; `dtype` as in ``RadarDetector``."""
 
-    def __init__(self, chirps=4, num_classes=3, base=32,
-                 bottleneck_width=544, bottleneck_depth=8, seed=0, dtype=np.float32):
+    def __init__(self, chirps=4, base=32, bottleneck_width=544, bottleneck_depth=8, dtype=np.float32):
         super().__init__()
         self.input_shape = (1, 2, 32, chirps, 128, 128)
-        seeds = SeedStream(seed)
+        seeds = SeedStream(0)
         with T.using_dtype(dtype):
             self.dtype = T.default_dtype()
             self.merge = MNetMerge(chirps, base, seeds)
@@ -295,7 +295,7 @@ class Hourglass3d(Module):
                                for _ in range(bottleneck_depth)]
             self.dec_s = Conv3d(bottleneck_width, 2 * base, (1, 3, 3), seeds, padding=(0, 1, 1))
             self.dec_t = Conv3d(2 * base, base, (3, 3, 3), seeds, padding=(1, 1, 1))
-            self.head = Conv3d(base, num_classes, (1, 3, 3), seeds, padding=(0, 1, 1))
+            self.head = Conv3d(base, len(CLASS_NAMES), (1, 3, 3), seeds, padding=(0, 1, 1))
 
     def forward_logits(self, cube):
         with T._module_scope(self):

@@ -11,6 +11,9 @@ dt_chirp the chirp interval when 256 chirps span one 30 fps frame; of
 those, chirps (0, 64, 128, 192) are rendered.  Channel 0 carries the real
 part, channel 1 the imaginary part, plus additive complex Gaussian noise.
 A range bin is the codec's, ``confmap.RANGE_RESOLUTION_M`` meters wide.
+Constants fix the rest: a 90 degree azimuth span, blobs 2 range and 3
+azimuth bins wide, and a 3-bin edge margin.  A ``Scene`` (seed, scenario,
+targets) takes its grid, length and noise from the config it renders with.
 
 Scenario tags (PL/CR/CS/HW) select target count, class mix, and speed
 profiles.  Everything is a pure function of (seed, scenario, config).
@@ -41,6 +44,10 @@ WAVELENGTH_M = 0.0039
 FRAME_RATE_HZ = 30.0
 CHIRPS_PER_FRAME = 256
 CHIRP_INDICES = (0, 64, 128, 192)
+AZIMUTH_SPAN_DEG = 90.0
+BLOB_SIGMA_RANGE_BINS = 2.0
+BLOB_SIGMA_AZIMUTH_BINS = 3.0
+EDGE_MARGIN_BINS = 3.0
 
 
 @dataclass(frozen=True)
@@ -68,13 +75,9 @@ class SynthConfig:
     height: int = 128
     width: int = 128
     frames: int = 128                 # frames per generated sequence
-    azimuth_span_deg: float = 90.0    # mapped across the azimuth bins
     noise_sigma: float = 0.08
-    blob_sigma_range: float = 2.0     # bins
-    blob_sigma_azimuth: float = 3.0   # bins (beams widen in azimuth)
     mean_targets: float | None = None  # overrides the scenario profile
     min_separation_bins: float = 0.0
-    edge_margin_bins: float = 3.0
 
     def __post_init__(self):
         def check(field, ok, want):
@@ -83,9 +86,7 @@ class SynthConfig:
 
         for field in ("height", "width", "frames"):
             check(field, getattr(self, field) >= 1, "at least 1")
-        for field in ("azimuth_span_deg", "blob_sigma_range", "blob_sigma_azimuth"):
-            check(field, getattr(self, field) > 0, "positive")
-        for field in ("noise_sigma", "min_separation_bins", "edge_margin_bins"):
+        for field in ("noise_sigma", "min_separation_bins"):
             check(field, getattr(self, field) >= 0, "non-negative")
         check("mean_targets", self.mean_targets is None or self.mean_targets >= 0, "None or non-negative")
         lo_m, hi_m = _range_bounds_m(self)
@@ -108,8 +109,6 @@ class TargetSpec:
 class Scene:
     seed: int
     scenario: str
-    frames: int
-    noise_sigma: float
     targets: tuple[TargetSpec, ...]
 
 
@@ -124,19 +123,19 @@ def _rng(seed, scenario, *stream):
 
 def _range_bounds_m(cfg: SynthConfig):
     """Lowest and highest range, in meters, a target may reach."""
-    lo_m = max(1.0, cfg.edge_margin_bins * RANGE_RESOLUTION_M)
-    hi_m = (cfg.height - 1 - cfg.edge_margin_bins) * RANGE_RESOLUTION_M
+    lo_m = max(1.0, EDGE_MARGIN_BINS * RANGE_RESOLUTION_M)
+    hi_m = (cfg.height - 1 - EDGE_MARGIN_BINS) * RANGE_RESOLUTION_M
     return lo_m, hi_m
 
 
 def _azimuth_bounds_deg(cfg: SynthConfig):
     """Half the azimuth span and the edge margin, in degrees."""
-    return cfg.azimuth_span_deg / 2.0, cfg.azimuth_span_deg * cfg.edge_margin_bins / max(1, cfg.width - 1)
+    return AZIMUTH_SPAN_DEG / 2.0, AZIMUTH_SPAN_DEG * EDGE_MARGIN_BINS / max(1, cfg.width - 1)
 
 
 def _bin_of(range_m, azimuth_deg, cfg: SynthConfig):
     r = range_m / RANGE_RESOLUTION_M
-    a = (azimuth_deg / cfg.azimuth_span_deg + 0.5) * (cfg.width - 1)
+    a = (azimuth_deg / AZIMUTH_SPAN_DEG + 0.5) * (cfg.width - 1)
     return r, a
 
 
@@ -180,7 +179,7 @@ def generate_scene(seed: int, scenario: str, cfg: SynthConfig = SynthConfig()) -
             placed_bins.append((rb, ab))
         amp = rng.uniform(*AMPLITUDE_RANGES[class_id])
         targets.append(TargetSpec(class_id, float(range_m), float(azimuth), float(speed), float(amp)))
-    return Scene(seed, scenario, cfg.frames, cfg.noise_sigma, tuple(targets))
+    return Scene(seed, scenario, tuple(targets))
 
 
 def _noise(rng, shape, sigma):
@@ -191,17 +190,16 @@ def _noise(rng, shape, sigma):
 
 
 def render_ramap(scene: Scene, cfg: SynthConfig = SynthConfig(), dtype=np.float32):
-    """Render (2,T,C,H,W) RF frames plus per-frame annotations.
+    """Render (2,T,C,H,W) RF frames plus per-frame annotations; T and the
+    noise come from `cfg`.
 
     The targets are summed in f64 while another thread draws the f64
     noise; their sum is rounded once, to `dtype`."""
     dtype = _float_dtype(dtype)
     noise_rng = _rng(scene.seed, scene.scenario, 97)  # checks the scenario, also without noise
-    if not scene.noise_sigma >= 0:
-        raise ConfigError(f"scene noise_sigma must be non-negative, got {scene.noise_sigma!r}")
-    t_frames, c, h, w = scene.frames, len(CHIRP_INDICES), cfg.height, cfg.width
+    t_frames, c, h, w = cfg.frames, len(CHIRP_INDICES), cfg.height, cfg.width
     shape = (2, t_frames, c, h, w)
-    noise = _start_task(_noise, noise_rng, shape, scene.noise_sigma) if scene.noise_sigma > 0 else None
+    noise = _start_task(_noise, noise_rng, shape, cfg.noise_sigma) if cfg.noise_sigma > 0 else None
     cube = np.zeros(shape)
     rows = np.arange(h)[:, None]
     cols = np.arange(w)[None, :]
@@ -213,8 +211,8 @@ def render_ramap(scene: Scene, cfg: SynthConfig = SynthConfig(), dtype=np.float3
             range_now = tgt.range_m + tgt.speed_mps * t / FRAME_RATE_HZ
             rb, ab = _bin_of(range_now, tgt.azimuth_deg, cfg)
             blob = tgt.amplitude * np.exp(
-                -((rows - rb) ** 2) / (2 * cfg.blob_sigma_range ** 2)
-                - ((cols - ab) ** 2) / (2 * cfg.blob_sigma_azimuth ** 2)
+                -((rows - rb) ** 2) / (2 * BLOB_SIGMA_RANGE_BINS ** 2)
+                - ((cols - ab) ** 2) / (2 * BLOB_SIGMA_AZIMUTH_BINS ** 2)
             )
             for ci, chirp_idx in enumerate(CHIRP_INDICES):
                 phase = (

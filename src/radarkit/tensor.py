@@ -14,27 +14,28 @@ each node hands its output's gradient to its grad_fn and clears it from
 the output, and is dropped, with the arrays its grad_fn saved, once it has
 run.  So only leaves (tensors no recorded op produced: parameters and
 inputs) and the loss keep ``.grad``.  A tensor takes the dtype it is
-created with or else the thread's default (``using_dtype``): float64, the
-default and the precision of the gradient and oracle tests, or float32, the
-fast mode at scale.  One check refuses any other dtype with ``ConfigError``.
+created with or else the thread's default, which only ``using_dtype`` sets:
+float64, the default and the precision of the gradient and oracle tests, or
+float32, the fast mode at scale.  Any other dtype is a ``ConfigError``.
 ``models.load_checkpoint`` builds its model inside ``_element_budget``, where
 ``zeros``, ``full`` and ``uniform`` refuse, before allocating, any tensor that
 would take the total past the values the file holds.
 
-conv2d and conv3d check their rank and share one correlation over any
-number of spatial axes: im2col columns times the flattened kernel in one
-GEMM; the input gradient is a stride-1 correlation of the dilated output
-gradient with the flipped kernel.  The columns are laid out
-(B, C*prod(kernel), N) and built one kernel tap at a time, so every copy
-runs along the contiguous output axis; a 1x1 stride-1 kernel uses the
-padded input itself, with no copy.  The GEMM multiplies the transposed
-view, (B, N, C*prod(kernel)) @ (C*prod(kernel), Cout), or a contiguous copy
-of it where BLAS would round the view differently (``_cols_matmul``), so
-the output has the bits of row-major columns.  The columns die when the
-forward returns; the weight gradient rebuilds them from the input.  When
-no gradient is recorded and the im2col buffer would exceed
-``_CONV_COLS_BYTE_LIMIT``, the columns are built one slab of the first
-output axis at a time (T for 3-D, H for 2-D).
+conv2d and conv3d share one shape rule, ``_conv_shape`` (rank, channels,
+odd spatial kernel, integral extents), which ``layers`` profiles call too,
+and one correlation over any number of spatial axes: im2col columns times
+the flattened kernel in one GEMM; the input gradient is a stride-1
+correlation of the dilated output gradient with the flipped kernel.  The
+columns are laid out (B, C*prod(kernel), N) and built one kernel tap at a
+time, so every copy runs along the contiguous output axis; a 1x1 stride-1
+kernel uses the padded input itself, with no copy.  The GEMM multiplies
+the transposed view, (B, N, C*prod(kernel)) @ (C*prod(kernel), Cout), or a
+contiguous copy of it where BLAS would round the view differently
+(``_cols_matmul``), so the output has the bits of row-major columns.  The
+columns die when the forward returns; the weight gradient rebuilds them
+from the input.  When no gradient is recorded and the im2col buffer would
+exceed ``_CONV_COLS_BYTE_LIMIT``, the columns are built one slab of the
+first output axis at a time (T for 3-D, H for 2-D).
 
 Window and grid partitioning are one reshape, permute, reshape of the map
 zero-padded to a multiple of the size P; the modes differ only in the
@@ -88,11 +89,6 @@ def _float_dtype(dtype):
     if dt not in (np.dtype(np.float64), np.dtype(np.float32)):
         raise ConfigError(f"unsupported dtype {dt}; use float64 or float32")
     return dt.type
-
-
-def set_default_dtype(dtype) -> None:
-    """Set the dtype used by tensor constructors (float64 or float32)."""
-    _tls().default_dtype = _float_dtype(dtype)
 
 
 def default_dtype():
@@ -194,7 +190,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         dt = default_dtype() if dtype is None else _float_dtype(dtype)
-        self.data = np.ascontiguousarray(data, dtype=dt)
+        self.data = np.asarray(data, dtype=dt, order="C")
         self.requires_grad = bool(requires_grad)
         self.grad = None
 
@@ -422,16 +418,6 @@ def _per_axis(v, nd):
     return (v,) * nd if np.isscalar(v) else tuple(v)
 
 
-def _out_extent(n, k, s, p, axis):
-    span = n + 2 * p - k
-    if span < 0 or span % s != 0:
-        raise ShapeError(
-            f"output extent along axis {axis} is not integral: "
-            f"(n={n}, k={k}, stride={s}, pad={p})"
-        )
-    return span // s + 1
-
-
 def _im2col(xp, kernel, stride):
     """C-contiguous columns (B, C*prod(kernel), prod(out)) of padded xp
     (B,C,*spatial); row c*prod(kernel) + tap holds that channel's tap."""
@@ -484,26 +470,36 @@ def _dilate(y, stride):
     return out
 
 
-def _conv(x: Tensor, w: Tensor, bias, stride, padding, op: str) -> Tensor:
-    """Batched correlation over every axis after (B, C); `op` names the
-    caller in error messages."""
-    _same_dtype(x, w) if bias is None else _same_dtype(x, w, bias)
-    nd = x.ndim - 2
-    B, Cin = x.shape[:2]
-    Cout, Cw = w.shape[:2]
-    kernel = w.shape[2:]
-    if Cw != Cin:
-        raise ShapeError(f"{op} channel mismatch: x has {Cin}, w expects {Cw}")
+def _conv_shape(x_shape, w_shape, stride, padding, op: str):
+    """The output shape of `op` over an x of `x_shape` and a kernel of
+    `w_shape`, else ShapeError; stride and padding are per spatial axis or
+    one value for all of them."""
+    rank = {"conv2d": 4, "conv3d": 5}[op]
+    if len(x_shape) != rank or len(w_shape) != rank:
+        raise ShapeError(f"{op} expects x rank {rank} and w rank {rank}")
+    nd = rank - 2
+    if w_shape[1] != x_shape[1]:
+        raise ShapeError(f"{op} channel mismatch: x has {x_shape[1]}, w expects {w_shape[1]}")
+    kernel = w_shape[2:]
     kh, kw = kernel[-2:]
     if kh % 2 == 0 or kw % 2 == 0:
         what = "kernel" if nd == 2 else "spatial kernel"
         raise ShapeError(f"{op} {what} extents must be odd, got ({kh},{kw})")
-    stride = _per_axis(stride, nd)
-    padding = _per_axis(padding, nd)
-    out_sp = tuple(
-        _out_extent(n, k, s, p, axis)
-        for axis, (n, k, s, p) in enumerate(zip(x.shape[2:], kernel, stride, padding), 2)
-    )
+    out = [x_shape[0], w_shape[0]]
+    for axis, (n, k, s, p) in enumerate(zip(x_shape[2:], kernel, _per_axis(stride, nd), _per_axis(padding, nd)), 2):
+        if n + 2 * p - k < 0 or (n + 2 * p - k) % s != 0:
+            raise ShapeError(f"output extent along axis {axis} is not integral: (n={n}, k={k}, stride={s}, pad={p})")
+        out.append((n + 2 * p - k) // s + 1)
+    return tuple(out)
+
+
+def _conv(x: Tensor, w: Tensor, bias, stride, padding, op: str) -> Tensor:
+    """Batched correlation over every axis after (B, C); `op` names the
+    caller, its rank and its shape rule."""
+    B, Cout, *out_sp = _conv_shape(x.shape, w.shape, stride, padding, op)
+    _same_dtype(x, w) if bias is None else _same_dtype(x, w, bias)
+    nd, Cin, kernel, out_sp = x.ndim - 2, x.shape[1], w.shape[2:], tuple(out_sp)
+    stride, padding = _per_axis(stride, nd), _per_axis(padding, nd)
     if bias is not None and bias.shape != (Cout,):
         raise ShapeError(f"bias must have shape ({Cout},)")
     inputs = (x, w) if bias is None else (x, w, bias)
@@ -554,8 +550,6 @@ def _conv(x: Tensor, w: Tensor, bias, stride, padding, op: str) -> Tensor:
 
 def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride=1, padding=0) -> Tensor:
     """Batched 2-D correlation: x (B,Cin,H,W), w (Cout,Cin,kh,kw)."""
-    if x.ndim != 4 or w.ndim != 4:
-        raise ShapeError("conv2d expects x rank 4 and w rank 4")
     return _conv(x, w, bias, stride, padding, "conv2d")
 
 
@@ -565,8 +559,6 @@ def conv3d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride=1, padding=0
     Spatial kernel extents kh,kw must be odd; the temporal extent kt may be
     even so that stride-2 stages can halve an even T exactly.
     """
-    if x.ndim != 5 or w.ndim != 5:
-        raise ShapeError("conv3d expects x rank 5 and w rank 5")
     return _conv(x, w, bias, stride, padding, "conv3d")
 
 
@@ -678,9 +670,6 @@ def _start_task(fn, *args):
 def _split_across_cpus(fn, *arrays):
     """Run fn on matching flat chunks of `arrays`, one chunk per CPU."""
     n = len(os.sched_getaffinity(0))
-    if n == 1:
-        fn(*arrays)
-        return
     chunks = [np.array_split(a.reshape(-1), n) for a in arrays]
     for wait in [_start_task(fn, *parts) for parts in zip(*chunks)]:
         wait()

@@ -14,6 +14,8 @@ from radarkit import tensor as T
 from radarkit.confmap import Annotation, Detection
 from radarkit.errors import ConfigError, UsageError
 from radarkit.synth import (
+    BLOB_SIGMA_AZIMUTH_BINS,
+    BLOB_SIGMA_RANGE_BINS,
     CHIRP_INDICES,
     CHIRPS_PER_FRAME,
     FRAME_RATE_HZ,
@@ -212,7 +214,7 @@ def render_loops(scene: Scene, cfg: SynthConfig = SynthConfig(), dtype=np.float3
     """The renderer as it was before the noise draw moved to a worker
     thread: targets summed frame by frame in f64, then the f64 noise
     scaled and added on the calling thread, then one cast to `dtype`."""
-    t_frames, c, h, w = scene.frames, len(CHIRP_INDICES), cfg.height, cfg.width
+    t_frames, c, h, w = cfg.frames, len(CHIRP_INDICES), cfg.height, cfg.width
     cube = np.zeros((2, t_frames, c, h, w))
     rows = np.arange(h)[:, None]
     cols = np.arange(w)[None, :]
@@ -224,8 +226,8 @@ def render_loops(scene: Scene, cfg: SynthConfig = SynthConfig(), dtype=np.float3
             range_now = tgt.range_m + tgt.speed_mps * t / FRAME_RATE_HZ
             rb, ab = _bin_of(range_now, tgt.azimuth_deg, cfg)
             blob = tgt.amplitude * np.exp(
-                -((rows - rb) ** 2) / (2 * cfg.blob_sigma_range ** 2)
-                - ((cols - ab) ** 2) / (2 * cfg.blob_sigma_azimuth ** 2)
+                -((rows - rb) ** 2) / (2 * BLOB_SIGMA_RANGE_BINS ** 2)
+                - ((cols - ab) ** 2) / (2 * BLOB_SIGMA_AZIMUTH_BINS ** 2)
             )
             for ci, chirp_idx in enumerate(CHIRP_INDICES):
                 phase = (
@@ -238,11 +240,11 @@ def render_loops(scene: Scene, cfg: SynthConfig = SynthConfig(), dtype=np.float3
             annotations.append(
                 Annotation(t, tgt.class_id, int(round(rb)), int(round(ab)))
             )
-    if scene.noise_sigma > 0:
+    if cfg.noise_sigma > 0:
         noise_rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence((scene.seed, 97, SCENARIOS.index(scene.scenario))))
         )
-        cube += scene.noise_sigma * noise_rng.standard_normal(cube.shape)
+        cube += cfg.noise_sigma * noise_rng.standard_normal(cube.shape)
     return cube.astype(dtype), annotations
 
 

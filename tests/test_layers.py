@@ -6,6 +6,9 @@ import pytest
 from radarkit import tensor as T
 from radarkit.errors import ConfigError, ShapeError
 from radarkit.layers import (
+    Conv2d,
+    Conv3d,
+    Linear,
     MBConv,
     MNetMerge,
     MaxVitBlock,
@@ -80,14 +83,14 @@ class TestTemporalStreams:
 
     def test_non_reducible_length_rejected(self):
         down = TemporalDownsample(3, 3, SeedStream(1))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ShapeError, match=r"temporal extent of \(1, 3, 12, 4, 4\) not reducible by 3"):
             down(uni((1, 3, 12, 4, 4), 3))
 
     def test_profile_rejects_length_like_forward(self):
         down = TemporalDownsample(3, 2, SeedStream(1))
-        with pytest.raises(ConfigError) as forward:
+        with pytest.raises(ShapeError) as forward:
             down(uni((1, 3, 16, 4, 4), 3))
-        with pytest.raises(ConfigError) as profiled:
+        with pytest.raises(ShapeError) as profiled:
             down.profile((1, 3, 16, 4, 4))
         assert str(profiled.value) == str(forward.value)
 
@@ -361,7 +364,7 @@ class TestPartitionAttention:
 # each layer's input checks: (call, error, phrase)
 LAYER_ERRORS = {
     "msa-width": (lambda: MultiheadSelfAttention(4, 2, SeedStream(0))(T.zeros((1, 3, 6))),
-                  ShapeError, "token width 6 != attention width 4"),
+                  ShapeError, r"expected \(B, N, 4\) tokens, got \(1, 3, 6\)"),
     "partition-mode": (lambda: PartitionAttention(4, 2, 8, "diagonal", 2, SeedStream(0)),
                        ConfigError, "unknown partition mode 'diagonal'"),
     "patch-embed-resolution": (lambda: PatchEmbed(1, 4, 8, 8, 4, SeedStream(0))(T.zeros((1, 1, 8, 12))),
@@ -378,6 +381,40 @@ def test_layer_input_errors(case):
     call, error, phrase = LAYER_ERRORS[case]
     with T.no_grad(), pytest.raises(error, match=phrase):
         call()
+
+
+# layers that multiply, each with an input shape its forward refuses:
+# (make layer, shape, phrase)
+PROFILE_LIKE_FORWARD = {
+    "conv2d-channels": (lambda: Conv2d(3, 4, 3, SeedStream(0)), (1, 5, 8, 8), "channel mismatch"),
+    "conv2d-rank": (lambda: Conv2d(3, 4, 3, SeedStream(0)), (1, 3, 8), "rank 4"),
+    "conv3d-channels": (lambda: Conv3d(2, 3, (1, 3, 3), SeedStream(0), padding=(0, 1, 1)), (1, 4, 2, 6, 6),
+                        "channel mismatch"),
+    "conv3d-rank": (lambda: Conv3d(2, 3, (1, 3, 3), SeedStream(0)), (1, 2, 6, 6), "rank 5"),
+    "conv3d-extent": (lambda: Conv3d(2, 2, (2, 3, 3), SeedStream(0), stride=(2, 1, 1), padding=(0, 1, 1)),
+                      (1, 2, 3, 4, 4), "not integral"),
+    "linear-width": (lambda: Linear(5, 3, SeedStream(0)), (7, 4), "Linear expects"),
+    "linear-width-batched": (lambda: Linear(5, 3, SeedStream(0)), (2, 7, 4), "Linear expects"),
+    "linear-rank": (lambda: Linear(5, 3, SeedStream(0)), (5,), "Linear expects"),
+    "msa-width": (lambda: MultiheadSelfAttention(4, 2, SeedStream(0)), (2, 5, 6), "tokens"),
+    "msa-rank": (lambda: MultiheadSelfAttention(4, 2, SeedStream(0)), (5, 4), "tokens"),
+    "patch-embed-resolution": (lambda: PatchEmbed(1, 4, 8, 8, 4, SeedStream(0)), (1, 1, 8, 12), "embed resolution"),
+    "patch-embed-channels": (lambda: PatchEmbed(1, 4, 8, 8, 4, SeedStream(0)), (1, 2, 8, 8), "Linear expects"),
+    "patch-embed-rank": (lambda: PatchEmbed(1, 4, 8, 8, 4, SeedStream(0)), (1, 8, 8), "embed resolution"),
+    "vit-upsample-tokens": (lambda: VitUpsample(4, 2, 1, 2, 2, SeedStream(0)), (1, 5, 4), "token count"),
+    "vit-upsample-width": (lambda: VitUpsample(4, 2, 1, 2, 2, SeedStream(0)), (1, 4, 6), "Linear expects"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PROFILE_LIKE_FORWARD))
+def test_profile_refuses_like_forward(case):
+    make, shape, phrase = PROFILE_LIKE_FORWARD[case]
+    layer = make()
+    with T.no_grad(), pytest.raises(ShapeError, match=phrase) as forward:
+        layer(T.zeros(shape))
+    with pytest.raises(ShapeError) as profiled:
+        layer.profile(shape)
+    assert str(profiled.value) == str(forward.value)
 
 
 class TestVitPieces:

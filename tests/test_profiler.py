@@ -6,7 +6,7 @@ import pytest
 from radarkit import tensor as T
 from radarkit.errors import ConfigError, ShapeError
 from radarkit.layers import Conv2d, Conv3d, Linear, Mlp, MultiheadSelfAttention, SeedStream
-from radarkit.models import REFERENCE_NAMES, Hourglass3d, build_model, build_reference
+from radarkit.models import REFERENCE_NAMES, Hourglass3d, ModelConfig, build_model, build_reference
 from radarkit.profiler import (
     LayerProfile,
     ReportRow,
@@ -116,7 +116,7 @@ class TestMacCounts:
     def test_monotone_in_width(self):
         def totals(width):
             model = build_model(
-                __import__("radarkit.models", fromlist=["ModelConfig"]).ModelConfig(
+                ModelConfig(
                     variant="radarformer", frames=4, chirps=2, height=16, width=16,
                     merge_channels=4, stem_kernels=(3, 3), head_kernel=3,
                     stage_widths=(width,), stage_depths=(1,), window_size=4,
@@ -148,14 +148,6 @@ REFERENCE_COUNTS = {
 }
 
 
-def walk(mod, path=""):
-    """(path, module) of every submodule, in the naming of named_params()."""
-    for name, child in mod.children():
-        child_path = f"{path}.{name}" if path else name
-        yield child_path, child
-        yield from walk(child, child_path)
-
-
 @pytest.mark.parametrize("name", REFERENCE_NAMES)
 class TestReferenceProfiles:
     def test_counts_at_default_shape(self, name):
@@ -166,16 +158,16 @@ class TestReferenceProfiles:
         model = build_reference(name, dtype=np.float32)
         names = [layer.name for layer in profile_layers(model)]
         assert len(names) == len(set(names))
-        assert set(names) <= {p for p, _ in walk(model)} | {n for n, _ in model.named_params()}
+        assert set(names) <= {p for p, _ in model.named_modules()} | {n for n, _ in model.named_params()}
 
 
 class TestProfileShapes:
     def test_non_integral_extent_rejected_like_forward(self):
-        conv = Conv2d(1, 1, 3, SeedStream(0), stride=2, padding=1)
+        conv = Conv3d(1, 1, (1, 3, 3), SeedStream(0), stride=(1, 2, 2), padding=(0, 1, 1))
         with pytest.raises(ShapeError, match="not integral") as profiled:
-            conv.profile((1, 1, 8, 8))
+            conv.profile((1, 1, 1, 8, 8))
         with pytest.raises(ShapeError) as forward:
-            conv(T.zeros((1, 1, 8, 8)))
+            conv(T.zeros((1, 1, 1, 8, 8)))
         assert str(profiled.value) == str(forward.value)
 
     @pytest.mark.parametrize("name, shape", [
@@ -255,9 +247,8 @@ class TestTiming:
 
 def model_state(model):
     """Everything timing may change, in a comparable form."""
-    mods = [("", model)] + list(walk(model))
     return (
-        [(p, m.training, {k: v.tobytes() for k, v in m._buffers.items()}) for p, m in mods],
+        [(p, m.training, {k: v.tobytes() for k, v in m._buffers.items()}) for p, m in model.named_modules()],
         [
             (n, p.requires_grad, None if p.grad is None else p.grad.tobytes(), p.data.tobytes())
             for n, p in model.named_params()

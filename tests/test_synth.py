@@ -13,6 +13,7 @@ from radarkit.errors import ConfigError, DataFormatError, UsageError
 from radarkit.synth import (
     CHIRP_INDICES,
     CHIRPS_PER_FRAME,
+    EDGE_MARGIN_BINS,
     FRAME_RATE_HZ,
     SCENARIOS,
     WAVELENGTH_M,
@@ -60,8 +61,8 @@ class TestGenerateScene:
 
     def test_targets_in_grid_for_all_frames(self):
         cfg = SynthConfig(height=64, width=64, frames=32)
-        lo = cfg.edge_margin_bins - 0.5
-        hi = cfg.height - 1 - cfg.edge_margin_bins + 0.5
+        lo = EDGE_MARGIN_BINS - 0.5
+        hi = cfg.height - 1 - EDGE_MARGIN_BINS + 0.5
         for seed in range(1000):
             scenario = ("PL", "CR", "CS", "HW")[seed % 4]
             scene = generate_scene(seed, scenario, cfg)
@@ -93,7 +94,7 @@ class TestRender:
 
         target = TargetSpec(class_id=1, range_m=16 * 0.23, azimuth_deg=0.0,
                             speed_mps=0.0, amplitude=2.0)
-        scene = Scene(0, "PL", 4, 0.0, (target,))
+        scene = Scene(0, "PL", (target,))
         cube, anns = render_ramap(scene, cfg, dtype=np.float64)
         mag = np.hypot(cube[0], cube[1])
         for t in range(4):
@@ -107,7 +108,7 @@ class TestRender:
         from radarkit.synth import Scene
 
         cfg = SynthConfig(height=16, width=16, frames=2, noise_sigma=0.1)
-        scene = Scene(3, "PL", 2, 0.1, ())
+        scene = Scene(3, "PL", ())
         cube, anns = render_ramap(scene, cfg, dtype=np.float64)
         assert anns == []
         assert 0.0 < np.abs(cube).mean() < 0.5
@@ -119,7 +120,7 @@ class TestRender:
         v = 3.7
         target = TargetSpec(class_id=2, range_m=30 * 0.23, azimuth_deg=10.0,
                             speed_mps=v, amplitude=1.5)
-        scene = Scene(0, "CS", 1, 0.0, (target,))
+        scene = Scene(0, "CS", (target,))
         cube, anns = render_ramap(scene, cfg, dtype=np.float64)
         rb, ab = anns[0].range_bin, anns[0].azimuth_bin
         z0 = cube[0, 0, 0, rb, ab] + 1j * cube[1, 0, 0, rb, ab]
@@ -137,7 +138,7 @@ class TestRender:
             from radarkit.synth import Scene
 
             for tgt in scene.targets:
-                solo = Scene(seed, "CR", cfg.frames, 0.0, (tgt,))
+                solo = Scene(seed, "CR", (tgt,))
                 cube, anns = render_ramap(solo, cfg, dtype=np.float64)
                 mag = np.hypot(cube[0], cube[1])
                 for t in range(cfg.frames):
@@ -153,7 +154,7 @@ class TestRender:
         ratios = []
         for seed in range(100):
             target = TargetSpec(1, 12 * 0.23, -20.0, 0.0, amp)
-            scene = Scene(seed, "CR", 1, sigma_n, (target,))
+            scene = Scene(seed, "CR", (target,))
             cube, anns = render_ramap(scene, cfg, dtype=np.float64)
             mag = np.hypot(cube[0, 0], cube[1, 0])
             peak = mag[:, anns[0].range_bin, anns[0].azimuth_bin].mean()
@@ -227,12 +228,8 @@ class TestConfigErrors:
         ("frames", 0),
         ("height", 0),
         ("width", 0),
-        ("blob_sigma_range", 0),
-        ("blob_sigma_azimuth", -1.0),
-        ("azimuth_span_deg", float("nan")),
         ("noise_sigma", -0.1),
         ("min_separation_bins", -1.0),
-        ("edge_margin_bins", -0.5),
         ("mean_targets", -2.0),
         ("height", 8),
         ("width", 6),
@@ -256,17 +253,12 @@ class TestConfigErrors:
     @pytest.mark.parametrize("sigma", [0.0, 0.1])
     def test_unknown_scene_scenario_named(self, sigma):
         with pytest.raises(ConfigError, match="'XX'"):
-            render_ramap(Scene(0, "XX", 2, sigma, ()), SMALL)
+            render_ramap(Scene(0, "XX", ()), SynthConfig(height=16, width=16, frames=2, noise_sigma=sigma))
 
     @pytest.mark.parametrize("dtype", [np.int32, np.float16])
     def test_non_float_dtype_rejected(self, dtype):
         with pytest.raises(ConfigError, match=np.dtype(dtype).name):
             render_ramap(generate_scene(1, "PL", SMALL), SMALL, dtype=dtype)
-
-    def test_negative_scene_noise_rejected(self):
-        scene = Scene(0, "PL", 2, -0.1, ())
-        with pytest.raises(ConfigError, match="noise_sigma"):
-            render_ramap(scene, SynthConfig(height=16, width=16, frames=2))
 
     @pytest.mark.parametrize("shape", [(2, 0, 4, 8, 8), (2, 2, 4, 0, 8), (2, 1, 0, 1, 1)])
     def test_write_sequence_rejects_zero_extent(self, tmp_path, shape):

@@ -45,6 +45,16 @@ class TestCreate:
         with pytest.raises(ShapeError):
             T.zeros(shape)
 
+    @pytest.mark.parametrize("make", [
+        lambda: T.zeros(()),
+        lambda: T.full((), 2.5),
+        lambda: T.uniform((), 7),
+        lambda: T.from_array(np.float64(1.0)),
+    ], ids=["zeros", "full", "uniform", "from_array"])
+    def test_zero_dim(self, make):
+        t = make()
+        assert t.shape == () and t.ndim == 0 and t.size == 1 and t.data.flags.c_contiguous
+        assert t.item() == float(t.data)
 
     def test_repr(self):
         t = T.zeros((2, 3), requires_grad=True, dtype=np.float32)
@@ -744,7 +754,7 @@ class TestPrecisionModes:
             lambda: T.zeros((2,), dtype=dtype),
             lambda: T.from_array(np.ones(2), dtype=dtype),
             lambda: T.uniform((2,), 0, dtype=dtype),
-            lambda: T.set_default_dtype(dtype),
+            lambda: T.using_dtype(dtype),
         )
         for make in makers:
             with pytest.raises(ConfigError, match=np.dtype(dtype).name):

@@ -8,12 +8,12 @@ Run it on two source trees and compare the output line by line:
 
 It covers synthetic rendering and RAMC files written and read back, ConfMap
 decoding and AP/AR, checkpoint bytes and the models loaded back from them,
-parameter names, the parameters of a small 3-D hourglass in f32 and f64,
-per-layer profiles, the rows of ``compare_report``, and the forward output,
-loss, every gradient and the tape node count of a training step.  Array
-hashes include dtype and shape.  It uses only the public API plus
-``tensor.active_tape`` and each module's ``_buffers``, so any revision of
-``radarkit`` can run it.
+an eval-mode forward of a model as built and as reloaded, parameter names,
+the parameters of a small 3-D hourglass in f32 and f64, per-layer profiles,
+the rows of ``compare_report``, and the forward output, loss, every gradient
+and the tape node count of a training step.  Array hashes include dtype and
+shape.  It uses only the public API plus ``tensor.active_tape`` and each
+module's ``_buffers``, so any revision of ``radarkit`` can run it.
 The radarformer-ref step at the end peaks at about 1.2 GB.
 """
 
@@ -128,6 +128,23 @@ def checkpoints(tmp) -> None:
                  *[a for where, m in loaded.named_modules() for n, buf in m._buffers.items() for a in (where, n, buf)])
 
 
+def inference(tmp, seed=106) -> None:
+    """Eval-mode forward, under no_grad, of radarformer-tiny as built and as
+    reloaded from its checkpoint, in each precision: BatchNorm runs on its
+    running statistics here, not on the batch's."""
+    path = os.path.join(tmp, "model.rfck")
+    cfg = reference_config("radarformer-tiny")
+    shape = (1, 2, cfg.frames, cfg.chirps, cfg.height, cfg.width)
+    for dtype in (np.float32, np.float64):
+        model = build_model(cfg, dtype=dtype)
+        save_checkpoint(model, path)
+        cube = T.uniform(shape, seed, -1.0, 1.0, dtype=dtype)
+        for how, m in (("built", model), ("reloaded", load_checkpoint(path, dtype=dtype))):
+            m.set_training(False)
+            with T.no_grad():
+                show(f"eval forward radarformer-tiny {how} {np.dtype(dtype).name}", m.forward(cube).data)
+
+
 def hourglass_params() -> None:
     """Parameter names and values of a small Hourglass3d in each precision."""
     for dtype in (np.float32, np.float64):
@@ -186,6 +203,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         rendering(tmp)
         checkpoints(tmp)
+        inference(tmp)
         reading(tmp)
     hourglass_params()
     profiles()
