@@ -77,9 +77,10 @@ class BinaryReader(AbstractContextManager):
         except UnicodeDecodeError as e:
             self.fail(f"{what} is not UTF-8 at offset {self.pos - n + e.start}")
 
-    def array(self, shape, what: str) -> np.ndarray:
-        """The next prod(shape) little-endian f32 values, in a new array."""
-        return self._read(4 * math.prod(shape), what, lambda: np.empty(shape, dtype="<f4"))
+    def array(self, shape, dtype, what: str) -> np.ndarray:
+        """The next prod(shape) values of `dtype`, in a new array."""
+        dtype = np.dtype(dtype)
+        return self._read(dtype.itemsize * math.prod(shape), what, lambda: np.empty(shape, dtype=dtype))
 
 
 def read_records(path, fields, header=None):

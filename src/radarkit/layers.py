@@ -128,7 +128,10 @@ class _Conv(Module):
 
     def __init__(self, cin, cout, kernel, seeds, stride=1, padding=0):
         super().__init__()
-        self.stride, self.padding = T._per_axis(stride, len(kernel)), T._per_axis(padding, len(kernel))
+        nd = len(kernel)
+        self.stride, self.padding = T._per_axis(stride, nd), T._per_axis(padding, nd)
+        if len(self.stride) != nd or len(self.padding) != nd or min(self.stride) < 1 or min(self.padding) < 0:
+            raise ConfigError(f"convolution needs {nd} strides >= 1 and {nd} paddings >= 0, got {stride}, {padding}")
         fan = cin * math.prod(kernel)
         self.w = self.add_param("w", _init_uniform((cout, cin) + kernel, fan, seeds))
         self.b = self.add_param("b", _init_uniform((cout,), fan, seeds))

@@ -10,6 +10,10 @@ live in [0,1].
 Trunks: ``cnn2d`` stacks plain conv blocks, ``transformer2d`` runs a
 patch-token encoder with a paired upsample block, and ``radarformer``
 stacks MBConv + window/grid attention blocks at full resolution.
+
+Constants fix the kernels, the MLP ratio and one output map per
+``confmap.CLASS_NAMES`` entry.  A checkpoint config from when they were
+fields may carry them; each such key must hold today's constant.
 """
 
 from __future__ import annotations
@@ -44,6 +48,13 @@ from .layers import (
 )
 
 VARIANTS = ("cnn2d", "transformer2d", "radarformer")
+STEM_KERNELS = (3, 5)
+HEAD_KERNEL = 5
+STAGE_KERNEL = 3    # MBConv / conv block middle kernel
+MLP_RATIO = 20      # MLP hidden width = ratio * width
+# config keys from when these were fields, each with the one value it may hold
+_RETIRED_KEYS = {"num_classes": len(CLASS_NAMES), "stem_kernels": STEM_KERNELS, "head_kernel": HEAD_KERNEL,
+                 "stage_kernel": STAGE_KERNEL, "mlp_ratio": float(MLP_RATIO)}
 
 
 @dataclass(frozen=True)
@@ -54,16 +65,11 @@ class ModelConfig:
     height: int = 128             # range bins H
     width: int = 128              # azimuth bins W
     merge_channels: int = 16      # merged channel width C_h
-    num_classes: int = 3
-    stem_kernels: tuple[int, ...] = (3, 5)
-    head_kernel: int = 5
     stage_widths: tuple[int, ...] = (48,)
     stage_depths: tuple[int, ...] = (2,)
-    stage_kernel: int = 3         # MBConv middle kernel
     window_size: int = 7          # attention window P
     grid_size: int = 7            # attention grid G
     heads: int = 4
-    mlp_ratio: float = 20.0       # MLP hidden width = ratio * stage width
     patch_size: int = 16          # transformer2d patch edge
     vit_dim: int = 0              # transformer2d token width; 0 = stage width
     init_seed: int = 0
@@ -71,14 +77,6 @@ class ModelConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
-        if not (20.0 <= self.mlp_ratio <= 150.0):
-            raise ConfigError(f"mlp_ratio must lie in [20, 150], got {self.mlp_ratio}")
-        if any(k % 2 == 0 or k < 1 for k in (*self.stem_kernels, self.head_kernel, self.stage_kernel)):
-            raise ConfigError("stem/head/stage kernels must be odd and positive")
-        if list(self.stem_kernels) != sorted(self.stem_kernels):
-            raise ConfigError(f"stem kernels must be non-decreasing, got {self.stem_kernels}")
-        if len(self.stem_kernels) != 2:
-            raise ConfigError("the stem uses exactly two convolutions")
         t = self.frames
         if t < 2 or (t & (t - 1)) != 0:
             raise ConfigError(f"frames must be a power of two >= 2, got {t}")
@@ -88,7 +86,7 @@ class ModelConfig:
             raise ConfigError(f"stage depths must be >= 0, got {self.stage_depths}")
         if self.stage_widths[0] != self.stage_widths[-1]:
             raise ConfigError("first and last stage widths must match for the trunk residual")
-        if min(self.height, self.width, self.chirps, self.merge_channels, self.num_classes, self.heads,
+        if min(self.height, self.width, self.chirps, self.merge_channels, self.heads,
                self.patch_size, self.window_size, self.grid_size, *self.stage_widths) < 1:
             raise ConfigError("extents, heads, patch/window/grid sizes and stage widths must be >= 1")
         if self.init_seed < 0:
@@ -106,8 +104,12 @@ class ModelConfig:
     def temporal_stages(self) -> int:
         return int(math.log2(self.frames))
 
+    @property
+    def num_classes(self) -> int:
+        return len(CLASS_NAMES)
+
     def mlp_hidden(self, width: int) -> int:
-        return int(round(self.mlp_ratio * width))
+        return MLP_RATIO * width
 
     def effective_vit_dim(self) -> int:
         return self.vit_dim if self.vit_dim > 0 else self.stage_widths[0]
@@ -125,8 +127,9 @@ def config_to_text(cfg: ModelConfig) -> str:
 
 def config_from_text(text: str) -> ModelConfig:
     """Parse ``key = value`` lines (``#`` starts a comment).  Each value parses
-    as the type of its field's default, a tuple item by comma-separated item."""
-    defaults = {f.name: f.default for f in fields(ModelConfig)}
+    as the type of its field's default, a tuple item by comma-separated item;
+    a retired key must hold its constant and is then dropped."""
+    defaults = {f.name: f.default for f in fields(ModelConfig)} | _RETIRED_KEYS
     kwargs = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -145,6 +148,8 @@ def config_from_text(text: str) -> ModelConfig:
                 kwargs[key] = type(default)(value)
         except ValueError:
             raise DataFormatError(f"model config line {lineno}: invalid {key} {value!r}") from None
+        if key in _RETIRED_KEYS and kwargs.pop(key) != default:
+            raise DataFormatError(f"model config line {lineno}: retired key {key} must be {default}, got {value!r}")
     return ModelConfig(**kwargs)
 
 
@@ -153,9 +158,9 @@ def config_from_text(text: str) -> ModelConfig:
 
 
 _BLOCKS = {
-    "cnn2d": lambda cfg, width, seeds: ConvBlock2d(width, cfg.stage_kernel, seeds),
+    "cnn2d": lambda cfg, width, seeds: ConvBlock2d(width, STAGE_KERNEL, seeds),
     "radarformer": lambda cfg, width, seeds: MaxVitBlock(
-        width, cfg.heads, cfg.mlp_hidden(width), cfg.window_size, cfg.grid_size, cfg.stage_kernel, seeds
+        width, cfg.heads, cfg.mlp_hidden(width), cfg.window_size, cfg.grid_size, STAGE_KERNEL, seeds
     ),
 }
 
@@ -217,12 +222,12 @@ class RadarDetector(Module):
             self.dtype = T.default_dtype()
             self.merge = MNetMerge(cfg.chirps, ch, seeds)
             self.down = TemporalDownsample(ch, cfg.temporal_stages, seeds)
-            self.stem1 = Conv2d(ch, w0, cfg.stem_kernels[0], seeds)
+            self.stem1 = Conv2d(ch, w0, STEM_KERNELS[0], seeds)
             self.stem_bn1 = BatchNorm2d(w0)
-            self.stem2 = Conv2d(w0, w0, cfg.stem_kernels[1], seeds)
+            self.stem2 = Conv2d(w0, w0, STEM_KERNELS[1], seeds)
             self.stem_bn2 = BatchNorm2d(w0)
             self.trunk = _TRUNKS[cfg.variant](cfg, seeds)
-            self.head = Conv2d(w0, ch, cfg.head_kernel, seeds)
+            self.head = Conv2d(w0, ch, HEAD_KERNEL, seeds)
             self.head_bn = BatchNorm2d(ch)
             self.up = TemporalUpsample(ch, cfg.num_classes, cfg.temporal_stages, seeds)
 
@@ -337,7 +342,6 @@ _REFERENCE_CONFIGS = {
         stage_widths=(64, 64),
         stage_depths=(8, 8),
         heads=4,
-        mlp_ratio=20.0,
     ),
     "cnn2d-ref": ModelConfig(
         variant="cnn2d",
@@ -345,7 +349,6 @@ _REFERENCE_CONFIGS = {
         stage_widths=(136,),
         stage_depths=(12,),
         heads=4,
-        mlp_ratio=20.0,
     ),
     "transformer2d-ref": ModelConfig(
         variant="transformer2d",
@@ -353,7 +356,6 @@ _REFERENCE_CONFIGS = {
         stage_widths=(48,),
         stage_depths=(4,),
         heads=4,
-        mlp_ratio=20.0,
         patch_size=16,
         vit_dim=288,
     ),
@@ -363,14 +365,11 @@ _REFERENCE_CONFIGS = {
         height=32,
         width=32,
         merge_channels=8,
-        stem_kernels=(3, 5),
-        head_kernel=5,
         stage_widths=(16,),
         stage_depths=(2,),
         window_size=4,
         grid_size=4,
         heads=2,
-        mlp_ratio=20.0,
     ),
 }
 
@@ -396,7 +395,7 @@ REFERENCE_NAMES = (*_REFERENCE_CONFIGS, "hourglass3d-ref")
 # checkpoint serialization
 
 _MAGIC = b"RFCK"
-_VERSION = 2
+_VERSION = 3
 
 
 def _named_buffers(module):
@@ -406,23 +405,25 @@ def _named_buffers(module):
 
 
 def save_checkpoint(model: RadarDetector, path) -> None:
-    """Write magic "RFCK", version u16 (2), the serialized config (u32
-    length, UTF-8 text), then one named f32 blob per parameter and, after
-    them, one per module buffer such as ``stem_bn1.running_mean``.  A blob
-    is its name (u16 length, UTF-8), rank u8, rank u32 extents and the
-    little-endian f32 data.  Version 1 files have no buffer blobs."""
+    """Write magic "RFCK", version u16 (3), the model's itemsize u8, the
+    serialized config (u32 length, UTF-8 text), then one named blob per
+    parameter and, after them, one per module buffer such as
+    ``stem_bn1.running_mean``.  A blob is its name (u16 length, UTF-8), rank
+    u8, rank u32 extents and the little-endian data in the model's dtype.
+    Versions 1 and 2 store f32 with no itemsize; version 1 has no buffers."""
     cfg_blob = config_to_text(model.cfg).encode("utf-8")
+    dtype = np.dtype(model.dtype).newbyteorder("<")
     blobs = [(name, p.data) for name, p in model.named_params()] + list(_named_buffers(model))
     with open(path, "wb") as fh:
-        fh.write(_MAGIC + struct.pack("<HI", _VERSION, len(cfg_blob)) + cfg_blob)
+        fh.write(_MAGIC + struct.pack("<HBI", _VERSION, dtype.itemsize, len(cfg_blob)) + cfg_blob)
         for name, data in blobs:
             nb = name.encode("utf-8")
             fh.write(struct.pack("<H", len(nb)) + nb + struct.pack(f"<B{data.ndim}I", data.ndim, *data.shape))
-            fh.write(np.ascontiguousarray(data, dtype="<f4").tobytes())
+            fh.write(np.ascontiguousarray(data, dtype=dtype).tobytes())
 
 
 def load_checkpoint(path, dtype=np.float64) -> RadarDetector:
-    """Read a version 1 or 2 checkpoint; version 1 leaves the buffers at their initial values.
+    """Read a version 1 to 3 checkpoint; version 1 leaves the buffers at their initial values.
 
     `dtype` is checked before the file is opened.  Every blob header is
     read, and bounded by the file size, before the model is built, and the
@@ -430,7 +431,10 @@ def load_checkpoint(path, dtype=np.float64) -> RadarDetector:
     refused before it is allocated.  Then each blob is read into its
     parameter or buffer."""
     T._float_dtype(dtype)
-    with BinaryReader(path, _MAGIC, (1, _VERSION)) as r:
+    with BinaryReader(path, _MAGIC, (1, 2, _VERSION)) as r:
+        itemsize = r.unpack("<B", "itemsize")[0] if r.version >= 3 else 4
+        if itemsize not in (4, 8):
+            r.fail(f"itemsize {itemsize} at offset {r.pos - 1} is neither 4 nor 8")
         cfg_text = r.text("<I", "config")
         blobs = {}
         while r.left():
@@ -442,7 +446,7 @@ def load_checkpoint(path, dtype=np.float64) -> RadarDetector:
             if name in blobs:
                 r.fail(f"repeated blob {name!r}")
             blobs[name] = (extents, r.pos)
-            r.seek(r.pos + 4 * math.prod(extents), f"blob {name!r} data")
+            r.seek(r.pos + itemsize * math.prod(extents), f"blob {name!r} data")
         try:
             cfg = config_from_text(cfg_text)
             with T._element_budget(sum(math.prod(e) for e, _ in blobs.values())):
@@ -459,7 +463,7 @@ def load_checkpoint(path, dtype=np.float64) -> RadarDetector:
             if extents != target.shape:
                 r.fail(f"blob {name!r} extents {extents} != model shape {target.shape}")
             r.seek(offset, f"blob {name!r} data")
-            target[...] = r.array(extents, f"blob {name!r} data")
+            target[...] = r.array(extents, f"<f{itemsize}", f"blob {name!r} data")
     if targets:
         r.fail(f"checkpoint missing blobs {sorted(targets)[:3]}...")
     return model

@@ -15,8 +15,8 @@ Constants fix the rest: a 90 degree azimuth span, blobs 2 range and 3
 azimuth bins wide, and a 3-bin edge margin.  A ``Scene`` (seed, scenario,
 targets) takes its grid, length and noise from the config it renders with.
 
-Scenario tags (PL/CR/CS/HW) select target count, class mix, and speed
-profiles.  Everything is a pure function of (seed, scenario, config).
+Scenario tags (PL/CR/CS/HW) select a Poisson target count, class mix and
+speed profiles.  Everything is a pure function of (seed, scenario, config).
 
 ``render_ramap`` draws each clip's noise on a worker of the thread pool
 that ``tensor.gelu`` uses (inline on one CPU) while the calling thread
@@ -76,8 +76,6 @@ class SynthConfig:
     width: int = 128
     frames: int = 128                 # frames per generated sequence
     noise_sigma: float = 0.08
-    mean_targets: float | None = None  # overrides the scenario profile
-    min_separation_bins: float = 0.0
 
     def __post_init__(self):
         def check(field, ok, want):
@@ -86,9 +84,7 @@ class SynthConfig:
 
         for field in ("height", "width", "frames"):
             check(field, getattr(self, field) >= 1, "at least 1")
-        for field in ("noise_sigma", "min_separation_bins"):
-            check(field, getattr(self, field) >= 0, "non-negative")
-        check("mean_targets", self.mean_targets is None or self.mean_targets >= 0, "None or non-negative")
+        check("noise_sigma", self.noise_sigma >= 0, "non-negative")
         lo_m, hi_m = _range_bounds_m(self)
         check("height", lo_m <= hi_m,
               f"large enough for a target range in [{lo_m:g}, {hi_m:g}] m clear of the edge margin")
@@ -140,22 +136,18 @@ def _bin_of(range_m, azimuth_deg, cfg: SynthConfig):
 
 
 def generate_scene(seed: int, scenario: str, cfg: SynthConfig = SynthConfig()) -> Scene:
-    """Deterministic per (seed, scenario, config); every target stays
-    inside the grid for all frames."""
+    """Deterministic per (seed, scenario, config): a Poisson count (at least
+    one) of targets, each inside the grid for all frames."""
     rng = _rng(seed, scenario)
     profile = PROFILES[scenario]
-    mean = cfg.mean_targets if cfg.mean_targets is not None else profile.mean_targets
-    count = max(1, int(rng.poisson(mean)))
+    count = max(1, int(rng.poisson(profile.mean_targets)))
 
     duration = (cfg.frames - 1) / FRAME_RATE_HZ
     lo_m, hi_m = _range_bounds_m(cfg)
     az_half, az_margin = _azimuth_bounds_deg(cfg)
 
     targets: list[TargetSpec] = []
-    placed_bins: list[tuple[float, float]] = []
-    attempts = 0
-    while len(targets) < count and attempts < 200 * count:
-        attempts += 1
+    for _ in range(count):
         class_id = int(rng.choice(3, p=profile.class_mix))
         speed = rng.uniform(profile.speed_lo, profile.speed_hi)
         speed *= rng.choice((-1.0, 1.0))
@@ -168,15 +160,6 @@ def generate_scene(seed: int, scenario: str, cfg: SynthConfig = SynthConfig()) -
         start_hi = hi_m - max(0.0, travel)
         range_m = rng.uniform(start_lo, start_hi)
         azimuth = rng.uniform(-az_half + az_margin, az_half - az_margin)
-        if cfg.min_separation_bins > 0:
-            rb, ab = _bin_of(range_m, azimuth, cfg)
-            too_close = any(
-                np.hypot(rb - r0, ab - a0) < cfg.min_separation_bins
-                for r0, a0 in placed_bins
-            )
-            if too_close:
-                continue
-            placed_bins.append((rb, ab))
         amp = rng.uniform(*AMPLITUDE_RANGES[class_id])
         targets.append(TargetSpec(class_id, float(range_m), float(azimuth), float(speed), float(amp)))
     return Scene(seed, scenario, tuple(targets))
@@ -279,7 +262,7 @@ def read_sequence(path) -> np.ndarray:
         shape = r.unpack("<5I", "extents")
         if shape[0] != 2 or min(shape) < 1:
             r.fail(f"invalid extents {shape} at offset 6")
-        cube = r.array(shape, "payload")
+        cube = r.array(shape, "<f4", "payload")
         if r.left():
             r.fail(f"{r.left()} trailing bytes at offset {r.pos}")
     return cube

@@ -472,12 +472,15 @@ def _dilate(y, stride):
 
 def _conv_shape(x_shape, w_shape, stride, padding, op: str):
     """The output shape of `op` over an x of `x_shape` and a kernel of
-    `w_shape`, else ShapeError; stride and padding are per spatial axis or
-    one value for all of them."""
+    `w_shape`, else ShapeError; stride (at least 1) and padding (at least 0)
+    are given per spatial axis or as one value for all of them."""
     rank = {"conv2d": 4, "conv3d": 5}[op]
     if len(x_shape) != rank or len(w_shape) != rank:
         raise ShapeError(f"{op} expects x rank {rank} and w rank {rank}")
     nd = rank - 2
+    stride, padding = _per_axis(stride, nd), _per_axis(padding, nd)
+    if len(stride) != nd or len(padding) != nd or min(stride) < 1 or min(padding) < 0:
+        raise ShapeError(f"{op} needs {nd} strides >= 1 and {nd} paddings >= 0, got {stride} and {padding}")
     if w_shape[1] != x_shape[1]:
         raise ShapeError(f"{op} channel mismatch: x has {x_shape[1]}, w expects {w_shape[1]}")
     kernel = w_shape[2:]
@@ -486,7 +489,7 @@ def _conv_shape(x_shape, w_shape, stride, padding, op: str):
         what = "kernel" if nd == 2 else "spatial kernel"
         raise ShapeError(f"{op} {what} extents must be odd, got ({kh},{kw})")
     out = [x_shape[0], w_shape[0]]
-    for axis, (n, k, s, p) in enumerate(zip(x_shape[2:], kernel, _per_axis(stride, nd), _per_axis(padding, nd)), 2):
+    for axis, (n, k, s, p) in enumerate(zip(x_shape[2:], kernel, stride, padding), 2):
         if n + 2 * p - k < 0 or (n + 2 * p - k) % s != 0:
             raise ShapeError(f"output extent along axis {axis} is not integral: (n={n}, k={k}, stride={s}, pad={p})")
         out.append((n + 2 * p - k) // s + 1)

@@ -25,13 +25,14 @@ from radarkit.confmap import (
 )
 from radarkit import fileio
 from radarkit.errors import DataFormatError
-from radarkit.models import ModelConfig, build_model, config_to_text, load_checkpoint, save_checkpoint
+from radarkit.models import (
+    ModelConfig, _named_buffers, build_model, config_from_text, config_to_text, load_checkpoint, save_checkpoint,
+)
 from radarkit.synth import read_manifest, read_sequence, write_dataset, write_sequence
 
 TOY = ModelConfig(
     variant="radarformer", frames=4, chirps=2, height=16, width=16, merge_channels=4,
-    stem_kernels=(3, 3), head_kernel=3, stage_widths=(8,), stage_depths=(1,),
-    window_size=4, grid_size=4, heads=2, patch_size=4,
+    stage_widths=(8,), stage_depths=(1,), window_size=4, grid_size=4, heads=2, patch_size=4,
 )
 CUBE = np.arange(2 * 2 * 2 * 4 * 4, dtype=np.float32).reshape(2, 2, 2, 4, 4) / 7.0
 ANNS = [Annotation(0, 1, 10, 20), Annotation(1, 2, 3, 4)]
@@ -123,6 +124,15 @@ def _checkpoint_v1(blobs=b"", text=config_to_text(TOY)):
     return b"RFCK" + struct.pack("<HI", 1, len(blob)) + blob + blobs
 
 
+# keys that configs carried while the values they hold were fields
+RETIRED = {"num_classes": "3", "stem_kernels": "3,5", "head_kernel": "5", "stage_kernel": "3", "mlp_ratio": "20.0"}
+
+
+def _parent_text(**values):
+    """TOY's config text with every retired key, at `values` or else at its constant."""
+    return config_to_text(TOY) + "".join(f"{key} = {value}\n" for key, value in (RETIRED | values).items())
+
+
 def _blob_head(name: bytes, extents):
     return struct.pack("<H", len(name)) + name + struct.pack(f"<B{len(extents)}I", len(extents), *extents)
 
@@ -149,9 +159,9 @@ class TestRegressions:
         path = tmp_path / "rank.rfck"
         save_checkpoint(build_model(TOY), path)
         data = bytearray(path.read_bytes())
-        (cfg_len,) = struct.unpack_from("<I", data, 6)
-        (name_len,) = struct.unpack_from("<H", data, 10 + cfg_len)
-        data[12 + cfg_len + name_len] = 40
+        (cfg_len,) = struct.unpack_from("<I", data, 7)
+        (name_len,) = struct.unpack_from("<H", data, 11 + cfg_len)
+        data[13 + cfg_len + name_len] = 40
         path.write_bytes(bytes(data))
         _raises_naming(path, load_checkpoint, "offset")
 
@@ -169,21 +179,16 @@ class TestRegressions:
     # a (100000, 100000, 3, 3) weight is 671 GiB; the build must stop before
     # it, at the values the blobs hold.  The cases that hold values hold as
     # many as a config-derived bound that missed the weights their fields
-    # size: the last temporal upsampling convolution, merge.conv2 and the
-    # temporal stream, the 1x1 stage transitions, MBConv's middle
-    # convolution and the MLPs.
+    # size: merge.conv2 and the temporal stream, and the 1x1 stage
+    # transitions.
     @pytest.mark.parametrize("edits, held", [
         *(pytest.param({old: new}, 0, id=f"{old}-{new}") for old, new in [
             ("stage_widths = 8", "stage_widths = 100000"),
             ("chirps = 2", "chirps = 1000000000"),
             ("window_size = 4", "window_size = 1000000"),
-            ("stage_kernel = 3", "stage_kernel = 100001"),
         ]),
-        ({"num_classes = 3": "num_classes = 200000000"}, 1400),
         ({"merge_channels = 4": "merge_channels = 200"}, 22568),
         ({"stage_widths = 8": "stage_widths = 8,200000000,8", "stage_depths = 1": "stage_depths = 1,0,1"}, 1792),
-        ({"stage_kernel = 3": "stage_kernel = 41"}, 14776),
-        ({"mlp_ratio = 20.0": "mlp_ratio = 150.0", "stage_depths = 1": "stage_depths = 100"}, 40208),
     ])
     def test_checkpoint_config_declares_more_params_than_file(self, tmp_path, edits, held):
         text = config_to_text(TOY)
@@ -200,6 +205,42 @@ class TestRegressions:
         finally:
             tracemalloc.stop()
         assert peak <= 2**20
+
+    def test_parent_format_checkpoint_loads(self, tmp_path):
+        # a version 2 file whose config holds the retired keys, as they were written
+        assert config_from_text(_parent_text()) == TOY
+        model = build_model(TOY, dtype=np.float32)
+        blobs = [(n, p.data) for n, p in model.named_params()] + list(_named_buffers(model))
+        text = _parent_text().encode()
+        path = tmp_path / "parent.rfck"
+        path.write_bytes(b"RFCK" + struct.pack("<HI", 2, len(text)) + text + b"".join(
+            _blob_head(n.encode(), d.shape) + d.astype("<f4").tobytes() for n, d in blobs))
+        loaded = load_checkpoint(path, dtype=np.float32)
+        assert loaded.cfg == TOY
+        for (name, p), (_, q) in zip(model.named_params(), loaded.named_params()):
+            assert p.data.tobytes() == q.data.tobytes(), name
+
+    @pytest.mark.parametrize("key, value", [
+        ("num_classes", "200000000"), ("stem_kernels", "3,3"), ("head_kernel", "3"), ("stage_kernel", "100001"),
+        ("mlp_ratio", "150.0"),
+    ])
+    def test_retired_key_at_other_value(self, tmp_path, key, value):
+        path = tmp_path / "retired.rfck"
+        path.write_bytes(_checkpoint_v1(text=_parent_text(**{key: value})))
+        tracemalloc.start()
+        try:
+            _raises_naming(path, load_checkpoint, "invalid embedded config", f"retired key {key}")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
+
+    def test_checkpoint_itemsize(self, tmp_path):
+        path = _rfck(tmp_path)
+        data = bytearray(path.read_bytes())
+        data[6] = 2
+        path.write_bytes(bytes(data))
+        _raises_naming(path, load_checkpoint, "itemsize 2 at offset 6")
 
     @pytest.mark.parametrize("extents", [(3, 1, 1, 1, 1), (2, 1, 0, 1, 1)])
     def test_ramc_invalid_extents(self, tmp_path, extents):
@@ -244,7 +285,6 @@ class TestRegressions:
         {"heads = 2": "heads = 0"},
         {"variant = radarformer": "variant = transformer2d", "patch_size = 4": "patch_size = 0"},
         {"stage_widths = 8": "stage_widths = 0"},
-        {"stage_kernel = 3": "stage_kernel = -3"},
         {"init_seed = 0": "init_seed = -1"},
         # the negative depth cancels the other stages' share of the bound
         {"stage_widths = 8": "stage_widths = 8,8,8", "stage_depths = 1": "stage_depths = 1,-10,1"},

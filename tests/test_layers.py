@@ -363,6 +363,10 @@ class TestPartitionAttention:
 
 # each layer's input checks: (call, error, phrase)
 LAYER_ERRORS = {
+    "conv3d-stride": (lambda: Conv3d(1, 1, (1, 3, 3), SeedStream(0), stride=0), ConfigError, "strides >= 1"),
+    "conv3d-padding": (lambda: Conv3d(1, 1, (1, 3, 3), SeedStream(0), padding=-1), ConfigError, "paddings >= 0"),
+    "conv3d-stride-axes": (lambda: Conv3d(1, 1, (1, 3, 3), SeedStream(0), stride=(1, 1)), ConfigError,
+                           "needs 3 strides"),
     "msa-width": (lambda: MultiheadSelfAttention(4, 2, SeedStream(0))(T.zeros((1, 3, 6))),
                   ShapeError, r"expected \(B, N, 4\) tokens, got \(1, 3, 6\)"),
     "partition-mode": (lambda: PartitionAttention(4, 2, 8, "diagonal", 2, SeedStream(0)),

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from radarkit import fileio, models, tensor as T
+from radarkit.confmap import CLASS_NAMES, decode_confmap
 from radarkit.errors import ConfigError, DataFormatError, ShapeError
 from radarkit.models import (
     Hourglass3d,
@@ -33,15 +34,11 @@ def toy_config(variant="radarformer", **kw):
         height=16,
         width=16,
         merge_channels=4,
-        num_classes=3,
-        stem_kernels=(3, 3),
-        head_kernel=3,
         stage_widths=(8,),
         stage_depths=(1,),
         window_size=4,
         grid_size=4,
         heads=2,
-        mlp_ratio=20.0,
         patch_size=4,
     )
     base.update(kw)
@@ -56,16 +53,14 @@ def small_configs(draw):
     w0, inner = draw(width), draw(st.lists(width, max_size=2))
     widths = (w0, *inner, w0) if inner else (w0,)
     patch = draw(st.sampled_from([1, 2, 4]))
-    odd = st.sampled_from([1, 3])
     return toy_config(
         draw(st.sampled_from(["cnn2d", "transformer2d", "radarformer"])),
         frames=draw(st.sampled_from([2, 4, 8])), chirps=draw(st.integers(1, 3)),
         height=4 * patch, width=4 * patch, patch_size=patch,
-        merge_channels=draw(st.integers(1, 6)), num_classes=draw(st.integers(1, 4)),
-        stem_kernels=tuple(sorted((draw(odd), draw(odd)))), head_kernel=draw(odd), stage_kernel=draw(odd),
+        merge_channels=draw(st.integers(1, 6)),
         stage_widths=widths, stage_depths=tuple(draw(st.integers(0, 2)) for _ in widths),
         window_size=draw(st.integers(1, 3)), grid_size=draw(st.integers(1, 3)), heads=heads,
-        mlp_ratio=draw(st.floats(20.0, 150.0)), vit_dim=draw(st.sampled_from([0, 2 * heads])),
+        vit_dim=draw(st.sampled_from([0, 2 * heads])),
     )
 
 
@@ -76,11 +71,6 @@ class TestModelConfig:
 
     @pytest.mark.parametrize("bad", [
         dict(variant="resnet"),
-        dict(mlp_ratio=19.0),
-        dict(mlp_ratio=151.0),
-        dict(stem_kernels=(5, 3)),
-        dict(stem_kernels=(4, 6)),
-        dict(stem_kernels=(3, 3, 3)),
         dict(frames=12),
         dict(frames=1),
         dict(stage_widths=(6,), heads=4),  # width not divisible by heads
@@ -90,7 +80,6 @@ class TestModelConfig:
         dict(heads=0),
         dict(variant="transformer2d", patch_size=0),
         dict(stage_widths=(0,)),
-        dict(stage_kernel=4),
         dict(init_seed=-1),
         dict(stage_widths=(8, 8), stage_depths=(1, -1)),
         dict(stage_widths=(8, 8), stage_depths=(1,)),
@@ -142,6 +131,16 @@ class TestForwardContract:
         with T.no_grad():
             out = model.forward(T.uniform(shape, 1))
         assert model.profile(shape)[1] == out.shape
+
+    @pytest.mark.parametrize("variant", models.VARIANTS)
+    def test_every_output_frame_decodes(self, variant):
+        model = build_model(toy_config(variant), dtype=np.float32)
+        model.set_training(False)
+        with T.no_grad():
+            out = model.forward(T.uniform((1, 2, 4, 2, 16, 16), 3, dtype=np.float32)).data
+        assert out.shape[1] == len(CLASS_NAMES)
+        for t in range(out.shape[2]):
+            assert decode_confmap(out[0, :, t])
 
     def test_hourglass_profile_shape_is_forward_shape(self):
         model = Hourglass3d(chirps=2, base=4, bottleneck_width=8, bottleneck_depth=1, dtype=np.float64)
@@ -301,7 +300,7 @@ class TestCheckpoint:
         build, array = models.build_model, fileio.BinaryReader.array
         monkeypatch.setattr(models, "build_model", lambda *a, **k: events.append("build") or build(*a, **k))
         monkeypatch.setattr(fileio.BinaryReader, "array",
-                            lambda r, shape, what: events.append(shape) or array(r, shape, what))
+                            lambda r, shape, dtype, what: events.append(shape) or array(r, shape, dtype, what))
         load_checkpoint(path)
         blobs = [p.shape for _, p in saved.named_params()] + [b.shape for _, b in _named_buffers(saved)]
         assert events == ["build"] + blobs
@@ -354,6 +353,27 @@ class TestCheckpoint:
         save_checkpoint(loaded, tmp_path / "again.rfck")
         assert (tmp_path / "again.rfck").read_bytes() == path.read_bytes()
 
+    def test_f64_round_trip_bitwise(self, tmp_path):
+        model = build_reference("radarformer-tiny", dtype=np.float64)
+        cube = T.uniform((1, 2, 8, 4, 32, 32), 6)
+        model.forward(cube)  # moves the BN statistics off their initial values
+        model.set_training(False)
+        save_checkpoint(model, tmp_path / "tiny64.rfck")
+        loaded = load_checkpoint(tmp_path / "tiny64.rfck", dtype=np.float64)
+        loaded.set_training(False)
+        for (name, p), (_, q) in zip(model.named_params(), loaded.named_params()):
+            assert p.data.tobytes() == q.data.tobytes(), name
+        for (name, b), (_, c) in zip(_named_buffers(model), _named_buffers(loaded)):
+            assert c.dtype == np.float64 and b.tobytes() == c.tobytes(), name
+        with T.no_grad():
+            assert loaded.forward(cube).data.tobytes() == model.forward(cube).data.tobytes()
+
+    def test_f32_file_loads_exactly_into_f64(self, tmp_path):
+        model, _, path = self._trained_tiny(tmp_path)
+        loaded = load_checkpoint(path, dtype=np.float64)
+        for (name, p), (_, q) in zip(model.named_params(), loaded.named_params()):
+            assert np.array_equal(p.data.astype(np.float64), q.data) and q.data.dtype == np.float64, name
+
     @staticmethod
     def _blob_bytes(name, buf):
         """Bytes of one blob: name length, name, rank, extents, data."""
@@ -363,7 +383,7 @@ class TestCheckpoint:
         model, _, path = self._trained_tiny(tmp_path)
         buffer_bytes = sum(self._blob_bytes(name, buf) for name, buf in _named_buffers(model))
         data = bytearray(path.read_bytes()[:-buffer_bytes])
-        data[4:6] = struct.pack("<H", 1)
+        data[4:7] = struct.pack("<H", 1)  # version 1, and no itemsize byte
         path.write_bytes(bytes(data))
         loaded = load_checkpoint(path, dtype=np.float32)
         for (name, p), (_, q) in zip(model.named_params(), loaded.named_params()):

@@ -118,9 +118,8 @@ class TestMacCounts:
             model = build_model(
                 ModelConfig(
                     variant="radarformer", frames=4, chirps=2, height=16, width=16,
-                    merge_channels=4, stem_kernels=(3, 3), head_kernel=3,
-                    stage_widths=(width,), stage_depths=(1,), window_size=4,
-                    grid_size=4, heads=2, mlp_ratio=20.0,
+                    merge_channels=4, stage_widths=(width,), stage_depths=(1,),
+                    window_size=4, grid_size=4, heads=2,
                 ),
                 dtype=np.float32,
             )

@@ -72,19 +72,6 @@ class TestGenerateScene:
                     assert lo <= r_bin <= hi, (seed, scenario, t)
                 assert -45.0 <= t.azimuth_deg <= 45.0
 
-    def test_min_separation_respected(self):
-        cfg = SynthConfig(height=64, width=64, frames=4, min_separation_bins=10.0, mean_targets=6)
-        for seed in range(30):
-            scene = generate_scene(seed, "CS", cfg)
-            bins = [
-                (t.range_m / RANGE_RESOLUTION_M,
-                 (t.azimuth_deg / 90.0 + 0.5) * (cfg.width - 1))
-                for t in scene.targets
-            ]
-            for i in range(len(bins)):
-                for j in range(i + 1, len(bins)):
-                    assert np.hypot(bins[i][0] - bins[j][0], bins[i][1] - bins[j][1]) >= 10.0
-
 
 class TestRender:
     def test_static_target_peak_at_bin(self):
@@ -229,8 +216,6 @@ class TestConfigErrors:
         ("height", 0),
         ("width", 0),
         ("noise_sigma", -0.1),
-        ("min_separation_bins", -1.0),
-        ("mean_targets", -2.0),
         ("height", 8),
         ("width", 6),
     ])

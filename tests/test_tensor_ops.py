@@ -73,6 +73,11 @@ SHAPE_ERRORS = {
     "conv-bias": (lambda: T.conv2d(T.zeros((1, 2, 5, 5)), T.zeros((3, 2, 3, 3)), T.zeros((2,))), r"shape \(3,\)"),
     "conv2d-rank": (lambda: T.conv2d(T.zeros((2, 5, 5)), T.zeros((3, 2, 3, 3))), "conv2d expects"),
     "conv3d-rank": (lambda: T.conv3d(T.zeros((1, 2, 5, 5)), T.zeros((3, 2, 3, 3))), "conv3d expects"),
+    "conv-stride": (lambda: T.conv2d(T.zeros((1, 1, 4, 4)), T.zeros((1, 1, 3, 3)), stride=0), "strides >= 1"),
+    "conv-padding": (lambda: T.conv3d(T.zeros((1, 1, 2, 4, 4)), T.zeros((1, 1, 1, 3, 3)), padding=(0, -1, 0)),
+                     "paddings >= 0"),
+    "conv-stride-axes": (lambda: T.conv3d(T.zeros((1, 1, 2, 4, 4)), T.zeros((1, 1, 1, 3, 3)), stride=(1, 1)),
+                         "needs 3 strides"),
     "normalize-grows-x": (lambda: T.normalize(T.zeros((1, 3)), T.zeros((2, 3)), T.zeros((3,)), 1, 1e-5),
                           "gamma/beta"),
     "normalize-incompatible": (lambda: T.normalize(T.zeros((1, 3)), T.zeros((4,)), T.zeros((3,)), 1, 1e-5),

@@ -6,6 +6,10 @@ Run it on two source trees and compare the output line by line:
     PYTHONPATH=/path/to/other/checkout/src python3 tools/equivalence_hashes.py > before.txt
     diff before.txt after.txt
 
+The first line gives the OpenBLAS thread count and the usable CPU count:
+some f64 convolution bits depend on the thread count, so two outputs only
+compare at the same setting.
+
 It covers synthetic rendering and RAMC files written and read back, ConfMap
 decoding and AP/AR, checkpoint bytes and the models loaded back from them,
 an eval-mode forward of a model as built and as reloaded, parameter names,
@@ -19,7 +23,9 @@ The radarformer-ref step at the end peaks at about 1.2 GB.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
+import glob
 import hashlib
 import os
 import sys
@@ -42,6 +48,17 @@ TOY_TRANSFORMER = ModelConfig(
     variant="transformer2d", frames=4, chirps=2, height=16, width=16, merge_channels=4,
     stage_widths=(8,), stage_depths=(2,), heads=2, patch_size=4, vit_dim=8,
 )
+
+
+def blas_threads() -> str:
+    """The thread count of the OpenBLAS that numpy bundles, or "unknown"."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas64_*.so")
+    for path in glob.glob(libs):
+        fn = getattr(ctypes.CDLL(path), "scipy_openblas_get_num_threads64_", None)
+        if fn is not None:
+            fn.argtypes, fn.restype = [], ctypes.c_int
+            return str(fn())
+    return "unknown"
 
 
 def digest(*parts) -> str:
@@ -199,6 +216,7 @@ def step(label, cfg, dtype, seed) -> None:
 
 
 def main() -> int:
+    print(f"openblas threads {blas_threads()}, usable cpus {len(os.sched_getaffinity(0))}", flush=True)
     decoding()
     with tempfile.TemporaryDirectory() as tmp:
         rendering(tmp)
