@@ -443,6 +443,29 @@ class TestGeluSplit:
         assert T._cpu_pool is None
 
 
+class TestGeluGradTolerance:
+    """The f32 input gradient of gelu, against the exact f64 gradient of the
+    same f32 x and output gradient g: |gx32 - gx64| <= 4 eps32 |g| (1 + |x| pdf(x)).
+    The bound is relative to |g| and not to |gx64|: where phi + x*pdf cancels
+    (x << 0), the f32 phi_cdf that the forward saves rounds to 0."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_f32_within_bound_of_exact_f64(self, seed):
+        n = T._GELU_SPLIT_MIN + 1
+        r = rng(50 + seed)
+        x32 = (r.standard_normal(n) * 3.0).astype(np.float32)
+        g32 = r.standard_normal(n).astype(np.float32)
+        x = T.from_array(x32, True, np.float32)
+        T.reset_tape()
+        T.backward(T.tsum(T.mul(T.gelu(x), T.from_array(g32, dtype=np.float32))))
+        assert x.grad.dtype == np.float32
+        x64, g64 = x32.astype(np.float64), g32.astype(np.float64)
+        pdf = np.exp(-0.5 * x64 * x64) / np.sqrt(2.0 * np.pi)
+        gx64 = g64 * (0.5 * (1.0 + erf(x64 / np.sqrt(2.0))) + x64 * pdf)
+        bound = 4.0 * np.finfo(np.float32).eps * np.abs(g64) * (1.0 + np.abs(x64) * pdf)
+        assert np.all(np.abs(x.grad - gx64) <= bound)
+
+
 class TestMatmulBias:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("a_shape, b_shape", [
