@@ -91,6 +91,8 @@ class ModelConfig:
             raise ConfigError("extents, heads, patch/window/grid sizes and stage widths must be >= 1")
         if self.init_seed < 0:
             raise ConfigError(f"init_seed must be >= 0, got {self.init_seed}")
+        if self.vit_dim < 0:
+            raise ConfigError(f"vit_dim must be >= 0 (0 = stage width), got {self.vit_dim}")
         for w in self.stage_widths:
             if w % self.heads != 0:
                 raise ConfigError(f"stage width {w} not divisible by {self.heads} heads")
@@ -112,7 +114,7 @@ class ModelConfig:
         return MLP_RATIO * width
 
     def effective_vit_dim(self) -> int:
-        return self.vit_dim if self.vit_dim > 0 else self.stage_widths[0]
+        return self.vit_dim or self.stage_widths[0]
 
 
 def config_to_text(cfg: ModelConfig) -> str:
@@ -130,7 +132,7 @@ def config_from_text(text: str) -> ModelConfig:
     as the type of its field's default, a tuple item by comma-separated item;
     a retired key must hold its constant and is then dropped."""
     defaults = {f.name: f.default for f in fields(ModelConfig)} | _RETIRED_KEYS
-    kwargs = {}
+    kwargs, seen = {}, {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -140,6 +142,9 @@ def config_from_text(text: str) -> ModelConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in defaults:
             raise DataFormatError(f"model config line {lineno}: unknown key {key!r}")
+        if key in seen:
+            raise DataFormatError(f"model config line {lineno}: key {key!r} repeats line {seen[key]}")
+        seen[key] = lineno
         default = defaults[key]
         try:
             if isinstance(default, tuple):

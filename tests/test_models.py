@@ -83,10 +83,16 @@ class TestModelConfig:
         dict(init_seed=-1),
         dict(stage_widths=(8, 8), stage_depths=(1, -1)),
         dict(stage_widths=(8, 8), stage_depths=(1,)),
+        dict(variant="transformer2d", vit_dim=-8),
     ])
     def test_invalid_configs_rejected(self, bad):
         with pytest.raises(ConfigError):
             toy_config(**bad)
+
+    def test_text_negative_vit_dim(self):
+        text = config_to_text(toy_config("transformer2d")).replace("vit_dim = 0", "vit_dim = -8")
+        with pytest.raises(ConfigError, match="vit_dim must be >= 0"):
+            config_from_text(text)
 
     @given(small_configs())
     @settings(max_examples=40, deadline=None)
@@ -94,12 +100,16 @@ class TestModelConfig:
         assert config_from_text(config_to_text(cfg)) == cfg
 
     def test_text_skips_blank_and_comment_lines(self):
-        text = "# a comment\n\n   \nvariant = cnn2d  # trailing\n" + config_to_text(toy_config("cnn2d"))
+        text = "# a comment\n\n   \n" + config_to_text(toy_config("cnn2d")).replace("cnn2d", "cnn2d  # trailing")
         assert config_from_text(text) == toy_config("cnn2d")
 
     def test_text_line_without_equals(self):
         with pytest.raises(DataFormatError, match="line 2: expected 'key = value'"):
             config_from_text("variant = cnn2d\nframes 4\n")
+
+    def test_text_repeated_key(self):
+        with pytest.raises(DataFormatError, match="line 15: key 'frames' repeats line 2"):
+            config_from_text(config_to_text(ModelConfig()) + "frames = 8\n")
 
     def test_text_unknown_key(self):
         with pytest.raises(DataFormatError):
@@ -243,6 +253,19 @@ class TestPrecisionChoice:
             assert {p.dtype for p in model.params()} == {np.dtype(dtype)}
         assert T.default_dtype() is np.float64
 
+    @pytest.mark.parametrize("variant", models.VARIANTS)
+    def test_f32_step_hands_every_tensor_f32_gradients(self, variant, monkeypatch):
+        model = build_model(toy_config(variant), dtype=np.float32)
+        cube = T.uniform((1, 2, 4, 2, 16, 16), 4, -1.0, 1.0, requires_grad=True, dtype=np.float32)
+        received = []
+        accumulate = T.Tensor.accumulate_grad
+        monkeypatch.setattr(T.Tensor, "accumulate_grad",
+                            lambda t, g: received.append((t.dtype, g.dtype)) or accumulate(t, g))
+        T.reset_tape()
+        logits = model.forward_logits(cube)
+        T.backward(T.bce_with_logits(logits, np.full(logits.shape, 0.5)))
+        assert received and set(received) == {(np.dtype(np.float32), np.dtype(np.float32))}
+
     @pytest.mark.parametrize("dtype", [np.int32, np.float16])
     def test_non_float_dtype_rejected(self, dtype):
         makers = (
@@ -322,7 +345,7 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert "trunc.rfck" in str(ei.value)
 
-    @pytest.mark.parametrize("text", ["frames = abc\n", "nonsense = 3\n"])
+    @pytest.mark.parametrize("text", ["frames = abc\n", "nonsense = 3\n", "frames = 4\nframes = 8\n"])
     def test_corrupt_embedded_config_names_file_and_line(self, tmp_path, text):
         path = tmp_path / "cfg.rfck"
         blob = text.encode("utf-8")

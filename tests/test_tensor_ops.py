@@ -396,8 +396,8 @@ def _gelu_reference(x, g):
     phi = erf(x * dt.type(1.0 / np.sqrt(2.0)))
     phi += 1.0
     phi *= 0.5
-    pdf = (1.0 / np.sqrt(2.0 * np.pi)) * np.exp(-0.5 * x * x)
-    return (x * phi).astype(dt, copy=False), _as_accumulated(g * (phi + x * pdf)).astype(dt)
+    pdf = dt.type(1.0 / np.sqrt(2.0 * np.pi)) * np.exp(-0.5 * x * x)
+    return x * phi, _as_accumulated(g * (phi + x * pdf))
 
 
 class TestGeluSplit:

@@ -8,7 +8,9 @@ Run it on two source trees and compare the output line by line:
 
 The first line gives the OpenBLAS thread count and the usable CPU count:
 some f64 convolution bits depend on the thread count, so two outputs only
-compare at the same setting.
+compare at the same setting.  Set the count in the environment:
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tools/equivalence_hashes.py > after-1.txt
 
 It covers synthetic rendering and RAMC files written and read back, ConfMap
 decoding and AP/AR, checkpoint bytes and the models loaded back from them,
