@@ -28,14 +28,37 @@ the flattened kernel in one GEMM; the input gradient is a stride-1
 correlation of the dilated output gradient with the flipped kernel.  The
 columns are laid out (B, C*prod(kernel), N) and built one kernel tap at a
 time, so every copy runs along the contiguous output axis; a 1x1 stride-1
-kernel uses the padded input itself, with no copy.  The GEMM multiplies
-the transposed view, (B, N, C*prod(kernel)) @ (C*prod(kernel), Cout), or a
-contiguous copy of it where BLAS would round the view differently
-(``_cols_matmul``), so the output has the bits of row-major columns.  The
-columns die when the forward returns; the weight gradient rebuilds them
-from the input.  When no gradient is recorded and the im2col buffer would
+kernel uses the padded input itself, with no copy.  All three convolution
+GEMMs multiply the columns' transposed view: the forward and the input
+gradient as (B, N, C*prod(kernel)) @ (C*prod(kernel), Cout), the weight
+gradient as (Cout, B*N) @ (B*N, C*prod(kernel)).  One rule,
+``_view_or_copy``, multiplies a contiguous copy instead where BLAS would
+round the view differently: below ``_VIEW_GEMM_MIN_MACS`` multiply-adds and
+for one output row or column.  So outputs and gradients have the bits of
+row-major columns, and a large backward holds one columns-sized buffer at
+a time.  The columns die when the forward returns; the weight gradient
+rebuilds them from the input and drops them before the input gradient
+builds its own.  When no gradient is recorded and the im2col buffer would
 exceed ``_CONV_COLS_BYTE_LIMIT``, the columns are built one slab of the
 first output axis at a time (T for 3-D, H for 2-D).
+
+Bits depend on the BLAS thread count.  With numpy's bundled OpenBLAS 0.3.31
+(SkylakeX kernels), many GEMMs that sum over more than about 384 terms in
+f64 or 448 in f32 round differently at one thread than at two, which points
+to the one-thread and threaded drivers blocking a long sum at different
+points.  On identical inputs, these ops of ``tools/equivalence_hashes.py``
+changed bits between one and two threads:
+
+- the f64 forward of the 5x5 conv2d over 16 channels (radarformer-tiny's
+  ``stem2`` and ``head``, 400-term sums) and ``stem2``'s input gradient;
+- at 30x27, the weight gradient of every radarformer-tiny convolution, a
+  sum over 810 pixels per frame, in f32 and f64;
+- the weight gradient of every ``Linear`` (``matmul``'s second operand) in
+  the radarformer-ref trunk at 32x32, a sum over 1225 tokens, in f32.
+
+Every other op there, the batch-of-two conv2d and conv3d among them, gave
+the same bits at both counts.  Ops that call no BLAS (elementwise ops,
+reductions, softmax, normalization and the split ``gelu``) never change.
 
 Window and grid partitioning are one reshape, permute, reshape of the map
 zero-padded to a multiple of the size P; the modes differ only in the
@@ -433,24 +456,31 @@ def _im2col(xp, kernel, stride):
     return cols.reshape(B, C * math.prod(kernel), math.prod(out)), out
 
 
-# below this many multiply-adds per product, and for one output column,
-# OpenBLAS leaves its packed GEMM for small-matrix or GEMV kernels
+# below this many multiply-adds per product, and for one output row or
+# column, OpenBLAS leaves its packed GEMM for small-matrix or GEMV kernels
 _VIEW_GEMM_MIN_MACS = 1 << 21
+
+
+def _view_or_copy(view, m, k, n):
+    """`view`, the transposed columns that are one operand of an (m, k) @
+    (k, n) product, or a contiguous copy of them: the one rule of all three
+    convolution GEMMs.
+
+    Large products multiply the view, which BLAS packs like a contiguous
+    operand and rounds the same way.  Small and one-row or one-column
+    products multiply a copy, because OpenBLAS's small-matrix and GEMV
+    kernels round a transposed operand differently.
+    """
+    if min(m, n) == 1 or m * k * n < _VIEW_GEMM_MIN_MACS:
+        return np.ascontiguousarray(view)
+    return view
 
 
 def _cols_matmul(cols, wm):
     """Columns (B, C*prod(kernel), N) times wm (C*prod(kernel), Cout),
-    as (B, N, Cout).
-
-    Large products multiply the transposed view of `cols`, which BLAS packs
-    like a contiguous operand and rounds the same way.  Small and
-    one-column products multiply a contiguous copy, because OpenBLAS's
-    small-matrix and GEMV kernels round a transposed operand differently.
-    """
-    a = cols.swapaxes(1, 2)
-    if wm.shape[1] == 1 or math.prod(a.shape[1:]) * wm.shape[1] < _VIEW_GEMM_MIN_MACS:
-        a = np.ascontiguousarray(a)
-    return a @ wm
+    as (B, N, Cout)."""
+    _, K, N = cols.shape
+    return _view_or_copy(cols.swapaxes(1, 2), N, K, wm.shape[1]) @ wm
 
 
 def _correlate(xp, w):
@@ -533,12 +563,13 @@ def _conv(x: Tensor, w: Tensor, bias, stride, padding, op: str) -> Tensor:
     # keeps x, not `xp` or `cols`: the weight gradient rebuilds the columns
     # of the whole output from x.data, the same bytes the forward multiplied
     def grad_fn(g):
-        g2 = np.moveaxis(g, 1, -1).reshape(-1, Cout)
         if w.requires_grad:
-            # a contiguous copy: BLAS rounds the transposed view differently
-            cols, _ = _im2col(np.pad(x.data, pads), kernel, stride)
-            gw = g2.T @ np.ascontiguousarray(cols.swapaxes(1, 2)).reshape(g2.shape[0], -1)
-            del cols  # before the input gradient builds columns of its own
+            # (Cout, B*N) @ (B*N, C*prod(kernel)); both operands are views of
+            # g and the columns when B = 1
+            g2 = np.moveaxis(g, 1, -1).reshape(-1, Cout)
+            cm = _im2col(np.pad(x.data, pads), kernel, stride)[0].swapaxes(0, 1).reshape(wm.shape[0], -1)
+            gw = g2.T @ _view_or_copy(cm.T, Cout, g2.shape[0], wm.shape[0])
+            del cm  # before the input gradient builds columns of its own
             w.accumulate_grad(gw.reshape(w.shape))
         if bias is not None and bias.requires_grad:
             bias.accumulate_grad(g.sum(axis=(0,) + spatial_axes))

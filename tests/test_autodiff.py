@@ -146,6 +146,28 @@ class TestBackwardMemory:
         assert held < cols_bytes
         T.reset_tape()
 
+    def test_conv_backward_keeps_one_columns_buffer(self):
+        # the weight gradient multiplies the columns' transposed view; a
+        # transposed copy of them would take the peak to twice their bytes
+        x = uni((1, 32, 64, 64), 17)
+        w = uni((32, 32, 3, 3), 18)
+        cols_bytes = 32 * 9 * 64 * 64 * x.data.itemsize
+        assert cols_bytes >= 8 * 2**20
+        T.reset_tape()
+        T.conv2d(x, w, padding=1)
+        (node,) = T.active_tape().nodes
+        g = np.ones(node.out.shape)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            node.grad_fn(g)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+            T.reset_tape()
+        assert x.grad is not None and w.grad is not None
+        assert peak < 1.5 * cols_bytes
+
     def test_radarformer_tiny_step(self):
         # keeping every gradient and the im2col columns this step held
         # 103.9 MiB after the forward and peaked at 185.1 MiB in backward;

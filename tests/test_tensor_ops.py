@@ -334,7 +334,11 @@ class TestConvColumns:
     the x/w/b gradients are bitwise equal to ``_row_major_conv``.  The
     "large" cases reach ``_VIEW_GEMM_MIN_MACS`` per forward product, so the
     forward GEMM multiplies the transposed view, except in the one-output-
-    channel case; the small cases multiply a contiguous copy."""
+    channel case; the small cases multiply a contiguous copy.  The weight
+    gradient's product has B times the rows of one item's forward product:
+    in "batched-wgrad-view" only that product is large.  With B > 1 its
+    operands are copies of the output gradient and of the columns, not
+    views."""
 
     CASES = {
         "1x1": ((2, 6, 8, 8), (5, 6, 1, 1), 1, 0),
@@ -345,6 +349,9 @@ class TestConvColumns:
         "one-column-large": ((1, 64, 64, 64), (1, 64, 3, 3), 1, 1),
         "3d-strided": ((1, 2, 8, 8, 8), (3, 2, 2, 3, 3), (2, 1, 1), (0, 1, 1)),
         "3d-large": ((1, 8, 6, 32, 32), (8, 8, 3, 3, 3), 1, (0, 1, 1)),
+        "batched-large": ((2, 16, 32, 32), (16, 16, 3, 3), 1, 1),
+        "batched-wgrad-view": ((2, 16, 24, 24), (16, 16, 3, 3), 1, 1),
+        "3d-batched-large": ((2, 8, 6, 32, 32), (8, 8, 3, 3, 3), 1, (0, 1, 1)),
     }
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -358,6 +365,7 @@ class TestConvColumns:
         y = conv(x, w, b, stride=stride, padding=padding)
         macs = math.prod(y.shape[2:]) * math.prod(ws[1:]) * ws[0]
         assert (macs >= T._VIEW_GEMM_MIN_MACS) == ("large" in case)
+        assert (xs[0] * macs >= T._VIEW_GEMM_MIN_MACS) == ("large" in case or "wgrad-view" in case)
         g = _grads_for(y, 41)
         want = _row_major_conv(x.data, w.data, b.data, stride, padding, g)
         for got, ref in zip((y.data, x.grad, w.grad, b.grad), want):

@@ -16,9 +16,10 @@ It covers synthetic rendering and RAMC files written and read back, ConfMap
 decoding and AP/AR, checkpoint bytes and the models loaded back from them,
 an eval-mode forward of a model as built and as reloaded, parameter names,
 the parameters of a small 3-D hourglass in f32 and f64, per-layer profiles,
-the rows of ``compare_report``, and the forward output, loss, every gradient
-and the tape node count of a training step.  Array hashes include dtype and
-shape.  It uses only the public API plus ``tensor.active_tape`` and each
+the rows of ``compare_report``, the output and gradients of conv2d and
+conv3d over a batch of two, and the forward output, loss, every gradient
+and the tape node count of a training step.  Array hashes include dtype
+and shape.  It uses only the public API plus ``tensor.active_tape`` and each
 module's ``_buffers``, so any revision of ``radarkit`` can run it.
 The radarformer-ref step at the end peaks at about 1.2 GB.
 """
@@ -199,6 +200,27 @@ def reports() -> None:
     show("compare_report tiny hourglass3d-small", [(r.name, r.gmacs, r.params_m) for r in rows])
 
 
+def batched_convs(seed=107) -> None:
+    """conv2d and conv3d of a batch of two, each product large enough that
+    BLAS multiplies the transposed view of its columns, in each precision:
+    the output and the x, w and b gradients of the mean BCE against seeded
+    targets."""
+    cases = {
+        "conv2d": (T.conv2d, (2, 16, 32, 32), (16, 16, 3, 3), 1),
+        "conv3d": (T.conv3d, (2, 8, 6, 32, 32), (8, 8, 3, 3, 3), (0, 1, 1)),
+    }
+    for name, (conv, xs, ws, padding) in cases.items():
+        for dtype in (np.float32, np.float64):
+            x, w, b = (T.uniform(s, seed + i, requires_grad=True, dtype=dtype) for i, s in enumerate((xs, ws, ws[:1])))
+            T.reset_tape()
+            y = conv(x, w, b, padding=padding)
+            rng = np.random.Generator(np.random.PCG64(seed + 3))
+            T.backward(T.bce_with_logits(y, rng.uniform(0.0, 1.0, size=y.shape)))
+            label = f"{name} batch 2 {np.dtype(dtype).name}"
+            for part, a in (("forward", y.data), ("x grad", x.grad), ("w grad", w.grad), ("b grad", b.grad)):
+                show(f"{label} {part}", a)
+
+
 def step(label, cfg, dtype, seed) -> None:
     """Forward in train mode, mean BCE against seeded targets, backward."""
     model = build_model(cfg, dtype=dtype)
@@ -228,6 +250,7 @@ def main() -> int:
     hourglass_params()
     profiles()
     reports()
+    batched_convs()
     tiny = reference_config("radarformer-tiny")
     for dtype in (np.float32, np.float64):
         dt = np.dtype(dtype).name
