@@ -40,25 +40,31 @@ a time.  The columns die when the forward returns; the weight gradient
 rebuilds them from the input and drops them before the input gradient
 builds its own.  When no gradient is recorded and the im2col buffer would
 exceed ``_CONV_COLS_BYTE_LIMIT``, the columns are built one slab of the
-first output axis at a time (T for 3-D, H for 2-D).
+first output axis at a time (T for 3-D, H for 2-D), and the slabs of all
+forward parts (below) hold at most that limit together.
 
-Bits depend on the BLAS thread count.  With numpy's bundled OpenBLAS 0.3.31
-(SkylakeX kernels), many GEMMs that sum over more than about 384 terms in
-f64 or 448 in f32 round differently at one thread than at two, which points
-to the one-thread and threaded drivers blocking a long sum at different
-points.  On identical inputs, these ops of ``tools/equivalence_hashes.py``
-changed bits between one and two threads:
-
-- the f64 forward of the 5x5 conv2d over 16 channels (radarformer-tiny's
-  ``stem2`` and ``head``, 400-term sums) and ``stem2``'s input gradient;
-- at 30x27, the weight gradient of every radarformer-tiny convolution, a
-  sum over 810 pixels per frame, in f32 and f64;
-- the weight gradient of every ``Linear`` (``matmul``'s second operand) in
-  the radarformer-ref trunk at 32x32, a sum over 1225 tokens, in f32.
-
-Every other op there, the batch-of-two conv2d and conv3d among them, gave
-the same bits at both counts.  Ops that call no BLAS (elementwise ops,
-reductions, softmax, normalization and the split ``gelu``) never change.
+Bits do not depend on the BLAS thread count.  radarkit's first product
+sets numpy's bundled OpenBLAS to one thread, process-wide, through its
+``scipy_openblas_set_num_threads64_`` (``_one_blas_thread``): a product
+that numpy computes after that, in radarkit or not, runs on one thread.
+With OpenBLAS 0.3.31 many GEMMs that sum over more than about 384 terms in
+f64 or 448 in f32 rounded differently at one thread than at two: the f64
+5x5 convolutions of radarformer-tiny, its convolution weight gradients at
+30x27 and the radarformer-ref ``Linear`` weight gradients at 32x32.  Now
+each has its one-thread bits at any ``OPENBLAS_NUM_THREADS``.  The CPUs
+are used by radarkit's own pool instead: all five products (``matmul``
+and its two gradients, and the convolution's forward, input-gradient and
+weight-gradient GEMMs) go through ``_gemm``, which, from
+``_GEMM_SPLIT_MIN_MACS`` (2**24) multiply-adds on, runs one part per
+usable CPU along the first batch axis longer than 1, else along the output
+rows or columns, whichever are more.  The convolution forward instead runs
+one part per CPU along its first output axis, each building and
+multiplying its own columns.  No part cuts the summed axis, holds fewer than
+``_VIEW_GEMM_MIN_MACS`` multiply-adds or is one row or column, so every
+split product has the bits of the whole one-thread product
+(``_exact_cut`` says where the rows and columns of an f64 product may be
+cut).  Without the setter symbol nothing is split and the thread count is
+left alone.
 
 Window and grid partitioning are one reshape, permute, reshape of the map
 zero-padded to a multiple of the size P; the modes differ only in the
@@ -72,20 +78,25 @@ call, the module's path from the outermost module being called
 ``matmul`` takes an optional bias over the last output axis and adds it in
 place to the fresh product, the same IEEE add as a separate ``add_bcast``.
 ``gelu`` splits arrays of more than ``_GELU_SPLIT_MIN`` elements into one
-chunk per CPU the process may use and runs the chunks on a thread pool
-created on first use; scipy's ``erf`` releases the GIL.  Each element gets
-the same operations in the same order either way, so the split changes no
-bit.  Its input gradient is computed in the input's dtype, on one thread:
-splitting it as well saved no measurable step time.  ``synth.render_ramap``
-draws its noise on the same pool (``_start_task``).
+chunk per CPU the process may use.  ``_run_parts`` runs the first chunk,
+or product part, on the calling thread and the others on a thread pool
+created on first use, and returns when all have finished; scipy's ``erf``
+and BLAS release the GIL.  Each element gets the same operations in the
+same order either way, so the split changes no bit.  gelu's input gradient
+is computed in the input's dtype, on one thread: splitting it as well saved
+no measurable step time.  ``synth.render_ramap`` draws its noise on the
+same pool (``_start_task``).
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 
 import numpy as np
@@ -393,6 +404,134 @@ def affine_const(x: Tensor, a: np.ndarray, b: np.ndarray) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
+# work split across CPUs
+
+_cpu_pool = None
+_cpu_pool_lock = threading.Lock()
+
+# products of fewer multiply-adds than this run whole, on the calling thread
+_GEMM_SPLIT_MIN_MACS = 1 << 24
+
+
+def _cpus() -> int:
+    return len(os.sched_getaffinity(0))
+
+
+def _pool() -> ThreadPoolExecutor:
+    """The shared pool, created on first use with one thread per CPU."""
+    global _cpu_pool
+    with _cpu_pool_lock:
+        if _cpu_pool is None:
+            _cpu_pool = ThreadPoolExecutor(_cpus(), thread_name_prefix="radarkit")
+    return _cpu_pool
+
+
+def _start_task(fn, *args):
+    """Start fn(*args) on the shared pool and return a callable that waits
+    for and returns its result (or raises its exception).  On one CPU fn
+    runs here, at once.  fn must not submit to the pool itself: with every
+    thread waiting on a task of its own, that task would never start."""
+    if _cpus() == 1:
+        result = fn(*args)
+        return lambda: result
+    return _pool().submit(fn, *args).result
+
+
+def _run_parts(fn, parts) -> None:
+    """Run fn(*args) for each args tuple of `parts`: the first on this
+    thread, the others on the shared pool (no pool for one part).  Returns
+    once every part has finished, so no part writes into a buffer its
+    caller has dropped, and only then raises the first exception a part
+    raised.  Like `_start_task`'s fn, a part must not submit to the pool."""
+    futures = [_pool().submit(fn, *args) for args in parts[1:]]
+    try:
+        fn(*parts[0])
+    finally:
+        wait(futures)
+    for f in futures:
+        f.result()
+
+
+@functools.cache
+def _one_blas_thread() -> bool:
+    """Set numpy's bundled OpenBLAS to one thread, once per process, and
+    say whether that worked; without its setter nothing is split."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas64_*.so")
+    for path in glob.glob(libs):
+        setter = getattr(ctypes.CDLL(path), "scipy_openblas_set_num_threads64_", None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+            return True
+    return False
+
+
+def _split(macs, extent, align=1):
+    """(start, stop) ranges that cut an axis of `extent` of a product of
+    `macs` multiply-adds into one part per usable CPU, each starting at a
+    multiple of `align`, at least `align` long and holding at least
+    ``_VIEW_GEMM_MIN_MACS`` (OpenBLAS's small-matrix kernels round
+    differently).  The whole axis, one range, below
+    ``_GEMM_SPLIT_MIN_MACS`` or when OpenBLAS could not be set to one
+    thread; radarkit's first product sets it."""
+    if not _one_blas_thread() or macs < _GEMM_SPLIT_MIN_MACS:
+        return [(0, extent)]
+    for n in range(min(_cpus(), extent // align), 1, -1):
+        step = -(-extent // n)
+        step += -step % align
+        ranges = [(lo, min(extent, lo + step)) for lo in range(0, extent, step)]
+        shortest = min(hi - lo for lo, hi in ranges)
+        if len(ranges) > 1 and shortest >= align and shortest * macs >= extent * _VIEW_GEMM_MIN_MACS:
+            return ranges
+    return [(0, extent)]
+
+
+def _exact_cut(n, dtype) -> bool:
+    """Whether a product with `n` output columns keeps its bits when its
+    rows, or its columns at multiples of 16, are cut into parts: always in
+    f32, and in f64 for a multiple of 16 columns.  Otherwise OpenBLAS's f64
+    kernels (0.3.31, SkylakeX) round an edge tile of fewer than 16 columns
+    differently once the rows or columns are regrouped."""
+    return dtype == np.float32 or n % 16 == 0
+
+
+def _gemm(a, b):
+    """``a @ b`` with numpy's broadcasting of the leading axes, cut by
+    `_split` along the first leading axis longer than 1, else, where
+    `_exact_cut` allows, along the rows or the columns of the one product,
+    whichever are more.  No part cuts the summed axis, so each element is
+    the sum that one-thread OpenBLAS computes for the whole product, bit
+    for bit."""
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    (m, k), n = a.shape[-2:], b.shape[-1]
+    axis = next((i for i, e in enumerate(lead) if e > 1), None)
+    if axis is not None:
+        extent, align = lead[axis], 1
+    elif _exact_cut(n, np.result_type(a, b)):
+        # two rows at least, as one would be a GEMV
+        axis, extent, align = ("rows", m, 2) if m >= n else ("columns", n, 16)
+    else:
+        extent, align = 1, 1
+    ranges = _split(math.prod(lead) * m * k * n, extent, align)
+    if len(ranges) == 1:
+        return a @ b
+    out = np.empty(lead + (m, n), dtype=np.result_type(a, b))
+    a, b = (np.broadcast_to(op, lead + op.shape[-2:]) for op in (a, b))
+
+    def part(lo, hi):
+        if axis == "rows":
+            np.matmul(a[..., lo:hi, :], b, out=out[..., lo:hi, :])
+        elif axis == "columns":
+            np.matmul(a, b[..., lo:hi], out=out[..., lo:hi])
+        else:
+            cut = (slice(None),) * axis + (slice(lo, hi),)
+            np.matmul(a[cut], b[cut], out=out[cut])
+
+    _run_parts(part, ranges)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # matmul
 
 
@@ -412,7 +551,7 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     if bias is not None and bias.shape != (b.shape[-1],):
         raise ShapeError(f"bias must have shape ({b.shape[-1]},), got {bias.shape}")
     try:
-        out = a.data @ b.data
+        out = _gemm(a.data, b.data)
     except ValueError as e:
         raise ShapeError(str(e)) from None
     if bias is not None:
@@ -420,10 +559,10 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
 
     def grad_fn(g):
         if a.requires_grad:
-            ga = g @ np.swapaxes(b.data, -1, -2)
+            ga = _gemm(g, np.swapaxes(b.data, -1, -2))
             a.accumulate_grad(_unbroadcast(ga, a.shape))
         if b.requires_grad:
-            gb = np.swapaxes(a.data, -1, -2) @ g
+            gb = _gemm(np.swapaxes(a.data, -1, -2), g)
             b.accumulate_grad(_unbroadcast(gb, b.shape))
         if bias is not None and bias.requires_grad:
             bias.accumulate_grad(_unbroadcast(g, bias.shape))
@@ -476,18 +615,19 @@ def _view_or_copy(view, m, k, n):
     return view
 
 
-def _cols_matmul(cols, wm):
-    """Columns (B, C*prod(kernel), N) times wm (C*prod(kernel), Cout),
-    as (B, N, Cout)."""
+def _cols_matmul(cols, wm, gemm):
+    """Columns (B, C*prod(kernel), N) times wm (C*prod(kernel), Cout), as
+    (B, N, Cout), by `gemm`: `_gemm`, or ``np.matmul`` in a part of a split
+    forward, which must split no further."""
     _, K, N = cols.shape
-    return _view_or_copy(cols.swapaxes(1, 2), N, K, wm.shape[1]) @ wm
+    return gemm(_view_or_copy(cols.swapaxes(1, 2), N, K, wm.shape[1]), wm)
 
 
 def _correlate(xp, w):
     """Stride-1 unpadded correlation used by the input-gradient path."""
     Cout = w.shape[0]
     cols, out = _im2col(xp, w.shape[2:], (1,) * (w.ndim - 2))
-    y = _cols_matmul(cols, w.reshape(Cout, -1).T)
+    y = _cols_matmul(cols, w.reshape(Cout, -1).T, _gemm)
     return y.transpose(0, 2, 1).reshape((xp.shape[0], Cout) + out)
 
 
@@ -543,21 +683,31 @@ def _conv(x: Tensor, w: Tensor, bias, stride, padding, op: str) -> Tensor:
     wm = w.data.reshape(Cout, -1).T
 
     need_grad = _tls().grad_enabled and any(t.requires_grad for t in inputs)
-    # slabs tile the first output axis: extent n0, stride s0, kernel extent k0
+    # parts and slabs tile the first output axis: extent n0, stride s0,
+    # kernel extent k0; a part cuts the rows of the product (see `_gemm`)
     n0, s0, k0 = out_sp[0], stride[0], kernel[0]
+    ranges = [(0, n0)]
+    if _exact_cut(Cout, wm.dtype):
+        ranges = _split(B * math.prod(out_sp) * Cout * wm.shape[0], n0)
     slab = n0
     cols_bytes = B * math.prod(out_sp) * Cin * math.prod(kernel) * x.data.dtype.itemsize
     if not need_grad and cols_bytes > _CONV_COLS_BYTE_LIMIT:
-        slab = max(1, _CONV_COLS_BYTE_LIMIT // max(1, cols_bytes // n0))
+        slab = max(1, _CONV_COLS_BYTE_LIMIT // len(ranges) // max(1, cols_bytes // n0))
+    gemm = _gemm if len(ranges) == 1 else np.matmul
     out = np.empty((B, Cout) + out_sp, dtype=x.data.dtype)
-    for i0 in range(0, n0, slab):
-        i1 = min(n0, i0 + slab)
-        cols, slab_sp = _im2col(xp[:, :, i0 * s0:(i1 - 1) * s0 + k0], kernel, stride)
-        y = _cols_matmul(cols, wm).transpose(0, 2, 1).reshape((B, Cout) + slab_sp)
-        if bias is None:
-            out[:, :, i0:i1] = y
-        else:
-            np.add(y, bias.data.reshape(bias_shape), out=out[:, :, i0:i1])
+
+    def fill(lo, hi):
+        for i0 in range(lo, hi, slab):
+            i1 = min(hi, i0 + slab)
+            cols, slab_sp = _im2col(xp[:, :, i0 * s0:(i1 - 1) * s0 + k0], kernel, stride)
+            y = _cols_matmul(cols, wm, gemm).transpose(0, 2, 1).reshape((B, Cout) + slab_sp)
+            del cols  # before the next slab builds its own
+            if bias is None:
+                out[:, :, i0:i1] = y
+            else:
+                np.add(y, bias.data.reshape(bias_shape), out=out[:, :, i0:i1])
+
+    _run_parts(fill, ranges)
     spatial_axes = tuple(range(2, nd + 2))
 
     # keeps x, not `xp` or `cols`: the weight gradient rebuilds the columns
@@ -568,7 +718,7 @@ def _conv(x: Tensor, w: Tensor, bias, stride, padding, op: str) -> Tensor:
             # g and the columns when B = 1
             g2 = np.moveaxis(g, 1, -1).reshape(-1, Cout)
             cm = _im2col(np.pad(x.data, pads), kernel, stride)[0].swapaxes(0, 1).reshape(wm.shape[0], -1)
-            gw = g2.T @ _view_or_copy(cm.T, Cout, g2.shape[0], wm.shape[0])
+            gw = _gemm(g2.T, _view_or_copy(cm.T, Cout, g2.shape[0], wm.shape[0]))
             del cm  # before the input gradient builds columns of its own
             w.accumulate_grad(gw.reshape(w.shape))
         if bias is not None and bias.requires_grad:
@@ -672,8 +822,6 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 # arrays with more elements than this are split across CPUs by gelu
 _GELU_SPLIT_MIN = 1 << 20
-_cpu_pool = None
-_cpu_pool_lock = threading.Lock()
 
 
 def _gelu_into(x, phi_cdf, out):
@@ -685,39 +833,12 @@ def _gelu_into(x, phi_cdf, out):
     np.multiply(x, phi_cdf, out=out)
 
 
-def _start_task(fn, *args):
-    """Start fn(*args) on the shared pool, created on first use with one
-    thread per CPU, and return a callable that waits for and returns its
-    result (or raises its exception).  On one CPU fn runs here, at once.
-    fn must not submit to the pool itself: with every thread waiting on a
-    task of its own, that task would never start."""
-    global _cpu_pool
-    n = len(os.sched_getaffinity(0))
-    if n == 1:
-        result = fn(*args)
-        return lambda: result
-    with _cpu_pool_lock:
-        if _cpu_pool is None:
-            _cpu_pool = ThreadPoolExecutor(n, thread_name_prefix="radarkit")
-    return _cpu_pool.submit(fn, *args).result
-
-
-def _split_across_cpus(fn, *arrays):
-    """Run fn on matching flat chunks of `arrays`, one chunk per CPU."""
-    n = len(os.sched_getaffinity(0))
-    chunks = [np.array_split(a.reshape(-1), n) for a in arrays]
-    for wait in [_start_task(fn, *parts) for parts in zip(*chunks)]:
-        wait()
-
-
 def gelu(x: Tensor) -> Tensor:
     """Exact erf form: 0.5*x*(1+erf(x/sqrt(2)))."""
     phi_cdf = np.empty(x.shape, dtype=x.data.dtype)
     out = np.empty_like(phi_cdf)
-    if x.size > _GELU_SPLIT_MIN:
-        _split_across_cpus(_gelu_into, x.data, phi_cdf, out)
-    else:
-        _gelu_into(x.data, phi_cdf, out)
+    n = _cpus() if x.size > _GELU_SPLIT_MIN else 1
+    _run_parts(_gelu_into, list(zip(*(np.array_split(a.reshape(-1), n) for a in (x.data, phi_cdf, out)))))
 
     def grad_fn(g):
         if x.requires_grad:

@@ -2,6 +2,12 @@
 
 import math
 import os
+import subprocess
+import sys
+import threading
+import time
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -276,6 +282,57 @@ class TestConvSlabs:
         assert len(calls) == 1 and out.requires_grad
         assert np.max(np.abs(out.data - want)) < 1e-10
 
+    @staticmethod
+    def _track_columns(monkeypatch):
+        """Count the bytes of im2col columns alive at once; return
+        [live, peak] and the set of threads that built columns."""
+        lock, live, threads = threading.Lock(), [0, 0], set()
+        real = T._im2col
+
+        def release(n):
+            with lock:
+                live[0] -= n
+
+        def tracked(*args):
+            cols, out = real(*args)
+            with lock:
+                threads.add(threading.current_thread())
+                live[0] += cols.nbytes
+                live[1] = max(live[1], live[0])
+            weakref.finalize(cols, release, cols.nbytes)
+            return cols, out
+
+        monkeypatch.setattr(T, "_im2col", tracked)
+        return live, threads
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", ["conv3d", "conv3d-5x5", "conv2d"])
+    def test_parts_hold_at_most_the_limit(self, case, dtype, cpus, monkeypatch, fresh_pool):
+        """With every product split (thresholds at 0 and 1) and the limit at
+        one output index's columns per part, the parts build their columns
+        one index at a time: never more than the limit alive, the one-buffer
+        bits for conv3d and conv2d and the oracle's tolerance for 5x5."""
+        monkeypatch.setattr(T, "_GEMM_SPLIT_MIN_MACS", 0)
+        monkeypatch.setattr(T, "_VIEW_GEMM_MIN_MACS", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        with T.no_grad():
+            whole, want = self._run(case, dtype)
+        assert T._cpu_pool is None
+        xs, ws = self.CASES[case][:2]
+        per_index = xs[0] * math.prod(whole.shape[3:]) * math.prod(ws[1:]) * np.dtype(dtype).itemsize
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(T, "_CONV_COLS_BYTE_LIMIT", cpus * per_index)
+        live, threads = self._track_columns(monkeypatch)
+        with T.no_grad():
+            parts, _ = self._run(case, dtype)
+        assert (len(threads) > 1) == T._exact_cut(ws[0], dtype)
+        assert live[0] == 0 and per_index <= live[1] <= T._CONV_COLS_BYTE_LIMIT
+        if case == "conv3d-5x5":
+            assert np.max(np.abs(parts.data - want)) < (1e-4 if dtype == np.float32 else 1e-10)
+        else:
+            assert parts.data.tobytes() == whole.data.tobytes()
+
 
 def _as_accumulated(g):
     """What ``Tensor.accumulate_grad`` stores for a first gradient g."""
@@ -396,6 +453,181 @@ def fresh_pool(monkeypatch):
     yield
     if T._cpu_pool is not None:
         T._cpu_pool.shutdown()
+
+
+def _operand(r, shape, dtype, transposed=False):
+    """A seeded array of `shape`, or the transposed view of a C-ordered one."""
+    if transposed:
+        return r.standard_normal(shape[:-2] + shape[:-3:-1]).astype(dtype).swapaxes(-1, -2)
+    return r.standard_normal(shape).astype(dtype)
+
+
+class TestGemmSplit:
+    """Above ``_GEMM_SPLIT_MIN_MACS`` a product runs one part per CPU along
+    its batch, rows or columns, and is bitwise the whole product at one
+    BLAS thread, the count radarkit's first product sets."""
+
+    CASES = {
+        # fc1 of the ref trunk: (tokens, C) @ (C, 20 C)
+        "rows-fc1": ((2048, 64), False, (64, 1280), False),
+        # conv weight gradient (Cout, B*N) @ (B*N, C*k): views of g and columns
+        "columns-wgrad": ((64, 1024), True, (1024, 576), True),
+        # attention scores (Bw, m, N, S) @ (Bw, m, S, N), and one key block
+        # broadcast over the windows
+        "batch-attention": ((200, 4, 49, 16), False, (200, 4, 16, 49), True),
+        "batch-broadcast": ((200, 4, 49, 16), False, (1, 4, 16, 49), False),
+    }
+
+    @staticmethod
+    def _record_parts(monkeypatch):
+        """Log the (macs, extent, ranges) of every `_split` call."""
+        log, real = [], T._split
+
+        def recording(macs, extent, align=1):
+            ranges = real(macs, extent, align)
+            log.append((macs, extent, ranges))
+            return ranges
+
+        monkeypatch.setattr(T, "_split", recording)
+        return log
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_bitwise_equal_to_whole_product(self, case, dtype, cpus, monkeypatch, fresh_pool):
+        a_shape, a_t, b_shape, b_t = self.CASES[case]
+        r = rng(60)
+        a, b = _operand(r, a_shape, dtype, a_t), _operand(r, b_shape, dtype, b_t)
+        assert T._one_blas_thread()
+        want = a @ b
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        log = self._record_parts(monkeypatch)
+        got = T._gemm(a, b)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        [(macs, extent, ranges)] = log
+        assert macs >= T._GEMM_SPLIT_MIN_MACS and len(ranges) == cpus
+        assert extent == {"rows": a_shape[-2], "columns": b_shape[-1], "batch": a_shape[0]}[case.split("-")[0]]
+        for lo, hi in ranges:
+            assert (hi - lo) * macs >= extent * T._VIEW_GEMM_MIN_MACS
+            assert hi - lo >= (1 if case.startswith("batch") else 2)
+
+    def test_parts_keep_the_small_matrix_minimum(self, monkeypatch, fresh_pool):
+        """With 16 CPUs a 2**24 multiply-add product runs in 8 parts, not 16:
+        each keeps ``_VIEW_GEMM_MIN_MACS`` (2**21)."""
+        r = rng(65)
+        a, b = _operand(r, (1024, 64), np.float32), _operand(r, (64, 256), np.float32)
+        want = a @ b
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)))
+        log = self._record_parts(monkeypatch)
+        assert T._gemm(a, b).tobytes() == want.tobytes()
+        [(macs, extent, ranges)] = log
+        assert macs == T._GEMM_SPLIT_MIN_MACS == 8 * T._VIEW_GEMM_MIN_MACS
+        assert ranges == [(lo, lo + 128) for lo in range(0, 1024, 128)]
+
+    def test_f64_product_with_an_edge_tile_runs_whole(self, monkeypatch, fresh_pool):
+        """A one-product f64 GEMM with 72 columns (8 input channels times a
+        3x3 kernel) is not cut: `_exact_cut`; its f32 twin is."""
+        r = rng(61)
+        for dtype, split in ((np.float64, False), (np.float32, True)):
+            a, b = _operand(r, (16, 32768), dtype), _operand(r, (32768, 72), dtype, True)
+            assert T._gemm(a, b).tobytes() == (a @ b).tobytes()
+            assert (T._cpu_pool is not None) == split
+
+    def test_small_product_creates_no_pool(self, fresh_pool):
+        r = rng(62)
+        a, b = _operand(r, (1225, 64), np.float32), _operand(r, (64, 64), np.float32)
+        assert 1225 * 64 * 64 < T._GEMM_SPLIT_MIN_MACS
+        assert T._gemm(a, b).tobytes() == (a @ b).tobytes()
+        assert T._cpu_pool is None
+
+    def test_missing_setter_splits_nothing(self, monkeypatch, fresh_pool):
+        """Without numpy's OpenBLAS setter the BLAS threads are left alone,
+        and a product of any size runs whole, with no pool."""
+        T._one_blas_thread.cache_clear()
+        monkeypatch.setattr(T.glob, "glob", lambda pattern: [])
+        try:
+            r = rng(63)
+            a, b = _operand(r, (2048, 64), np.float32), _operand(r, (64, 1280), np.float32)
+            assert T._gemm(a, b).tobytes() == (a @ b).tobytes()
+            assert not T._one_blas_thread()
+            assert T._cpu_pool is None
+        finally:
+            T._one_blas_thread.cache_clear()
+
+
+class TestRunParts:
+    """`_run_parts` runs the first part on the calling thread and the rest on
+    the pool, and raises only after every part has finished."""
+
+    def test_caller_runs_the_first_part(self, monkeypatch, fresh_pool):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)))
+        threads = {}
+        T._run_parts(lambda i: threads.__setitem__(i, threading.current_thread()), [(0,), (1,), (2,)])
+        assert threads[0] is threading.current_thread()
+        assert threading.current_thread() not in (threads[1], threads[2])
+
+    def test_one_part_creates_no_pool(self, fresh_pool):
+        done = []
+        T._run_parts(done.append, [(0,)])
+        assert done == [0] and T._cpu_pool is None
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_raises_after_every_part_finished(self, failing, monkeypatch, fresh_pool):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)))
+        finished = []
+
+        def part(i):
+            if i == failing:
+                raise ValueError(f"part {i}")
+            time.sleep(0.2)
+            finished.append(i)
+
+        with pytest.raises(ValueError, match=f"part {failing}"):
+            T._run_parts(part, [(0,), (1,), (2,)])
+        assert sorted(finished) == [i for i in range(3) if i != failing]
+
+    @pytest.mark.parametrize("op", ["conv", "gelu", "matmul"])
+    def test_no_part_submits_to_the_pool(self, op, monkeypatch, fresh_pool):
+        """Only the calling thread asks for the pool; a part that split its
+        work again could wait on a task that never starts."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(2)))
+        callers, real = [], T._pool
+
+        def pool():
+            callers.append(threading.current_thread())
+            return real()
+
+        monkeypatch.setattr(T, "_pool", pool)
+        r = rng(64)
+        with T.no_grad():
+            if op == "conv":
+                T.conv2d(T.from_array(r.standard_normal((1, 16, 128, 128)), dtype=np.float32),
+                         T.from_array(r.standard_normal((32, 16, 3, 3)), dtype=np.float32), padding=1)
+            elif op == "gelu":
+                T.gelu(T.from_array(r.standard_normal(T._GELU_SPLIT_MIN + 1), dtype=np.float32))
+            else:
+                a, b = (T.from_array(_operand(r, s, np.float32), dtype=np.float32) for s in ((2048, 64), (64, 1280)))
+                T.matmul(a, b)
+        assert callers and set(callers) == {threading.current_thread()}
+
+
+class TestBlasThreads:
+    """The ops whose bits followed the OpenBLAS thread count give the same
+    bits at one and at two threads: radarkit runs numpy's OpenBLAS at one
+    thread from its first product on."""
+
+    def test_hashes_equal_at_one_and_two_threads(self):
+        script = Path(__file__).with_name("blas_thread_hashes.py")
+        src = str(Path(__file__).parents[1] / "src")
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+            done = subprocess.run([sys.executable, str(script)], env=env, capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            outs.append(done.stdout)
+        assert len(outs[0].splitlines()) == 3
+        assert outs[0] == outs[1]
 
 
 def _gelu_reference(x, g):

@@ -6,9 +6,13 @@ Run it on two source trees and compare the output line by line:
     PYTHONPATH=/path/to/other/checkout/src python3 tools/equivalence_hashes.py > before.txt
     diff before.txt after.txt
 
-The first line gives the OpenBLAS thread count and the usable CPU count:
-some f64 convolution bits depend on the thread count, so two outputs only
-compare at the same setting.  Set the count in the environment:
+The first line gives the OpenBLAS thread count that radarkit's products
+ran with, read after a first product, and the usable CPU count.  radarkit
+sets numpy's OpenBLAS to one thread at its first product, so the output is
+the same at any ``OPENBLAS_NUM_THREADS``, and the first line reads 1.  On
+a revision that left the count alone, some f64 convolution and some
+gradient bits depend on it, and two outputs only compare at the same
+setting; set the count in the environment:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tools/equivalence_hashes.py > after-1.txt
 
@@ -54,7 +58,8 @@ TOY_TRANSFORMER = ModelConfig(
 
 
 def blas_threads() -> str:
-    """The thread count of the OpenBLAS that numpy bundles, or "unknown"."""
+    """The thread count of the OpenBLAS that numpy bundles, or "unknown".
+    Looked up here, not in radarkit, so that any revision can run this."""
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas64_*.so")
     for path in glob.glob(libs):
         fn = getattr(ctypes.CDLL(path), "scipy_openblas_get_num_threads64_", None)
@@ -240,6 +245,7 @@ def step(label, cfg, dtype, seed) -> None:
 
 
 def main() -> int:
+    T.matmul(T.zeros((2, 2)), T.zeros((2, 2)))
     print(f"openblas threads {blas_threads()}, usable cpus {len(os.sched_getaffinity(0))}", flush=True)
     decoding()
     with tempfile.TemporaryDirectory() as tmp:
