@@ -121,40 +121,68 @@ def _init_uniform(shape, fan_in, seeds: SeedStream) -> T.Tensor:
 
 
 class _Conv(Module):
-    """An N-d convolution: ``forward`` runs the ``tensor`` function named by
-    the subclass's `op`, looked up at call time, and ``profile`` takes the
-    output shape from that op's rule, ``tensor._conv_shape``.  Stride and
-    padding are given per spatial axis or as one value for all of them."""
+    """An N-d same-padded convolution: ``forward`` runs the ``tensor``
+    function named by the subclass's `op`, looked up at call time, and
+    ``profile`` takes the output shape from that op's rule,
+    ``tensor._conv_shape``."""
 
-    def __init__(self, cin, cout, kernel, seeds, stride=1, padding=0):
+    def __init__(self, cin, cout, kernel, seeds):
         super().__init__()
-        nd = len(kernel)
-        self.stride, self.padding = T._per_axis(stride, nd), T._per_axis(padding, nd)
-        if len(self.stride) != nd or len(self.padding) != nd or min(self.stride) < 1 or min(self.padding) < 0:
-            raise ConfigError(f"convolution needs {nd} strides >= 1 and {nd} paddings >= 0, got {stride}, {padding}")
         fan = cin * math.prod(kernel)
         self.w = self.add_param("w", _init_uniform((cout, cin) + kernel, fan, seeds))
         self.b = self.add_param("b", _init_uniform((cout,), fan, seeds))
 
+    def _check(self, shape):
+        """The input and kernel shapes the op multiplies for an input of `shape`."""
+        return shape, self.w.shape
+
     def forward(self, x):
-        return getattr(T, self.op)(x, self.w, self.b, stride=self.stride, padding=self.padding)
+        return getattr(T, self.op)(x, self.w, self.b)
 
     def profile(self, in_shape, path=""):
-        out = T._conv_shape(in_shape, self.w.shape, self.stride, self.padding, self.op)
-        return [(path, self.param_count(), math.prod(out) * math.prod(self.w.shape[1:]))], out
+        x_shape, w_shape = self._check(in_shape)
+        out = T._conv_shape(x_shape, w_shape, self.op)
+        return [(path, self.param_count(), math.prod(out) * math.prod(w_shape[1:]))], out
 
 
 class Conv2d(_Conv):
-    """Stride-1 2-D convolution with an odd kernel and same padding."""
+    """Same-padded 2-D convolution with a square odd kernel."""
 
     op = "conv2d"
 
     def __init__(self, cin, cout, kernel, seeds):
-        super().__init__(cin, cout, (kernel, kernel), seeds, padding=(kernel - 1) // 2)
+        super().__init__(cin, cout, (kernel, kernel), seeds)
 
 
 class Conv3d(_Conv):
     op = "conv3d"
+
+
+class FramePairConv3d(Conv3d):
+    """(B, C, T, H, W) -> (B, Cout, T/2, H, W): a (2, 3, 3) kernel at stride 2
+    along T, run as a same-padded conv3d.  Each frame pair folds into
+    channels, tap fastest, and the (Cout, C, 2, 3, 3) weight is viewed as
+    (Cout, 2C, 1, 3, 3), so the im2col rows c*18 + tap keep the strided
+    order.  Space-to-depth along T (Shi et al., arXiv:1609.05158)."""
+
+    def __init__(self, cin, cout, seeds):
+        super().__init__(cin, cout, (2, 3, 3), seeds)
+
+    def _check(self, shape):
+        """The folded input and kernel shapes of `shape`, else a ShapeError
+        naming the unfolded C; ``forward`` and ``profile`` both refuse by it."""
+        cout, cin = self.w.shape[:2]
+        if len(shape) != 5 or shape[2] % 2:
+            raise ShapeError(f"frame-pair convolution needs (B,C,T,H,W) with an even T, got {shape}")
+        b, c, t, h, w = shape
+        if c != cin:
+            raise ShapeError(f"frame-pair convolution channel mismatch: x has {c}, w expects {cin}")
+        return (b, 2 * c, t // 2, h, w), (cout, 2 * c, 1, 3, 3)
+
+    def forward(self, x):
+        (b, c2, t2, h, w), w_shape = self._check(x.shape)
+        x = T.permute(T.reshape(x, (b, c2 // 2, t2, 2, h, w)), (0, 1, 3, 2, 4, 5))
+        return T.conv3d(T.reshape(x, (b, c2, t2, h, w)), T.reshape(self.w, w_shape), self.b)
 
 
 class Linear(Module):
@@ -424,8 +452,8 @@ class MNetMerge(Module):
     def __init__(self, chirps, merged, seeds):
         super().__init__()
         self.chirps, self.merged = chirps, merged
-        self.conv1 = Conv3d(2 * chirps, merged, (1, 3, 3), seeds, padding=(0, 1, 1))
-        self.conv2 = Conv3d(merged, merged, (1, 3, 3), seeds, padding=(0, 1, 1))
+        self.conv1 = Conv3d(2 * chirps, merged, (1, 3, 3), seeds)
+        self.conv2 = Conv3d(merged, merged, (1, 3, 3), seeds)
 
     def _check(self, shape):
         """`shape` if ``forward`` can merge a cube of it, else ShapeError."""
@@ -448,16 +476,13 @@ class MNetMerge(Module):
 
 
 class TemporalDownsample(Module):
-    """Stride-2 temporal convolutions reduce T to 1; each stage's pre-stride
-    activation is saved as the skip state for the upsampling stream."""
+    """Frame-pair convolutions, each halving T, reduce T to 1; each stage's
+    input is saved as the skip state for the upsampling stream."""
 
     def __init__(self, channels, stages, seeds):
         super().__init__()
         self.stages = stages
-        self.convs = [
-            Conv3d(channels, channels, (2, 3, 3), seeds, stride=(2, 1, 1), padding=(0, 1, 1))
-            for _ in range(stages)
-        ]
+        self.convs = [FramePairConv3d(channels, channels, seeds) for _ in range(stages)]
 
     def _check(self, shape):
         """`shape` if ``forward`` can reduce its T to 1, else ShapeError."""
@@ -488,7 +513,7 @@ class TemporalUpsample(Module):
         super().__init__()
         self.stages = stages
         self.convs = [
-            Conv3d(channels, out_channels if i == stages - 1 else channels, (3, 3, 3), seeds, padding=(1, 1, 1))
+            Conv3d(channels, out_channels if i == stages - 1 else channels, (3, 3, 3), seeds)
             for i in range(stages)
         ]
 

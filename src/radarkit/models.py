@@ -32,6 +32,7 @@ from .layers import (
     BatchNorm2d,
     Conv2d,
     Conv3d,
+    FramePairConv3d,
     MaxVitBlock,
     MNetMerge,
     Module,
@@ -297,15 +298,15 @@ class Hourglass3d(Module):
         with T.using_dtype(dtype):
             self.dtype = T.default_dtype()
             self.merge = MNetMerge(chirps, base, seeds)
-            # one stride-2 temporal stage and one spatial halving (space-to-depth);
-            # the bottleneck stack runs at (T/2, H/2, W/2)
-            self.enc_t = Conv3d(base, 2 * base, (2, 3, 3), seeds, stride=(2, 1, 1), padding=(0, 1, 1))
-            self.enc_s = Conv3d(8 * base, bottleneck_width, (1, 3, 3), seeds, padding=(0, 1, 1))
-            self.bottleneck = [Conv3d(bottleneck_width, bottleneck_width, (3, 3, 3), seeds, padding=(1, 1, 1))
+            # one temporal halving (a frame-pair convolution) and one spatial
+            # halving (space-to-depth); the bottleneck stack runs at (T/2, H/2, W/2)
+            self.enc_t = FramePairConv3d(base, 2 * base, seeds)
+            self.enc_s = Conv3d(8 * base, bottleneck_width, (1, 3, 3), seeds)
+            self.bottleneck = [Conv3d(bottleneck_width, bottleneck_width, (3, 3, 3), seeds)
                                for _ in range(bottleneck_depth)]
-            self.dec_s = Conv3d(bottleneck_width, 2 * base, (1, 3, 3), seeds, padding=(0, 1, 1))
-            self.dec_t = Conv3d(2 * base, base, (3, 3, 3), seeds, padding=(1, 1, 1))
-            self.head = Conv3d(base, len(CLASS_NAMES), (1, 3, 3), seeds, padding=(0, 1, 1))
+            self.dec_s = Conv3d(bottleneck_width, 2 * base, (1, 3, 3), seeds)
+            self.dec_t = Conv3d(2 * base, base, (3, 3, 3), seeds)
+            self.head = Conv3d(base, len(CLASS_NAMES), (1, 3, 3), seeds)
 
     def forward_logits(self, cube):
         with T._module_scope(self):

@@ -22,21 +22,23 @@ float32, the fast mode at scale.  Any other dtype is a ``ConfigError``.
 would take the total past the values the file holds.
 
 conv2d and conv3d share one shape rule, ``_conv_shape`` (rank, channels,
-odd spatial kernel, integral extents), which ``layers`` profiles call too,
-and one correlation over any number of spatial axes: im2col columns times
-the flattened kernel in one GEMM; the input gradient is a stride-1
-correlation of the dilated output gradient with the flipped kernel.  The
-columns are laid out (B, C*prod(kernel), N) and built one kernel tap at a
-time, so every copy runs along the contiguous output axis; a 1x1 stride-1
-kernel uses the padded input itself, with no copy.  All three convolution
-GEMMs multiply the columns' transposed view: the forward and the input
-gradient as (B, N, C*prod(kernel)) @ (C*prod(kernel), Cout), the weight
-gradient as (Cout, B*N) @ (B*N, C*prod(kernel)).  One rule,
+odd kernel extents), which ``layers`` profiles call too, and one
+correlation over any number of spatial axes.  Every convolution is stride 1
+and same-padded, so its output keeps the input's extents; the layer that
+halves T folds frame pairs into channels (``layers.FramePairConv3d``).
+im2col columns times the flattened kernel make the forward in one GEMM; the
+input gradient is the same-padded correlation of the output gradient with
+the flipped kernel.  The columns are laid out (B, C*prod(kernel), N) and
+built one tap at a time, so every copy runs along the contiguous output
+axis; a 1x1 kernel uses the input itself, with no copy.  All three
+convolution GEMMs multiply the columns' transposed view: the forward and
+the input gradient as (B, N, C*prod(kernel)) @ (C*prod(kernel), Cout), the
+weight gradient as (Cout, B*N) @ (B*N, C*prod(kernel)).  One rule,
 ``_view_or_copy``, multiplies a contiguous copy instead where BLAS would
 round the view differently: below ``_VIEW_GEMM_MIN_MACS`` multiply-adds and
 for one output row or column.  So outputs and gradients have the bits of
-row-major columns, and a large backward holds one columns-sized buffer at
-a time.  The columns die when the forward returns; the weight gradient
+row-major columns, and a large backward holds one columns-sized buffer at a
+time.  The columns die when the forward returns; the weight gradient
 rebuilds them from the input and drops them before the input gradient
 builds its own.  When no gradient is recorded and the im2col buffer would
 exceed ``_CONV_COLS_BYTE_LIMIT``, the columns are built one slab of the
@@ -577,20 +579,16 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
 _CONV_COLS_BYTE_LIMIT = 192 * 1024 * 1024
 
 
-def _per_axis(v, nd):
-    return (v,) * nd if np.isscalar(v) else tuple(v)
-
-
-def _im2col(xp, kernel, stride):
+def _im2col(xp, kernel):
     """C-contiguous columns (B, C*prod(kernel), prod(out)) of padded xp
     (B,C,*spatial); row c*prod(kernel) + tap holds that channel's tap."""
     B, C = xp.shape[:2]
-    out = tuple((n - k) // s + 1 for n, k, s in zip(xp.shape[2:], kernel, stride))
-    if all(k == 1 for k in kernel) and all(s == 1 for s in stride):
+    out = tuple(n - k + 1 for n, k in zip(xp.shape[2:], kernel))
+    if all(k == 1 for k in kernel):
         return xp.reshape(B, C, math.prod(out)), out
     cols = np.empty((B, C) + tuple(kernel) + out, dtype=xp.dtype)
     for tap in np.ndindex(*kernel):
-        src = tuple(slice(t, t + (n - 1) * s + 1, s) for t, n, s in zip(tap, out, stride))
+        src = tuple(slice(t, t + n) for t, n in zip(tap, out))
         cols[(slice(None), slice(None)) + tap] = xp[(slice(None), slice(None)) + src]
     return cols.reshape(B, C * math.prod(kernel), math.prod(out)), out
 
@@ -624,68 +622,44 @@ def _cols_matmul(cols, wm, gemm):
 
 
 def _correlate(xp, w):
-    """Stride-1 unpadded correlation used by the input-gradient path."""
+    """Unpadded correlation of xp with w; the input gradient's product."""
     Cout = w.shape[0]
-    cols, out = _im2col(xp, w.shape[2:], (1,) * (w.ndim - 2))
+    cols, out = _im2col(xp, w.shape[2:])
     y = _cols_matmul(cols, w.reshape(Cout, -1).T, _gemm)
     return y.transpose(0, 2, 1).reshape((xp.shape[0], Cout) + out)
 
 
-def _dilate(y, stride):
-    if all(s == 1 for s in stride):
-        return y
-    B, C = y.shape[:2]
-    spatial = tuple((n - 1) * s + 1 for n, s in zip(y.shape[2:], stride))
-    out = np.zeros((B, C) + spatial, dtype=y.dtype)
-    out[(slice(None), slice(None)) + tuple(slice(None, None, s) for s in stride)] = y
-    return out
-
-
-def _conv_shape(x_shape, w_shape, stride, padding, op: str):
+def _conv_shape(x_shape, w_shape, op: str):
     """The output shape of `op` over an x of `x_shape` and a kernel of
-    `w_shape`, else ShapeError; stride (at least 1) and padding (at least 0)
-    are given per spatial axis or as one value for all of them."""
+    `w_shape`, else ShapeError: the input's extents with the kernel's Cout."""
     rank = {"conv2d": 4, "conv3d": 5}[op]
     if len(x_shape) != rank or len(w_shape) != rank:
         raise ShapeError(f"{op} expects x rank {rank} and w rank {rank}")
-    nd = rank - 2
-    stride, padding = _per_axis(stride, nd), _per_axis(padding, nd)
-    if len(stride) != nd or len(padding) != nd or min(stride) < 1 or min(padding) < 0:
-        raise ShapeError(f"{op} needs {nd} strides >= 1 and {nd} paddings >= 0, got {stride} and {padding}")
     if w_shape[1] != x_shape[1]:
         raise ShapeError(f"{op} channel mismatch: x has {x_shape[1]}, w expects {w_shape[1]}")
-    kernel = w_shape[2:]
-    kh, kw = kernel[-2:]
-    if kh % 2 == 0 or kw % 2 == 0:
-        what = "kernel" if nd == 2 else "spatial kernel"
-        raise ShapeError(f"{op} {what} extents must be odd, got ({kh},{kw})")
-    out = [x_shape[0], w_shape[0]]
-    for axis, (n, k, s, p) in enumerate(zip(x_shape[2:], kernel, stride, padding), 2):
-        if n + 2 * p - k < 0 or (n + 2 * p - k) % s != 0:
-            raise ShapeError(f"output extent along axis {axis} is not integral: (n={n}, k={k}, stride={s}, pad={p})")
-        out.append((n + 2 * p - k) // s + 1)
-    return tuple(out)
+    if any(k % 2 == 0 for k in w_shape[2:]):
+        raise ShapeError(f"{op} kernel extents must be odd, got {tuple(w_shape[2:])}")
+    return (x_shape[0], w_shape[0]) + tuple(x_shape[2:])
 
 
-def _conv(x: Tensor, w: Tensor, bias, stride, padding, op: str) -> Tensor:
-    """Batched correlation over every axis after (B, C); `op` names the
-    caller, its rank and its shape rule."""
-    B, Cout, *out_sp = _conv_shape(x.shape, w.shape, stride, padding, op)
+def _conv(x: Tensor, w: Tensor, bias, op: str) -> Tensor:
+    """Batched same-padded correlation over every axis after (B, C); `op`
+    names the caller, its rank and its shape rule."""
+    B, Cout, *out_sp = _conv_shape(x.shape, w.shape, op)
     _same_dtype(x, w) if bias is None else _same_dtype(x, w, bias)
     nd, Cin, kernel, out_sp = x.ndim - 2, x.shape[1], w.shape[2:], tuple(out_sp)
-    stride, padding = _per_axis(stride, nd), _per_axis(padding, nd)
     if bias is not None and bias.shape != (Cout,):
         raise ShapeError(f"bias must have shape ({Cout},)")
     inputs = (x, w) if bias is None else (x, w, bias)
     bias_shape = (1, Cout) + (1,) * nd
-    pads = ((0, 0), (0, 0)) + tuple((p, p) for p in padding)
+    pads = ((0, 0), (0, 0)) + tuple(((k - 1) // 2,) * 2 for k in kernel)
     xp = np.pad(x.data, pads)
     wm = w.data.reshape(Cout, -1).T
 
     need_grad = _tls().grad_enabled and any(t.requires_grad for t in inputs)
-    # parts and slabs tile the first output axis: extent n0, stride s0,
-    # kernel extent k0; a part cuts the rows of the product (see `_gemm`)
-    n0, s0, k0 = out_sp[0], stride[0], kernel[0]
+    # parts and slabs tile the first output axis: extent n0, kernel extent
+    # k0; a part cuts the rows of the product (see `_gemm`)
+    n0, k0 = out_sp[0], kernel[0]
     ranges = [(0, n0)]
     if _exact_cut(Cout, wm.dtype):
         ranges = _split(B * math.prod(out_sp) * Cout * wm.shape[0], n0)
@@ -699,7 +673,7 @@ def _conv(x: Tensor, w: Tensor, bias, stride, padding, op: str) -> Tensor:
     def fill(lo, hi):
         for i0 in range(lo, hi, slab):
             i1 = min(hi, i0 + slab)
-            cols, slab_sp = _im2col(xp[:, :, i0 * s0:(i1 - 1) * s0 + k0], kernel, stride)
+            cols, slab_sp = _im2col(xp[:, :, i0:i1 - 1 + k0], kernel)
             y = _cols_matmul(cols, wm, gemm).transpose(0, 2, 1).reshape((B, Cout) + slab_sp)
             del cols  # before the next slab builds its own
             if bias is None:
@@ -717,34 +691,29 @@ def _conv(x: Tensor, w: Tensor, bias, stride, padding, op: str) -> Tensor:
             # (Cout, B*N) @ (B*N, C*prod(kernel)); both operands are views of
             # g and the columns when B = 1
             g2 = np.moveaxis(g, 1, -1).reshape(-1, Cout)
-            cm = _im2col(np.pad(x.data, pads), kernel, stride)[0].swapaxes(0, 1).reshape(wm.shape[0], -1)
+            cm = _im2col(np.pad(x.data, pads), kernel)[0].swapaxes(0, 1).reshape(wm.shape[0], -1)
             gw = _gemm(g2.T, _view_or_copy(cm.T, Cout, g2.shape[0], wm.shape[0]))
             del cm  # before the input gradient builds columns of its own
             w.accumulate_grad(gw.reshape(w.shape))
         if bias is not None and bias.requires_grad:
             bias.accumulate_grad(g.sum(axis=(0,) + spatial_axes))
         if x.requires_grad:
-            gd = np.pad(_dilate(g, stride), ((0, 0), (0, 0)) + tuple((k - 1, k - 1) for k in kernel))
             w_rot = np.flip(w.data, axis=spatial_axes).swapaxes(0, 1)
-            gxp = _correlate(gd, np.ascontiguousarray(w_rot))
-            inner = tuple(slice(p, p + n) for p, n in zip(padding, x.shape[2:]))
-            x.accumulate_grad(gxp[(slice(None), slice(None)) + inner])
+            x.accumulate_grad(_correlate(np.pad(g, pads), np.ascontiguousarray(w_rot)))
 
     return _make(out, inputs, grad_fn)
 
 
-def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride=1, padding=0) -> Tensor:
-    """Batched 2-D correlation: x (B,Cin,H,W), w (Cout,Cin,kh,kw)."""
-    return _conv(x, w, bias, stride, padding, "conv2d")
+def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Batched same-padded 2-D correlation: x (B,Cin,H,W), w (Cout,Cin,kh,kw)
+    with odd kh and kw, output (B,Cout,H,W)."""
+    return _conv(x, w, bias, "conv2d")
 
 
-def conv3d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride=1, padding=0) -> Tensor:
-    """Batched 3-D correlation: x (B,Cin,T,H,W), w (Cout,Cin,kt,kh,kw).
-
-    Spatial kernel extents kh,kw must be odd; the temporal extent kt may be
-    even so that stride-2 stages can halve an even T exactly.
-    """
-    return _conv(x, w, bias, stride, padding, "conv3d")
+def conv3d(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Batched same-padded 3-D correlation: x (B,Cin,T,H,W),
+    w (Cout,Cin,kt,kh,kw) with every extent odd, output (B,Cout,T,H,W)."""
+    return _conv(x, w, bias, "conv3d")
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from radarkit import tensor as T
 from radarkit.errors import UsageError
+from radarkit.layers import FramePairConv3d, SeedStream
 from radarkit.models import build_reference
 
 from oracles import finite_diff_check
@@ -138,7 +139,7 @@ class TestBackwardMemory:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            y = T.conv3d(x, w, padding=1)
+            y = T.conv3d(x, w)
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -154,7 +155,7 @@ class TestBackwardMemory:
         cols_bytes = 32 * 9 * 64 * 64 * x.data.itemsize
         assert cols_bytes >= 8 * 2**20
         T.reset_tape()
-        T.conv2d(x, w, padding=1)
+        T.conv2d(x, w)
         (node,) = T.active_tape().nodes
         g = np.ones(node.out.shape)
         tracemalloc.start()
@@ -252,28 +253,17 @@ class TestPerOpGradients:
         w = uni((3, 2, 3, 3), seed + 100)
         b = uni((3,), seed + 200)
         err = finite_diff_check(
-            lambda x, w, b: T.tsum(T.sigmoid(T.conv2d(x, w, b, stride=1, padding=1))), [x, w, b]
-        )
-        assert err < FD_TOL
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_conv2d_strided(self, seed):
-        x = uni((1, 2, 7, 7), seed)
-        w = uni((2, 2, 3, 3), seed + 100)
-        err = finite_diff_check(
-            lambda x, w: T.tsum(T.sigmoid(T.conv2d(x, w, stride=2, padding=1))), [x, w]
+            lambda x, w, b: T.tsum(T.sigmoid(T.conv2d(x, w, b))), [x, w, b]
         )
         assert err < FD_TOL
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_conv3d(self, seed):
+        # the frame-pair convolution: stride (2, 1, 1), padding (0, 1, 1)
         x = uni((1, 2, 4, 5, 5), seed)
-        w = uni((2, 2, 2, 3, 3), seed + 100)
-        b = uni((2,), seed + 200)
-        err = finite_diff_check(
-            lambda x, w, b: T.tsum(T.sigmoid(T.conv3d(x, w, b, stride=(2, 1, 1), padding=(0, 1, 1)))),
-            [x, w, b],
-        )
+        conv = FramePairConv3d(2, 2, SeedStream(seed))
+        conv.w, conv.b = uni((2, 2, 2, 3, 3), seed + 100), uni((2,), seed + 200)
+        err = finite_diff_check(lambda x, w, b: T.tsum(T.sigmoid(conv(x))), [x, conv.w, conv.b])
         assert err < FD_TOL
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -374,7 +364,7 @@ class TestPerOpGradients:
         wq = uni((4, 4), seed + 400)
 
         def f(x, w, g, b, wq):
-            y = T.conv2d(x, w, padding=1)            # (1,4,4,4)
+            y = T.conv2d(x, w)                       # (1,4,4,4)
             tok = T.window_partition(y, 2)           # (4,4,4)
             tok = T.normalize(tok, g, b, axes=-1, eps=1e-3)
             q = T.matmul(tok, wq)

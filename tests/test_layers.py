@@ -8,6 +8,7 @@ from radarkit.errors import ConfigError, ShapeError
 from radarkit.layers import (
     Conv2d,
     Conv3d,
+    FramePairConv3d,
     Linear,
     MBConv,
     MNetMerge,
@@ -105,7 +106,7 @@ class TestTemporalStreams:
             ref = frame
             for conv in down.convs:
                 folded = T.from_array(conv.w.data.sum(axis=2, keepdims=True))
-                ref = T.relu(T.conv3d(ref, folded, conv.b, stride=(1, 1, 1), padding=(0, 1, 1)))
+                ref = T.relu(T.conv3d(ref, folded, conv.b))
         b, c, t, h, w = ref.shape
         assert np.max(np.abs(got.data - ref.data.reshape(b, c, h, w))) < 1e-6
 
@@ -363,10 +364,6 @@ class TestPartitionAttention:
 
 # each layer's input checks: (call, error, phrase)
 LAYER_ERRORS = {
-    "conv3d-stride": (lambda: Conv3d(1, 1, (1, 3, 3), SeedStream(0), stride=0), ConfigError, "strides >= 1"),
-    "conv3d-padding": (lambda: Conv3d(1, 1, (1, 3, 3), SeedStream(0), padding=-1), ConfigError, "paddings >= 0"),
-    "conv3d-stride-axes": (lambda: Conv3d(1, 1, (1, 3, 3), SeedStream(0), stride=(1, 1)), ConfigError,
-                           "needs 3 strides"),
     "msa-width": (lambda: MultiheadSelfAttention(4, 2, SeedStream(0))(T.zeros((1, 3, 6))),
                   ShapeError, r"expected \(B, N, 4\) tokens, got \(1, 3, 6\)"),
     "partition-mode": (lambda: PartitionAttention(4, 2, 8, "diagonal", 2, SeedStream(0)),
@@ -392,11 +389,11 @@ def test_layer_input_errors(case):
 PROFILE_LIKE_FORWARD = {
     "conv2d-channels": (lambda: Conv2d(3, 4, 3, SeedStream(0)), (1, 5, 8, 8), "channel mismatch"),
     "conv2d-rank": (lambda: Conv2d(3, 4, 3, SeedStream(0)), (1, 3, 8), "rank 4"),
-    "conv3d-channels": (lambda: Conv3d(2, 3, (1, 3, 3), SeedStream(0), padding=(0, 1, 1)), (1, 4, 2, 6, 6),
-                        "channel mismatch"),
+    "conv3d-channels": (lambda: Conv3d(2, 3, (1, 3, 3), SeedStream(0)), (1, 4, 2, 6, 6), "channel mismatch"),
     "conv3d-rank": (lambda: Conv3d(2, 3, (1, 3, 3), SeedStream(0)), (1, 2, 6, 6), "rank 5"),
-    "conv3d-extent": (lambda: Conv3d(2, 2, (2, 3, 3), SeedStream(0), stride=(2, 1, 1), padding=(0, 1, 1)),
-                      (1, 2, 3, 4, 4), "not integral"),
+    "conv3d-extent": (lambda: FramePairConv3d(2, 2, SeedStream(0)), (1, 2, 3, 4, 4), r"with an even T, got \(1, 2, 3"),
+    "frame-pair-channels": (lambda: FramePairConv3d(2, 3, SeedStream(0)), (1, 3, 4, 4, 4), "x has 3, w expects 2"),
+    "frame-pair-rank": (lambda: FramePairConv3d(2, 3, SeedStream(0)), (1, 2, 4, 4), "with an even T"),
     "linear-width": (lambda: Linear(5, 3, SeedStream(0)), (7, 4), "Linear expects"),
     "linear-width-batched": (lambda: Linear(5, 3, SeedStream(0)), (2, 7, 4), "Linear expects"),
     "linear-rank": (lambda: Linear(5, 3, SeedStream(0)), (5,), "Linear expects"),

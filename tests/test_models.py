@@ -1,6 +1,7 @@
 """Model builders, full-pipeline contracts, and checkpoint serialization."""
 
 import builtins
+import math
 import struct
 
 import numpy as np
@@ -435,6 +436,27 @@ class TestCheckpoint:
                              + struct.pack("<H3sBI", 3, b"pad", 1, held) + bytes(4 * held))
             with pytest.raises(DataFormatError, match=message):
                 load_checkpoint(path, dtype=np.float32)
+
+    def test_frame_pair_kernels_keep_their_layout(self, tmp_path):
+        # the temporal stream's kernels are stored (Cout, C, 2, 3, 3), as when
+        # those convolutions were strided, so files written then still load
+        cfg = reference_config("radarformer-tiny")
+        path = tmp_path / "tiny.rfck"
+        save_checkpoint(build_model(cfg, dtype=np.float32), path)
+        data = path.read_bytes()
+        # magic, version u16, itemsize u8, config length u32 and text, blobs
+        pos, extents = 11 + struct.unpack_from("<I", data, 7)[0], {}
+        while pos < len(data):
+            (n,) = struct.unpack_from("<H", data, pos)
+            (rank,) = struct.unpack_from("<B", data, pos + 2 + n)
+            shape = struct.unpack_from(f"<{rank}I", data, pos + 3 + n)
+            extents[data[pos + 2:pos + 2 + n].decode()] = shape
+            pos += 3 + n + 4 * rank + 4 * math.prod(shape)
+        c = cfg.merge_channels
+        down = {name: e for name, e in extents.items() if name.startswith("down.convs.") and name.endswith(".w")}
+        assert down == {f"down.convs.{i}.w": (c, c, 2, 3, 3) for i in range(cfg.temporal_stages)}
+        hourglass = Hourglass3d(chirps=2, base=4, bottleneck_width=8, bottleneck_depth=2)
+        assert hourglass.enc_t.w.shape == (8, 4, 2, 3, 3)
 
     def test_profile_matches_param_count(self):
         model = build_model(toy_config(), dtype=np.float64)

@@ -5,7 +5,7 @@ import pytest
 
 from radarkit import tensor as T
 from radarkit.errors import ConfigError, ShapeError
-from radarkit.layers import Conv2d, Conv3d, Linear, Mlp, MultiheadSelfAttention, SeedStream
+from radarkit.layers import Conv2d, FramePairConv3d, Linear, Mlp, MultiheadSelfAttention, SeedStream
 from radarkit.models import REFERENCE_NAMES, Hourglass3d, ModelConfig, build_model, build_reference
 from radarkit.profiler import (
     LayerProfile,
@@ -75,9 +75,9 @@ class TestMacCounts:
         w = rng.standard_normal((3, 2, 2, 3, 3))
         counter = MacCounter()
         conv3d_loops(x, w, None, (2, 1, 1), (0, 1, 1), counter)
-        conv = Conv3d(2, 3, (2, 3, 3), SeedStream(0), stride=(2, 1, 1), padding=(0, 1, 1))
-        entries, _ = conv.profile((1, 2, 4, 5, 5))
-        assert entries[0][2] == counter.macs
+        conv = FramePairConv3d(2, 3, SeedStream(0))
+        entries, out = conv.profile((1, 2, 4, 5, 5))
+        assert entries[0][2] == counter.macs and out == (1, 3, 2, 5, 5)
 
     def test_linear_vs_instrumented_counter(self):
         rng = np.random.Generator(np.random.PCG64(2))
@@ -161,14 +161,6 @@ class TestReferenceProfiles:
 
 
 class TestProfileShapes:
-    def test_non_integral_extent_rejected_like_forward(self):
-        conv = Conv3d(1, 1, (1, 3, 3), SeedStream(0), stride=(1, 2, 2), padding=(0, 1, 1))
-        with pytest.raises(ShapeError, match="not integral") as profiled:
-            conv.profile((1, 1, 1, 8, 8))
-        with pytest.raises(ShapeError) as forward:
-            conv(T.zeros((1, 1, 1, 8, 8)))
-        assert str(profiled.value) == str(forward.value)
-
     @pytest.mark.parametrize("name, shape", [
         ("radarformer-tiny", (1, 2, 16, 4, 32, 32)),
         ("radarformer-tiny", (1, 2, 8, 3, 32, 32)),

@@ -16,7 +16,7 @@ from scipy.special import erf
 
 from radarkit import tensor as T
 from radarkit.errors import ConfigError, ShapeError, UsageError
-from radarkit.layers import Linear, Module, SeedStream
+from radarkit.layers import FramePairConv3d, Linear, Module, SeedStream
 from radarkit.models import build_reference
 
 from oracles import conv2d_loops, conv3d_loops, matmul_loops
@@ -24,6 +24,15 @@ from oracles import conv2d_loops, conv3d_loops, matmul_loops
 
 def rng(seed):
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def _frame_pair_conv(x, w, b):
+    """x through a ``FramePairConv3d`` whose parameters are the tensors w
+    (Cout, C, 2, 3, 3) and b: the correlation at stride (2, 1, 1) and
+    padding (0, 1, 1)."""
+    conv = FramePairConv3d(w.shape[1], w.shape[0], SeedStream(0))
+    conv.w, conv.b = w, b
+    return conv(x)
 
 
 class TestCreate:
@@ -79,11 +88,8 @@ SHAPE_ERRORS = {
     "conv-bias": (lambda: T.conv2d(T.zeros((1, 2, 5, 5)), T.zeros((3, 2, 3, 3)), T.zeros((2,))), r"shape \(3,\)"),
     "conv2d-rank": (lambda: T.conv2d(T.zeros((2, 5, 5)), T.zeros((3, 2, 3, 3))), "conv2d expects"),
     "conv3d-rank": (lambda: T.conv3d(T.zeros((1, 2, 5, 5)), T.zeros((3, 2, 3, 3))), "conv3d expects"),
-    "conv-stride": (lambda: T.conv2d(T.zeros((1, 1, 4, 4)), T.zeros((1, 1, 3, 3)), stride=0), "strides >= 1"),
-    "conv-padding": (lambda: T.conv3d(T.zeros((1, 1, 2, 4, 4)), T.zeros((1, 1, 1, 3, 3)), padding=(0, -1, 0)),
-                     "paddings >= 0"),
-    "conv-stride-axes": (lambda: T.conv3d(T.zeros((1, 1, 2, 4, 4)), T.zeros((1, 1, 1, 3, 3)), stride=(1, 1)),
-                         "needs 3 strides"),
+    "conv3d-even-kernel": (lambda: T.conv3d(T.zeros((1, 1, 4, 4, 4)), T.zeros((1, 1, 2, 3, 3))),
+                           r"extents must be odd, got \(2, 3, 3\)"),
     "normalize-grows-x": (lambda: T.normalize(T.zeros((1, 3)), T.zeros((2, 3)), T.zeros((3,)), 1, 1e-5),
                           "gamma/beta"),
     "normalize-incompatible": (lambda: T.normalize(T.zeros((1, 3)), T.zeros((4,)), T.zeros((3,)), 1, 1e-5),
@@ -154,26 +160,19 @@ class TestConv2d:
         c, cin = 0.7, 3
         x = T.full((1, cin, 6, 6), c)
         w = T.full((1, cin, 3, 3), 1.0)
-        out = T.conv2d(x, w, padding=1).data
+        out = T.conv2d(x, w).data
         assert np.allclose(out[0, 0, 1:-1, 1:-1], 9 * c * cin)
 
-    @pytest.mark.parametrize("seed,stride,padding", [(3, 1, 0), (4, 2, 1), (5, 1, 2), (6, 3, 1)])
-    def test_vs_loop_oracle(self, seed, stride, padding):
+    @pytest.mark.parametrize("seed, kh, kw", [(3, 3, 3), (4, 1, 1), (5, 3, 5), (6, 5, 1)])
+    def test_vs_loop_oracle(self, seed, kh, kw):
         r = rng(seed)
         x = r.standard_normal((2, 3, 7, 7))
-        w = r.standard_normal((4, 3, 3, 3))
+        w = r.standard_normal((4, 3, kh, kw))
         b = r.standard_normal(4)
-        try:
-            got = T.conv2d(T.from_array(x), T.from_array(w), T.from_array(b),
-                           stride=stride, padding=padding).data
-        except ShapeError:
-            pytest.skip("non-integral output for this stride/pad combo")
-        want = conv2d_loops(x, w, b, (stride, stride), (padding, padding))
+        got = T.conv2d(T.from_array(x), T.from_array(w), T.from_array(b)).data
+        want = conv2d_loops(x, w, b, (1, 1), ((kh - 1) // 2, (kw - 1) // 2))
+        assert got.shape == want.shape == (2, 4, 7, 7)
         assert np.max(np.abs(got - want)) < 1e-10
-
-    def test_non_integral_output_rejected(self):
-        with pytest.raises(ShapeError):
-            T.conv2d(T.zeros((1, 1, 8, 8)), T.zeros((1, 1, 3, 3)), stride=2, padding=1)
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ShapeError):
@@ -190,23 +189,31 @@ class TestConv3d:
         assert np.allclose(out, want)
 
     def test_stride2_halves_even_t(self):
-        x = T.zeros((1, 2, 8, 5, 5))
-        w = T.zeros((2, 2, 2, 3, 3))
-        out = T.conv3d(x, w, stride=(2, 1, 1), padding=(0, 1, 1))
-        assert out.shape == (1, 2, 4, 5, 5)
+        with T.no_grad():
+            out = _frame_pair_conv(T.zeros((1, 2, 8, 5, 5)), T.zeros((3, 2, 2, 3, 3)), T.zeros((3,)))
+        assert out.shape == (1, 3, 4, 5, 5)
 
-    @pytest.mark.parametrize("seed,stride,padding", [(8, (1, 1, 1), (0, 0, 0)), (9, (2, 1, 1), (0, 1, 1)), (10, (1, 2, 2), (1, 1, 1))])
-    def test_vs_loop_oracle(self, seed, stride, padding):
+    @pytest.mark.parametrize("seed, kt, kh, kw", [(8, 1, 3, 3), (10, 3, 3, 3), (11, 3, 1, 5)])
+    def test_vs_loop_oracle(self, seed, kt, kh, kw):
         r = rng(seed)
         x = r.standard_normal((1, 2, 4, 5, 5))
+        w = r.standard_normal((3, 2, kt, kh, kw))
+        b = r.standard_normal(3)
+        got = T.conv3d(T.from_array(x), T.from_array(w), T.from_array(b)).data
+        want = conv3d_loops(x, w, b, (1, 1, 1), ((kt - 1) // 2, (kh - 1) // 2, (kw - 1) // 2))
+        assert got.shape == want.shape == (1, 3, 4, 5, 5)
+        assert np.max(np.abs(got - want)) < 1e-10
+
+    @pytest.mark.parametrize("seed, batch", [(9, 1), (12, 2)])
+    def test_frame_pair_vs_loop_oracle(self, seed, batch):
+        r = rng(seed)
+        x = r.standard_normal((batch, 2, 4, 5, 5))
         w = r.standard_normal((3, 2, 2, 3, 3))
         b = r.standard_normal(3)
-        try:
-            got = T.conv3d(T.from_array(x), T.from_array(w), T.from_array(b),
-                           stride=stride, padding=padding).data
-        except ShapeError:
-            pytest.skip("non-integral output for this stride/pad combo")
-        want = conv3d_loops(x, w, b, stride, padding)
+        with T.no_grad():
+            got = _frame_pair_conv(*(T.from_array(a) for a in (x, w, b))).data
+        want = conv3d_loops(x, w, b, (2, 1, 1), (0, 1, 1))
+        assert got.shape == want.shape == (batch, 3, 2, 5, 5)
         assert np.max(np.abs(got - want)) < 1e-10
 
 
@@ -219,26 +226,27 @@ class TestConvSlabs:
     output is bitwise equal to the one-buffer output at the radarformer-ref
     shapes and at the 8x8 case below, but not at every shape: at 5x5 a few
     elements differ in the last bit.  There the loop oracle is the arbiter.
+    The 3-D cases run the frame-pair convolution, whose folded conv3d slabs
+    its T/2 axis.
     """
 
     CASES = {
-        "conv3d": ((1, 2, 8, 8, 8), (3, 2, 2, 3, 3), (2, 1, 1), (0, 1, 1), conv3d_loops),
-        "conv3d-5x5": ((1, 2, 8, 5, 5), (3, 2, 2, 3, 3), (2, 1, 1), (0, 1, 1), conv3d_loops),
-        "conv2d": ((2, 3, 9, 7), (4, 3, 3, 3), (2, 2), (1, 1), conv2d_loops),
+        "conv3d": ((1, 2, 8, 8, 8), (3, 2, 2, 3, 3)),
+        "conv3d-5x5": ((1, 2, 8, 5, 5), (3, 2, 2, 3, 3)),
+        "conv2d": ((2, 3, 9, 7), (4, 3, 3, 3)),
     }
 
     def _run(self, case, dtype, requires_grad=False):
-        xs, ws, stride, padding, oracle = self.CASES[case]
+        xs, ws = self.CASES[case]
         r = rng(30)
         x, w, b = (
             T.from_array(r.standard_normal(shape), requires_grad, dtype)
             for shape in (xs, ws, ws[:1])
         )
-        conv = T.conv3d if len(xs) == 5 else T.conv2d
-        out = conv(x, w, b, stride=stride, padding=padding)
-        want = oracle(x.data.astype(np.float64), w.data.astype(np.float64),
-                      b.data.astype(np.float64), stride, padding)
-        return out, want
+        exact = (a.data.astype(np.float64) for a in (x, w, b))
+        if len(xs) == 5:
+            return _frame_pair_conv(x, w, b), conv3d_loops(*exact, (2, 1, 1), (0, 1, 1))
+        return T.conv2d(x, w, b), conv2d_loops(*exact, (1, 1), (1, 1))
 
     @staticmethod
     def _force_slabs(monkeypatch):
@@ -346,44 +354,48 @@ def _grads_for(out, seed):
     return G.data
 
 
-def _row_major_cols(xp, kernel, stride):
+def _row_major_cols(xp, kernel):
     """im2col in the (B, N, C*prod(kernel)) layout, one as_strided copy."""
     B, C = xp.shape[:2]
-    out = tuple((n - k) // s + 1 for n, k, s in zip(xp.shape[2:], kernel, stride))
-    sp = xp.strides[2:]
+    out = tuple(n - k + 1 for n, k in zip(xp.shape[2:], kernel))
     view = np.lib.stride_tricks.as_strided(
-        xp,
-        (B,) + out + (C,) + tuple(kernel),
-        xp.strides[:1] + tuple(a * s for a, s in zip(sp, stride)) + xp.strides[1:2] + sp,
+        xp, (B,) + out + (C,) + tuple(kernel), xp.strides[:1] + xp.strides[2:] + xp.strides[1:2] + xp.strides[2:]
     )
     return np.ascontiguousarray(view.reshape(B, math.prod(out), C * math.prod(kernel))), out
 
 
-def _row_major_conv(x, w, b, stride, padding, g):
-    """Output and x/w/b gradients of a correlation built on row-major
-    columns, for output gradient g; the reference for the tap-major layout."""
+def _row_major_conv(x, w, b, g):
+    """Output and x/w/b gradients of a same-padded correlation built on
+    row-major columns, for output gradient g; the reference for the
+    tap-major layout."""
     nd = x.ndim - 2
-    B, Cout, kernel = x.shape[0], w.shape[0], w.shape[2:]
-    stride, padding = ((v,) * nd if np.isscalar(v) else v for v in (stride, padding))
+    Cout = w.shape[0]
+    pads = ((0, 0), (0, 0)) + tuple(((k - 1) // 2,) * 2 for k in w.shape[2:])
     spatial = tuple(range(2, nd + 2))
 
-    def correlate(xp, wk, st):
-        cols, out = _row_major_cols(xp, wk.shape[2:], st)
+    def correlate(xp, wk):
+        cols, out = _row_major_cols(xp, wk.shape[2:])
         y = cols @ wk.reshape(wk.shape[0], -1).T
         return y.transpose(0, 2, 1).reshape((xp.shape[0], wk.shape[0]) + out), cols
 
-    xp = np.pad(x, ((0, 0), (0, 0)) + tuple((p, p) for p in padding))
-    y, cols = correlate(xp, w, stride)
+    y, cols = correlate(np.pad(x, pads), w)
     y = y + b.reshape((1, Cout) + (1,) * nd)
     g2 = np.moveaxis(g, 1, -1).reshape(-1, Cout)
     gw = (g2.T @ cols.reshape(g2.shape[0], -1)).reshape(w.shape)
-    gd = np.zeros((B, Cout) + tuple((n - 1) * s + 1 for n, s in zip(g.shape[2:], stride)), g.dtype)
-    gd[(slice(None), slice(None)) + tuple(slice(None, None, s) for s in stride)] = g
-    gd = np.pad(gd, ((0, 0), (0, 0)) + tuple((k - 1, k - 1) for k in kernel))
     w_rot = np.ascontiguousarray(np.flip(w, axis=spatial).swapaxes(0, 1))
-    gxp, _ = correlate(gd, w_rot, (1,) * nd)
-    gx = gxp[(slice(None), slice(None)) + tuple(slice(p, p + n) for p, n in zip(padding, x.shape[2:]))]
+    gx, _ = correlate(np.pad(g, pads), w_rot)
     return y, gx, gw, g.sum(axis=(0,) + spatial)
+
+
+def _row_major_frame_pair_conv(x, w, b, g):
+    """``_row_major_conv`` of x (B, C, T, H, W) and w (Cout, C, 2, 3, 3)
+    folded as ``FramePairConv3d`` folds them, with the x and w gradients
+    unfolded."""
+    B, C, T_, H, W = x.shape
+    xf = x.reshape(B, C, T_ // 2, 2, H, W).swapaxes(2, 3).reshape(B, 2 * C, T_ // 2, H, W)
+    y, gxf, gwf, gb = _row_major_conv(xf, w.reshape(w.shape[0], 2 * C, 1, 3, 3), b, g)
+    gx = gxf.reshape(B, C, 2, T_ // 2, H, W).swapaxes(2, 3).reshape(x.shape)
+    return y, gx, gwf.reshape(w.shape), gb
 
 
 class TestConvColumns:
@@ -395,52 +407,52 @@ class TestConvColumns:
     gradient's product has B times the rows of one item's forward product:
     in "batched-wgrad-view" only that product is large.  With B > 1 its
     operands are copies of the output gradient and of the columns, not
-    views."""
+    views.  "3d-strided" runs ``FramePairConv3d``, against the reference on
+    its folded operands."""
 
     CASES = {
-        "1x1": ((2, 6, 8, 8), (5, 6, 1, 1), 1, 0),
-        "1x1-large": ((1, 64, 40, 40), (64, 64, 1, 1), 1, 0),
-        "1x1-strided": ((1, 5, 9, 9), (4, 5, 1, 1), 2, 0),
-        "strided-padded": ((1, 4, 9, 9), (5, 4, 3, 5), 2, (1, 2)),
-        "padded-large": ((1, 16, 32, 32), (16, 16, 3, 3), 1, 1),
-        "one-column-large": ((1, 64, 64, 64), (1, 64, 3, 3), 1, 1),
-        "3d-strided": ((1, 2, 8, 8, 8), (3, 2, 2, 3, 3), (2, 1, 1), (0, 1, 1)),
-        "3d-large": ((1, 8, 6, 32, 32), (8, 8, 3, 3, 3), 1, (0, 1, 1)),
-        "batched-large": ((2, 16, 32, 32), (16, 16, 3, 3), 1, 1),
-        "batched-wgrad-view": ((2, 16, 24, 24), (16, 16, 3, 3), 1, 1),
-        "3d-batched-large": ((2, 8, 6, 32, 32), (8, 8, 3, 3, 3), 1, (0, 1, 1)),
+        "1x1": ((2, 6, 8, 8), (5, 6, 1, 1)),
+        "1x1-large": ((1, 64, 40, 40), (64, 64, 1, 1)),
+        "padded-large": ((1, 16, 32, 32), (16, 16, 3, 3)),
+        "one-column-large": ((1, 64, 64, 64), (1, 64, 3, 3)),
+        "3d-strided": ((1, 2, 8, 8, 8), (3, 2, 2, 3, 3)),
+        "3d-large": ((1, 8, 6, 32, 32), (8, 8, 3, 3, 3)),
+        "batched-large": ((2, 16, 32, 32), (16, 16, 3, 3)),
+        "batched-wgrad-view": ((2, 16, 24, 24), (16, 16, 3, 3)),
+        "3d-batched-large": ((2, 8, 6, 32, 32), (8, 8, 3, 3, 3)),
     }
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("case", list(CASES))
     def test_bitwise_equal_to_row_major_columns(self, case, dtype):
-        xs, ws, stride, padding = self.CASES[case]
+        xs, ws = self.CASES[case]
         r = rng(40)
         x, w, b = (T.from_array(r.standard_normal(s), True, dtype) for s in (xs, ws, ws[:1]))
-        conv = T.conv3d if len(xs) == 5 else T.conv2d
+        frame_pair = case == "3d-strided"
+        conv = _frame_pair_conv if frame_pair else T.conv3d if len(xs) == 5 else T.conv2d
         T.reset_tape()
-        y = conv(x, w, b, stride=stride, padding=padding)
+        y = conv(x, w, b)
         macs = math.prod(y.shape[2:]) * math.prod(ws[1:]) * ws[0]
         assert (macs >= T._VIEW_GEMM_MIN_MACS) == ("large" in case)
         assert (xs[0] * macs >= T._VIEW_GEMM_MIN_MACS) == ("large" in case or "wgrad-view" in case)
         g = _grads_for(y, 41)
-        want = _row_major_conv(x.data, w.data, b.data, stride, padding, g)
+        want = (_row_major_frame_pair_conv if frame_pair else _row_major_conv)(x.data, w.data, b.data, g)
         for got, ref in zip((y.data, x.grad, w.grad, b.grad), want):
             ref = ref if got is y.data else _as_accumulated(ref)
             assert got.dtype == ref.dtype and got.shape == ref.shape
             assert got.tobytes() == ref.tobytes()
         with T.no_grad():
-            assert conv(x, w, b, stride=stride, padding=padding).data.tobytes() == y.data.tobytes()
+            assert conv(x, w, b).data.tobytes() == y.data.tobytes()
 
     def test_unit_kernel_columns_are_the_padded_input(self):
         xp = rng(42).standard_normal((2, 3, 5, 4))
-        cols, out = T._im2col(xp, (1, 1), (1, 1))
+        cols, out = T._im2col(xp, (1, 1))
         assert out == (5, 4) and cols.shape == (2, 3, 20)
         assert np.shares_memory(cols, xp)
 
     def test_columns_are_tap_major(self):
         xp = rng(43).standard_normal((1, 2, 4, 5))
-        cols, out = T._im2col(xp, (3, 3), (1, 1))
+        cols, out = T._im2col(xp, (3, 3))
         assert out == (2, 3) and cols.shape == (1, 18, 6) and cols.flags.c_contiguous
         # row c*9 + 3*i + j holds channel c shifted by tap (i, j)
         assert np.array_equal(cols[0, 9 + 3 * 2 + 1], xp[0, 1, 2:4, 1:4].reshape(-1))
@@ -602,7 +614,7 @@ class TestRunParts:
         with T.no_grad():
             if op == "conv":
                 T.conv2d(T.from_array(r.standard_normal((1, 16, 128, 128)), dtype=np.float32),
-                         T.from_array(r.standard_normal((32, 16, 3, 3)), dtype=np.float32), padding=1)
+                         T.from_array(r.standard_normal((32, 16, 3, 3)), dtype=np.float32))
             elif op == "gelu":
                 T.gelu(T.from_array(r.standard_normal(T._GELU_SPLIT_MIN + 1), dtype=np.float32))
             else:
@@ -1040,6 +1052,6 @@ class TestPrecisionModes:
         def run():
             x = T.uniform((2, 3, 8, 8), 5)
             w = T.uniform((4, 3, 3, 3), 6)
-            return T.conv2d(x, w, padding=1).data.tobytes()
+            return T.conv2d(x, w).data.tobytes()
 
         assert run() == run()
