@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, ShapeError
 from .fileio import read_records
 
 CLASS_NAMES = ("pedestrian", "cyclist", "car")
@@ -152,6 +152,8 @@ def peak_detect(confmap: np.ndarray, floor: float = 0.3) -> list[Detection]:
     azimuth) for determinism, as in `_rank_key`."""
     if not 0.0 <= floor < 1.0:
         raise ConfigError(f"peak floor must lie in [0,1), got {floor}")
+    if confmap.ndim != 3:
+        raise ShapeError(f"confmap must be (K, H, W), got shape {confmap.shape}")
     k, h, w = confmap.shape
     padded = np.full((k, h + 2, w + 2), -np.inf)
     padded[:, 1:-1, 1:-1] = confmap

@@ -19,7 +19,7 @@ Scenario tags (PL/CR/CS/HW) select a Poisson target count, class mix and
 speed profiles.  Everything is a pure function of (seed, scenario, config).
 
 ``render_ramap`` draws each clip's noise on a worker of the thread pool
-that ``tensor.gelu`` uses (inline on one CPU) while the calling thread
+that ``tensor.gelu`` uses, also on one CPU, while the calling thread
 renders the targets; numpy's generator releases the GIL for the bulk
 fill.  The noise generator is seeded from (seed, scenario) alone, so the
 stream, and with it the cube, is the same whichever thread draws it.
@@ -36,7 +36,7 @@ import numpy as np
 from .confmap import RANGE_RESOLUTION_M, Annotation, read_annotations, write_annotations
 from .errors import ConfigError, DataFormatError, UsageError
 from .fileio import BinaryReader, read_records
-from .tensor import _float_dtype, _start_task
+from .tensor import _float_dtype, _run_parts
 
 SCENARIOS = ("PL", "CR", "CS", "HW")
 
@@ -176,42 +176,46 @@ def render_ramap(scene: Scene, cfg: SynthConfig = SynthConfig(), dtype=np.float3
     """Render (2,T,C,H,W) RF frames plus per-frame annotations; T and the
     noise come from `cfg`.
 
-    The targets are summed in f64 while another thread draws the f64
-    noise; their sum is rounded once, to `dtype`."""
+    The targets are summed in f64 on this thread while a pool thread draws
+    the f64 noise; their sum is rounded once, to `dtype`."""
     dtype = _float_dtype(dtype)
     noise_rng = _rng(scene.seed, scene.scenario, 97)  # checks the scenario, also without noise
     t_frames, c, h, w = cfg.frames, len(CHIRP_INDICES), cfg.height, cfg.width
     shape = (2, t_frames, c, h, w)
-    noise = _start_task(_noise, noise_rng, shape, cfg.noise_sigma) if cfg.noise_sigma > 0 else None
-    cube = np.zeros(shape)
     rows = np.arange(h)[:, None]
     cols = np.arange(w)[None, :]
     dt_chirp = (1.0 / FRAME_RATE_HZ) / CHIRPS_PER_FRAME
     annotations: list[Annotation] = []
 
-    for t in range(t_frames):
-        for tgt in scene.targets:
-            range_now = tgt.range_m + tgt.speed_mps * t / FRAME_RATE_HZ
-            rb, ab = _bin_of(range_now, tgt.azimuth_deg, cfg)
-            blob = tgt.amplitude * np.exp(
-                -((rows - rb) ** 2) / (2 * BLOB_SIGMA_RANGE_BINS ** 2)
-                - ((cols - ab) ** 2) / (2 * BLOB_SIGMA_AZIMUTH_BINS ** 2)
-            )
-            for ci, chirp_idx in enumerate(CHIRP_INDICES):
-                phase = (
-                    2.0 * np.pi * 2.0
-                    * (range_now + tgt.speed_mps * chirp_idx * dt_chirp)
-                    / WAVELENGTH_M
+    def targets():
+        cube = np.zeros(shape)
+        for t in range(t_frames):
+            for tgt in scene.targets:
+                range_now = tgt.range_m + tgt.speed_mps * t / FRAME_RATE_HZ
+                rb, ab = _bin_of(range_now, tgt.azimuth_deg, cfg)
+                blob = tgt.amplitude * np.exp(
+                    -((rows - rb) ** 2) / (2 * BLOB_SIGMA_RANGE_BINS ** 2)
+                    - ((cols - ab) ** 2) / (2 * BLOB_SIGMA_AZIMUTH_BINS ** 2)
                 )
-                cube[0, t, ci] += blob * np.cos(phase)
-                cube[1, t, ci] += blob * np.sin(phase)
-            annotations.append(
-                Annotation(t, tgt.class_id, int(round(rb)), int(round(ab)))
-            )
-    if noise is None:
+                for ci, chirp_idx in enumerate(CHIRP_INDICES):
+                    phase = (
+                        2.0 * np.pi * 2.0
+                        * (range_now + tgt.speed_mps * chirp_idx * dt_chirp)
+                        / WAVELENGTH_M
+                    )
+                    cube[0, t, ci] += blob * np.cos(phase)
+                    cube[1, t, ci] += blob * np.sin(phase)
+                annotations.append(
+                    Annotation(t, tgt.class_id, int(round(rb)), int(round(ab)))
+                )
+        return cube
+
+    draw = [(_noise, noise_rng, shape, cfg.noise_sigma)] if cfg.noise_sigma > 0 else []
+    cube, *noise = _run_parts(lambda fn, *args: fn(*args), [(targets,)] + draw)
+    if not noise:
         return cube.astype(dtype), annotations
     out = np.empty(shape, dtype)
-    np.add(cube, noise(), out=out)
+    np.add(cube, noise[0], out=out)
     return out, annotations
 
 

@@ -23,27 +23,27 @@ would take the total past the values the file holds.
 
 conv2d and conv3d share one shape rule, ``_conv_shape`` (rank, channels,
 odd kernel extents), which ``layers`` profiles call too, and one
-correlation over any number of spatial axes.  Every convolution is stride 1
-and same-padded, so its output keeps the input's extents; the layer that
-halves T folds frame pairs into channels (``layers.FramePairConv3d``).
-im2col columns times the flattened kernel make the forward in one GEMM; the
-input gradient is the same-padded correlation of the output gradient with
-the flipped kernel.  The columns are laid out (B, C*prod(kernel), N) and
-built one tap at a time, so every copy runs along the contiguous output
-axis; a 1x1 kernel uses the input itself, with no copy.  All three
-convolution GEMMs multiply the columns' transposed view: the forward and
-the input gradient as (B, N, C*prod(kernel)) @ (C*prod(kernel), Cout), the
-weight gradient as (Cout, B*N) @ (B*N, C*prod(kernel)).  One rule,
-``_view_or_copy``, multiplies a contiguous copy instead where BLAS would
-round the view differently: below ``_VIEW_GEMM_MIN_MACS`` multiply-adds and
-for one output row or column.  So outputs and gradients have the bits of
-row-major columns, and a large backward holds one columns-sized buffer at a
-time.  The columns die when the forward returns; the weight gradient
-rebuilds them from the input and drops them before the input gradient
-builds its own.  When no gradient is recorded and the im2col buffer would
-exceed ``_CONV_COLS_BYTE_LIMIT``, the columns are built one slab of the
-first output axis at a time (T for 3-D, H for 2-D), and the slabs of all
-forward parts (below) hold at most that limit together.
+correlation routine over any number of spatial axes, ``_correlate``.  Every
+convolution is stride 1 and same-padded, so its output keeps the input's
+extents; the layer that halves T folds frame pairs into channels
+(``layers.FramePairConv3d``).  So the input gradient is the forward's own
+correlation, run on the output gradient with the flipped, channel-swapped
+kernel.  The correlation multiplies im2col columns by the flattened kernel.
+The columns are laid out (B, C*prod(kernel), N) and built one tap at a
+time, so every copy runs along the contiguous output axis; a 1x1 kernel
+uses the input itself, with no copy.  All three convolution GEMMs multiply
+the columns' transposed view: the correlation as (B, N, C*prod(kernel)) @
+(C*prod(kernel), Cout), the weight gradient as (Cout, B*N) @ (B*N,
+C*prod(kernel)).  One rule, ``_view_or_copy``, multiplies a contiguous copy
+instead where BLAS would round the view differently: below
+``_VIEW_GEMM_MIN_MACS`` multiply-adds and for one output row or column.  So
+outputs and gradients have the bits of row-major columns.  The columns die
+when the correlation returns; the weight gradient rebuilds them from the
+input and drops them before the input gradient builds its own.  Whenever the
+correlation's columns would exceed ``_CONV_COLS_BYTE_LIMIT``, in the forward
+or the input gradient, they are built one slab of the first output axis at
+a time (T for 3-D, H for 2-D), and the slabs of all parts (below) hold at
+most that limit together.
 
 Bits do not depend on the BLAS thread count.  radarkit's first product
 sets numpy's bundled OpenBLAS to one thread, process-wide, through its
@@ -59,9 +59,9 @@ and its two gradients, and the convolution's forward, input-gradient and
 weight-gradient GEMMs) go through ``_gemm``, which, from
 ``_GEMM_SPLIT_MIN_MACS`` (2**24) multiply-adds on, runs one part per
 usable CPU along the first batch axis longer than 1, else along the output
-rows or columns, whichever are more.  The convolution forward instead runs
-one part per CPU along its first output axis, each building and
-multiplying its own columns.  No part cuts the summed axis, holds fewer than
+rows or columns, whichever are more.  The correlation instead runs one part
+per CPU along its first output axis, each building and multiplying its own
+columns.  No part cuts the summed axis, holds fewer than
 ``_VIEW_GEMM_MIN_MACS`` multiply-adds or is one row or column, so every
 split product has the bits of the whole one-thread product
 (``_exact_cut`` says where the rows and columns of an f64 product may be
@@ -82,12 +82,12 @@ place to the fresh product, the same IEEE add as a separate ``add_bcast``.
 ``gelu`` splits arrays of more than ``_GELU_SPLIT_MIN`` elements into one
 chunk per CPU the process may use.  ``_run_parts`` runs the first chunk,
 or product part, on the calling thread and the others on a thread pool
-created on first use, and returns when all have finished; scipy's ``erf``
-and BLAS release the GIL.  Each element gets the same operations in the
-same order either way, so the split changes no bit.  gelu's input gradient
-is computed in the input's dtype, on one thread: splitting it as well saved
-no measurable step time.  ``synth.render_ramap`` draws its noise on the
-same pool (``_start_task``).
+created on first use, and returns their results when all have finished;
+scipy's ``erf`` and BLAS release the GIL.  Each element gets the same
+operations in the same order either way, so the split changes no bit.
+gelu's input gradient is computed in the input's dtype, on one thread:
+splitting it as well saved no measurable step time.  ``_run_parts`` is the
+only way onto the pool; ``synth.render_ramap`` draws its noise there too.
 """
 
 from __future__ import annotations
@@ -248,6 +248,8 @@ class Tensor:
         return self.data.dtype
 
     def item(self) -> float:
+        if self.size != 1:
+            raise ShapeError(f"item() needs one element, got shape {self.shape}")
         return float(self.data.reshape(()))
 
     def zero_grad(self) -> None:
@@ -428,30 +430,19 @@ def _pool() -> ThreadPoolExecutor:
     return _cpu_pool
 
 
-def _start_task(fn, *args):
-    """Start fn(*args) on the shared pool and return a callable that waits
-    for and returns its result (or raises its exception).  On one CPU fn
-    runs here, at once.  fn must not submit to the pool itself: with every
-    thread waiting on a task of its own, that task would never start."""
-    if _cpus() == 1:
-        result = fn(*args)
-        return lambda: result
-    return _pool().submit(fn, *args).result
-
-
-def _run_parts(fn, parts) -> None:
-    """Run fn(*args) for each args tuple of `parts`: the first on this
-    thread, the others on the shared pool (no pool for one part).  Returns
-    once every part has finished, so no part writes into a buffer its
-    caller has dropped, and only then raises the first exception a part
-    raised.  Like `_start_task`'s fn, a part must not submit to the pool."""
+def _run_parts(fn, parts) -> list:
+    """The results of fn(*args) for each args tuple of `parts`: the first
+    runs on this thread, the others on the shared pool (no pool for one
+    part).  Returns once every part has finished, so no part writes into a
+    buffer its caller has dropped, and only then raises the first exception
+    a part raised.  A part must not submit to the pool, where it could wait
+    on a part that never starts."""
     futures = [_pool().submit(fn, *args) for args in parts[1:]]
     try:
-        fn(*parts[0])
+        first = fn(*parts[0])
     finally:
         wait(futures)
-    for f in futures:
-        f.result()
+    return [first] + [f.result() for f in futures]
 
 
 @functools.cache
@@ -613,22 +604,6 @@ def _view_or_copy(view, m, k, n):
     return view
 
 
-def _cols_matmul(cols, wm, gemm):
-    """Columns (B, C*prod(kernel), N) times wm (C*prod(kernel), Cout), as
-    (B, N, Cout), by `gemm`: `_gemm`, or ``np.matmul`` in a part of a split
-    forward, which must split no further."""
-    _, K, N = cols.shape
-    return gemm(_view_or_copy(cols.swapaxes(1, 2), N, K, wm.shape[1]), wm)
-
-
-def _correlate(xp, w):
-    """Unpadded correlation of xp with w; the input gradient's product."""
-    Cout = w.shape[0]
-    cols, out = _im2col(xp, w.shape[2:])
-    y = _cols_matmul(cols, w.reshape(Cout, -1).T, _gemm)
-    return y.transpose(0, 2, 1).reshape((xp.shape[0], Cout) + out)
-
-
 def _conv_shape(x_shape, w_shape, op: str):
     """The output shape of `op` over an x of `x_shape` and a kernel of
     `w_shape`, else ShapeError: the input's extents with the kernel's Cout."""
@@ -642,21 +617,19 @@ def _conv_shape(x_shape, w_shape, op: str):
     return (x_shape[0], w_shape[0]) + tuple(x_shape[2:])
 
 
-def _conv(x: Tensor, w: Tensor, bias, op: str) -> Tensor:
-    """Batched same-padded correlation over every axis after (B, C); `op`
-    names the caller, its rank and its shape rule."""
-    B, Cout, *out_sp = _conv_shape(x.shape, w.shape, op)
-    _same_dtype(x, w) if bias is None else _same_dtype(x, w, bias)
-    nd, Cin, kernel, out_sp = x.ndim - 2, x.shape[1], w.shape[2:], tuple(out_sp)
-    if bias is not None and bias.shape != (Cout,):
-        raise ShapeError(f"bias must have shape ({Cout},)")
-    inputs = (x, w) if bias is None else (x, w, bias)
-    bias_shape = (1, Cout) + (1,) * nd
-    pads = ((0, 0), (0, 0)) + tuple(((k - 1) // 2,) * 2 for k in kernel)
-    xp = np.pad(x.data, pads)
-    wm = w.data.reshape(Cout, -1).T
+def _same_pads(kernel):
+    return ((0, 0), (0, 0)) + tuple(((k - 1) // 2,) * 2 for k in kernel)
 
-    need_grad = _tls().grad_enabled and any(t.requires_grad for t in inputs)
+
+def _correlate(x, w, bias=None):
+    """Same-padded correlation of x (B, C, *spatial) with w (Cout, C, *kernel),
+    plus `bias` (Cout,) if given: the convolution forward, and its input
+    gradient on the output gradient with the flipped kernel.  One part per
+    CPU along the first output axis; each builds its own columns, in slabs
+    once all parts' columns would pass ``_CONV_COLS_BYTE_LIMIT``."""
+    B, Cout, kernel, out_sp = x.shape[0], w.shape[0], w.shape[2:], x.shape[2:]
+    xp = np.pad(x, _same_pads(kernel))
+    wm = w.reshape(Cout, -1).T
     # parts and slabs tile the first output axis: extent n0, kernel extent
     # k0; a part cuts the rows of the product (see `_gemm`)
     n0, k0 = out_sp[0], kernel[0]
@@ -664,42 +637,56 @@ def _conv(x: Tensor, w: Tensor, bias, op: str) -> Tensor:
     if _exact_cut(Cout, wm.dtype):
         ranges = _split(B * math.prod(out_sp) * Cout * wm.shape[0], n0)
     slab = n0
-    cols_bytes = B * math.prod(out_sp) * Cin * math.prod(kernel) * x.data.dtype.itemsize
-    if not need_grad and cols_bytes > _CONV_COLS_BYTE_LIMIT:
+    cols_bytes = B * math.prod(out_sp) * wm.shape[0] * x.dtype.itemsize
+    if cols_bytes > _CONV_COLS_BYTE_LIMIT:
         slab = max(1, _CONV_COLS_BYTE_LIMIT // len(ranges) // max(1, cols_bytes // n0))
-    gemm = _gemm if len(ranges) == 1 else np.matmul
-    out = np.empty((B, Cout) + out_sp, dtype=x.data.dtype)
+    gemm = _gemm if len(ranges) == 1 else np.matmul  # a part splits no further
+    out = np.empty((B, Cout) + out_sp, dtype=x.dtype)
 
     def fill(lo, hi):
         for i0 in range(lo, hi, slab):
             i1 = min(hi, i0 + slab)
             cols, slab_sp = _im2col(xp[:, :, i0:i1 - 1 + k0], kernel)
-            y = _cols_matmul(cols, wm, gemm).transpose(0, 2, 1).reshape((B, Cout) + slab_sp)
+            y = gemm(_view_or_copy(cols.swapaxes(1, 2), cols.shape[2], wm.shape[0], Cout), wm)
+            y = y.transpose(0, 2, 1).reshape((B, Cout) + slab_sp)
             del cols  # before the next slab builds its own
             if bias is None:
                 out[:, :, i0:i1] = y
             else:
-                np.add(y, bias.data.reshape(bias_shape), out=out[:, :, i0:i1])
+                np.add(y, bias.reshape((1, Cout) + (1,) * len(kernel)), out=out[:, :, i0:i1])
 
     _run_parts(fill, ranges)
-    spatial_axes = tuple(range(2, nd + 2))
+    return out
 
-    # keeps x, not `xp` or `cols`: the weight gradient rebuilds the columns
-    # of the whole output from x.data, the same bytes the forward multiplied
+
+def _conv(x: Tensor, w: Tensor, bias, op: str) -> Tensor:
+    """Batched same-padded correlation over every axis after (B, C); `op`
+    names the caller, its rank and its shape rule."""
+    Cout = _conv_shape(x.shape, w.shape, op)[1]
+    _same_dtype(x, w) if bias is None else _same_dtype(x, w, bias)
+    if bias is not None and bias.shape != (Cout,):
+        raise ShapeError(f"bias must have shape ({Cout},)")
+    inputs = (x, w) if bias is None else (x, w, bias)
+    kernel, spatial_axes = w.shape[2:], tuple(range(2, x.ndim))
+    out = _correlate(x.data, w.data, None if bias is None else bias.data)
+
+    # keeps x, not its columns: the weight gradient rebuilds the columns of
+    # the whole output from x.data, the same bytes the forward multiplied
     def grad_fn(g):
         if w.requires_grad:
             # (Cout, B*N) @ (B*N, C*prod(kernel)); both operands are views of
             # g and the columns when B = 1
             g2 = np.moveaxis(g, 1, -1).reshape(-1, Cout)
-            cm = _im2col(np.pad(x.data, pads), kernel)[0].swapaxes(0, 1).reshape(wm.shape[0], -1)
-            gw = _gemm(g2.T, _view_or_copy(cm.T, Cout, g2.shape[0], wm.shape[0]))
+            cm = _im2col(np.pad(x.data, _same_pads(kernel)), kernel)[0].swapaxes(0, 1).reshape(-1, len(g2))
+            gw = _gemm(g2.T, _view_or_copy(cm.T, Cout, len(g2), len(cm)))
             del cm  # before the input gradient builds columns of its own
             w.accumulate_grad(gw.reshape(w.shape))
         if bias is not None and bias.requires_grad:
             bias.accumulate_grad(g.sum(axis=(0,) + spatial_axes))
         if x.requires_grad:
+            # a copy: a 1x1 kernel's view would reach BLAS transposed and round differently
             w_rot = np.flip(w.data, axis=spatial_axes).swapaxes(0, 1)
-            x.accumulate_grad(_correlate(np.pad(g, pads), np.ascontiguousarray(w_rot)))
+            x.accumulate_grad(_correlate(g, np.ascontiguousarray(w_rot)))
 
     return _make(out, inputs, grad_fn)
 
@@ -842,6 +829,8 @@ def sigmoid(x: Tensor) -> Tensor:
 
 
 def tsum(x: Tensor, axis=None) -> Tensor:
+    axis = None if axis is None else _axis(axis, x.ndim)
+
     def grad_fn(g):
         if x.requires_grad:
             if axis is None:

@@ -104,6 +104,25 @@ def conv3d_loops(x, w, bias=None, stride=(1, 1, 1), padding=(0, 0, 0), counter=N
     return out
 
 
+def conv3d_grad_loops(x, w, g, stride=(1, 1, 1), padding=(0, 0, 0)):
+    """The x, w and bias gradients of sum(g * conv3d_loops(x, w, bias,
+    stride, padding)); a 2-D convolution is the case kt = T = 1."""
+    B, Cin, T, H, W = x.shape
+    Cout, _, kt, kh, kw = w.shape
+    st, sh, sw = stride
+    pt, ph, pw = padding
+    gx, gw = np.zeros_like(x), np.zeros_like(w)
+    for b, co, t, i, j in np.ndindex(*g.shape):
+        for ci, r, u, v in np.ndindex(Cin, kt, kh, kw):
+            ti = t * st + r - pt
+            hi = i * sh + u - ph
+            wi = j * sw + v - pw
+            if 0 <= ti < T and 0 <= hi < H and 0 <= wi < W:
+                gx[b, ci, ti, hi, wi] += g[b, co, t, i, j] * w[co, ci, r, u, v]
+                gw[co, ci, r, u, v] += g[b, co, t, i, j] * x[b, ci, ti, hi, wi]
+    return gx, gw, g.sum(axis=(0, 2, 3, 4))
+
+
 def lnms_loops(candidates, threshold, ols_fn):
     """Quadratic greedy suppression with explicit flags, independent of the
     library's list-rebuilding implementation.  Candidates must already be

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -24,7 +25,7 @@ from radarkit.confmap import (
     write_annotations,
     write_detections,
 )
-from radarkit.errors import ConfigError, DataFormatError
+from radarkit.errors import ConfigError, DataFormatError, ShapeError
 
 from oracles import decode_scalar, lnms_loops, ols_scalar
 
@@ -213,6 +214,12 @@ class TestPeakDetect:
     def test_floor_outside_unit_interval_rejected(self, floor):
         with pytest.raises(ConfigError, match=f"peak floor must lie in \\[0,1\\), got {floor}"):
             peak_detect(np.zeros((1, 8, 8)), floor)
+
+    @pytest.mark.parametrize("decode", [peak_detect, decode_confmap], ids=["peak_detect", "decode_confmap"])
+    @pytest.mark.parametrize("shape", [(8, 8), (1, 1, 8, 8)], ids=["2d", "4d"])
+    def test_map_not_khw_rejected(self, decode, shape):
+        with pytest.raises(ShapeError, match=re.escape(f"confmap must be (K, H, W), got shape {shape}")):
+            decode(np.zeros(shape), 0.3)
 
     def test_plateau_is_not_strict_maximum(self):
         cm = np.zeros((1, 8, 8))

@@ -177,8 +177,10 @@ class TestRenderEqualsLoops:
                     assert cube.tobytes() == want_cube.tobytes(), (scenario, sigma, dtype)
                     assert anns == want_anns
 
-    @pytest.mark.parametrize("cpus, on_pool", [(2, True), (1, False)])
-    def test_noise_thread(self, cpus, on_pool, monkeypatch):
+    @pytest.mark.parametrize("cpus", [2, 1])
+    def test_noise_thread(self, cpus, monkeypatch):
+        """The noise is drawn off the calling thread, also on one CPU, where
+        the pool has one thread."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         threads = []
 
@@ -189,19 +191,28 @@ class TestRenderEqualsLoops:
         draw = synth._noise
         monkeypatch.setattr(synth, "_noise", noise)
         render_ramap(generate_scene(1, "CR", SMALL), SMALL)
-        assert len(threads) == 1
-        assert (threads[0] is not threading.current_thread()) == on_pool
+        assert len(threads) == 1 and threads[0] is not threading.current_thread()
 
     @pytest.mark.parametrize("cpus", [2, 1])
     def test_noise_draw_error_propagates(self, cpus, monkeypatch):
+        """A draw error surfaces once the targets are summed too."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        summed = []
+        real_bin_of = synth._bin_of
 
         def broken(rng, shape, sigma):
             raise MemoryError(f"cannot draw {shape}")
 
+        def bin_of(*args):
+            summed.append(args)
+            return real_bin_of(*args)
+
         monkeypatch.setattr(synth, "_noise", broken)
+        monkeypatch.setattr(synth, "_bin_of", bin_of)
+        scene = generate_scene(1, "CR", SMALL)
         with pytest.raises(MemoryError, match="cannot draw"):
-            render_ramap(generate_scene(1, "CR", SMALL), SMALL)
+            render_ramap(scene, SMALL)
+        assert len(summed) == SMALL.frames * len(scene.targets)
 
     def test_no_draw_without_noise(self, monkeypatch):
         monkeypatch.setattr(synth, "_noise", None)

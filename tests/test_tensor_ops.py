@@ -18,8 +18,9 @@ from radarkit import tensor as T
 from radarkit.errors import ConfigError, ShapeError, UsageError
 from radarkit.layers import FramePairConv3d, Linear, Module, SeedStream
 from radarkit.models import build_reference
+from radarkit.synth import SynthConfig, generate_scene, render_ramap
 
-from oracles import conv2d_loops, conv3d_loops, matmul_loops
+from oracles import conv2d_loops, conv3d_grad_loops, conv3d_loops, matmul_loops
 
 
 def rng(seed):
@@ -103,6 +104,8 @@ SHAPE_ERRORS = {
     "repeat-factor": (lambda: T.repeat(T.zeros((2, 3)), 0, 0), "factor must be >= 1"),
     "partition-rank": (lambda: T.window_partition(T.zeros((2, 3, 4)), 2), "expects rank-4"),
     "reverse-tokens": (lambda: T.window_reverse(T.zeros((4, 4, 3)), 2, 1, 3, 4, 6), "inconsistent"),
+    "item-non-scalar": (lambda: T.zeros((2,)).item(), r"one element, got shape \(2,\)"),
+    "tsum-axis": (lambda: T.tsum(T.zeros((2, 3)), axis=2), "axis 2 out of bounds for rank 2"),
 }
 
 
@@ -218,16 +221,18 @@ class TestConv3d:
 
 
 class TestConvSlabs:
-    """Without a gradient to record, im2col buffers above the byte limit are
-    built one slab of the first output axis (T for 3-D, H for 2-D) at a time.
+    """Once its im2col columns would pass the byte limit, the correlation
+    builds them one slab of the first output axis (T for 3-D, H for 2-D) at
+    a time: in the forward and in the input gradient, with or without a
+    gradient to record.
 
     A slab's GEMM has fewer rows than the one-buffer GEMM, and OpenBLAS may
     round some rows differently for a different row count.  The slabbed
     output is bitwise equal to the one-buffer output at the radarformer-ref
     shapes and at the 8x8 case below, but not at every shape: at 5x5 a few
-    elements differ in the last bit.  There the loop oracle is the arbiter.
-    The 3-D cases run the frame-pair convolution, whose folded conv3d slabs
-    its T/2 axis.
+    elements differ in the last bit, and so do the 2-D cases' slabbed input
+    gradients.  There the loop oracle is the arbiter.  The 3-D cases run the
+    frame-pair convolution, whose folded conv3d slabs its T/2 axis.
     """
 
     CASES = {
@@ -236,17 +241,21 @@ class TestConvSlabs:
         "conv2d": ((2, 3, 9, 7), (4, 3, 3, 3)),
     }
 
-    def _run(self, case, dtype, requires_grad=False):
+    def _inputs(self, case, dtype, requires_grad=False):
         xs, ws = self.CASES[case]
         r = rng(30)
-        x, w, b = (
-            T.from_array(r.standard_normal(shape), requires_grad, dtype)
-            for shape in (xs, ws, ws[:1])
-        )
+        return tuple(T.from_array(r.standard_normal(shape), requires_grad, dtype) for shape in (xs, ws, ws[:1]))
+
+    @staticmethod
+    def _conv(x, w, b):
+        """The convolution of x, w and b, and the loop oracle's output."""
         exact = (a.data.astype(np.float64) for a in (x, w, b))
-        if len(xs) == 5:
+        if x.ndim == 5:
             return _frame_pair_conv(x, w, b), conv3d_loops(*exact, (2, 1, 1), (0, 1, 1))
         return T.conv2d(x, w, b), conv2d_loops(*exact, (1, 1), (1, 1))
+
+    def _run(self, case, dtype, requires_grad=False):
+        return self._conv(*self._inputs(case, dtype, requires_grad))
 
     @staticmethod
     def _force_slabs(monkeypatch):
@@ -283,18 +292,12 @@ class TestConvSlabs:
         assert len(calls) == out.shape[2] > 1
         assert np.max(np.abs(out.data - want)) < tol
 
-    @pytest.mark.parametrize("case", ["conv3d", "conv2d"])
-    def test_grad_enabled_never_slabs(self, case, monkeypatch):
-        calls = self._force_slabs(monkeypatch)
-        out, want = self._run(case, np.float64, requires_grad=True)
-        assert len(calls) == 1 and out.requires_grad
-        assert np.max(np.abs(out.data - want)) < 1e-10
-
     @staticmethod
     def _track_columns(monkeypatch):
-        """Count the bytes of im2col columns alive at once; return
-        [live, peak] and the set of threads that built columns."""
-        lock, live, threads = threading.Lock(), [0, 0], set()
+        """Count the bytes of im2col columns alive at once; return [live,
+        peak], the set of threads that built columns and, per build, the
+        padded input's shape and the bytes alive after it."""
+        lock, live, threads, builds = threading.Lock(), [0, 0], set(), []
         real = T._im2col
 
         def release(n):
@@ -307,11 +310,45 @@ class TestConvSlabs:
                 threads.add(threading.current_thread())
                 live[0] += cols.nbytes
                 live[1] = max(live[1], live[0])
-            weakref.finalize(cols, release, cols.nbytes)
+                builds.append((args[0].shape, live[0]))
+            # the buffer a view of the columns keeps alive, where there is one
+            owner = cols.base if cols.base is not None and cols.base.nbytes == cols.nbytes else cols
+            weakref.finalize(owner, release, cols.nbytes)
             return cols, out
 
         monkeypatch.setattr(T, "_im2col", tracked)
-        return live, threads
+        return live, threads, builds
+
+    @pytest.mark.parametrize("case", ["conv3d", "conv2d"])
+    def test_grad_enabled_slabs(self, case, monkeypatch):
+        """With a gradient to record and the limit at one output index's
+        columns, the forward and the input gradient build one index at a
+        time, and the output and the x, w and b gradients keep the oracle's
+        tolerance.  The weight gradient builds the whole columns once and
+        drops them before the input gradient starts: no slab build sees more
+        than the limit alive."""
+        x, w, b = self._inputs(case, np.float64, requires_grad=True)
+        fold = x.ndim == 5
+        # the correlation's first output extent n0, kernel extent k0 and
+        # channels: the fold halves T and doubles C
+        n0, k0 = (x.shape[2] // 2, 1) if fold else (x.shape[2], w.shape[2])
+        cin, cout = x.shape[1] * (2 if fold else 1), w.shape[0]
+        per_channel = x.shape[0] * math.prod(x.shape[3:]) * k0 * math.prod(w.shape[3:]) * 8
+        monkeypatch.setattr(T, "_CONV_COLS_BYTE_LIMIT", per_channel * max(cin, cout))
+        live, _, builds = self._track_columns(monkeypatch)
+        out, want = self._conv(x, w, b)
+        assert len(builds) == n0 == out.shape[2]
+        g = _grads_for(out, 31)
+        assert [shape[1:3] for shape, _ in builds] == [(cin, k0)] * n0 + [(cin, n0 + k0 - 1)] + [(cout, k0)] * n0
+        slabs = builds[:n0] + builds[n0 + 1:]
+        assert all(alive <= T._CONV_COLS_BYTE_LIMIT for _, alive in slabs)
+        assert live[0] == 0
+        assert np.max(np.abs(out.data - want)) < 1e-10
+        as3d = (lambda a: a) if fold else (lambda a: a[:, :, None])
+        geometry = ((2, 1, 1), (0, 1, 1)) if fold else ((1, 1, 1), (0, 1, 1))
+        grads = conv3d_grad_loops(as3d(x.data), as3d(w.data), as3d(g), *geometry)
+        for t, want_grad in zip((x, w, b), grads):
+            assert np.max(np.abs(t.grad - want_grad.reshape(t.shape))) < 1e-10
 
     @pytest.mark.parametrize("cpus", [2, 3])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -331,7 +368,7 @@ class TestConvSlabs:
         per_index = xs[0] * math.prod(whole.shape[3:]) * math.prod(ws[1:]) * np.dtype(dtype).itemsize
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         monkeypatch.setattr(T, "_CONV_COLS_BYTE_LIMIT", cpus * per_index)
-        live, threads = self._track_columns(monkeypatch)
+        live, threads, _ = self._track_columns(monkeypatch)
         with T.no_grad():
             parts, _ = self._run(case, dtype)
         assert (len(threads) > 1) == T._exact_cut(ws[0], dtype)
@@ -573,15 +610,14 @@ class TestRunParts:
 
     def test_caller_runs_the_first_part(self, monkeypatch, fresh_pool):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)))
-        threads = {}
-        T._run_parts(lambda i: threads.__setitem__(i, threading.current_thread()), [(0,), (1,), (2,)])
+        results = T._run_parts(lambda i: (i, threading.current_thread()), [(0,), (1,), (2,)])
+        assert [i for i, _ in results] == [0, 1, 2]
+        threads = [thread for _, thread in results]
         assert threads[0] is threading.current_thread()
         assert threading.current_thread() not in (threads[1], threads[2])
 
     def test_one_part_creates_no_pool(self, fresh_pool):
-        done = []
-        T._run_parts(done.append, [(0,)])
-        assert done == [0] and T._cpu_pool is None
+        assert T._run_parts(lambda i: i + 1, [(0,)]) == [1] and T._cpu_pool is None
 
     @pytest.mark.parametrize("failing", [0, 1])
     def test_raises_after_every_part_finished(self, failing, monkeypatch, fresh_pool):
@@ -598,7 +634,7 @@ class TestRunParts:
             T._run_parts(part, [(0,), (1,), (2,)])
         assert sorted(finished) == [i for i in range(3) if i != failing]
 
-    @pytest.mark.parametrize("op", ["conv", "gelu", "matmul"])
+    @pytest.mark.parametrize("op", ["conv", "conv-backward", "gelu", "matmul", "render"])
     def test_no_part_submits_to_the_pool(self, op, monkeypatch, fresh_pool):
         """Only the calling thread asks for the pool; a part that split its
         work again could wait on a task that never starts."""
@@ -611,15 +647,26 @@ class TestRunParts:
 
         monkeypatch.setattr(T, "_pool", pool)
         r = rng(64)
-        with T.no_grad():
+        f32 = lambda shape, grad=False: T.from_array(r.standard_normal(shape), grad, np.float32)
+        if op.startswith("conv"):
+            x, w = f32((1, 16, 128, 128), op == "conv-backward"), f32((32, 16, 3, 3))
             if op == "conv":
-                T.conv2d(T.from_array(r.standard_normal((1, 16, 128, 128)), dtype=np.float32),
-                         T.from_array(r.standard_normal((32, 16, 3, 3)), dtype=np.float32))
-            elif op == "gelu":
-                T.gelu(T.from_array(r.standard_normal(T._GELU_SPLIT_MIN + 1), dtype=np.float32))
+                with T.no_grad():
+                    T.conv2d(x, w)
             else:
-                a, b = (T.from_array(_operand(r, s, np.float32), dtype=np.float32) for s in ((2048, 64), (64, 1280)))
-                T.matmul(a, b)
+                T.reset_tape()
+                y = T.conv2d(x, w)
+                callers.clear()  # the backward must ask for the pool itself
+                T.backward(T.tsum(y))
+                assert x.grad.shape == x.shape
+        elif op == "gelu":
+            T.gelu(f32(T._GELU_SPLIT_MIN + 1))
+        elif op == "matmul":
+            a, b = (T.from_array(_operand(r, s, np.float32), dtype=np.float32) for s in ((2048, 64), (64, 1280)))
+            T.matmul(a, b)
+        else:
+            cfg = SynthConfig(height=32, width=32, frames=4, noise_sigma=0.05)
+            render_ramap(generate_scene(1, "CR", cfg), cfg)
         assert callers and set(callers) == {threading.current_thread()}
 
 
