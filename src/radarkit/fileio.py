@@ -8,6 +8,7 @@ Binary files are streamed from the open file, never held whole.
 """
 
 import math
+import mmap
 import os
 import struct
 from contextlib import AbstractContextManager
@@ -15,6 +16,21 @@ from contextlib import AbstractContextManager
 import numpy as np
 
 from .errors import DataFormatError
+
+
+def mapped_array(shape, dtype) -> np.ndarray:
+    """A zeroed array on an anonymous mapping of its own, whose pages go
+    back to the system as soon as the array is dropped.  Malloc's heap keeps
+    the pages of a freed array wherever a later allocation sits above it,
+    and how much it keeps depends on the address layout, so code that makes
+    and drops arrays of many megabytes in turn would peak at a different
+    size in each process."""
+    dtype = np.dtype(dtype)
+    buf = mmap.mmap(-1, dtype.itemsize * math.prod(shape))
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        # as numpy advises its own large allocations
+        buf.madvise(mmap.MADV_HUGEPAGE)
+    return np.ndarray(shape, dtype, buffer=buf)
 
 
 class BinaryReader(AbstractContextManager):

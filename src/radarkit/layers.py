@@ -236,7 +236,14 @@ class BatchNorm2d(Module):
         self._buffers["running_mean"] = np.zeros_like(self.gamma.data)
         self._buffers["running_var"] = np.ones_like(self.gamma.data)
 
+    def _check(self, shape):
+        channels = self.gamma.shape[1]
+        if len(shape) != 4 or shape[1] != channels:
+            raise ShapeError(f"BatchNorm2d expects (B, {channels}, H, W) maps, got {shape}")
+        return shape
+
     def forward(self, x):
+        self._check(x.shape)
         if self.training:
             mu = x.data.mean(axis=(0, 2, 3), keepdims=True)
             var = x.data.var(axis=(0, 2, 3), keepdims=True)
@@ -250,6 +257,9 @@ class BatchNorm2d(Module):
         a = self.gamma.data * inv
         b = self.beta.data - mean * a
         return T.affine_const(x, a.astype(x.data.dtype), b.astype(x.data.dtype))
+
+    def profile(self, in_shape, path=""):
+        return super().profile(self._check(in_shape), path)
 
 
 class Mlp(Module):
@@ -304,8 +314,9 @@ class MultiheadSelfAttention(Module):
 
 
 class VitBlock(Module):
-    """Pre-norm transformer sub-block on (B, N, S) tokens: t + attn(norm1(t)),
-    then that plus mlp(norm2(.))."""
+    """Pre-norm transformer sub-block on (B, N, S) tokens: the attention
+    half t + attn(norm1(t)), then the MLP half t + mlp(norm2(t)), which acts
+    on each token alone."""
 
     def __init__(self, dim, heads, mlp_hidden, seeds):
         super().__init__()
@@ -314,15 +325,23 @@ class VitBlock(Module):
         self.norm2 = LayerNorm(dim)
         self.mlp = Mlp(dim, mlp_hidden, seeds)
 
-    def forward(self, tokens):
-        tokens = T.add(tokens, self.attn(self.norm1(tokens)))
+    def _attention_half(self, tokens):
+        return T.add(tokens, self.attn(self.norm1(tokens)))
+
+    def _mlp_half(self, tokens):
         return T.add(tokens, self.mlp(self.norm2(tokens)))
+
+    def forward(self, tokens):
+        return self._mlp_half(self._attention_half(tokens))
 
 
 class PartitionAttention(VitBlock):
     """The transformer sub-block over the tokens of a window or grid
     partition: partition, add the learned token position embedding, run the
-    pre-norm MSA + MLP of ``VitBlock``, then take the exact reverse."""
+    attention half of ``VitBlock`` on the partition's tokens, padding
+    included, and take the exact reverse to channels-last pixels with the
+    padding cropped.  The MLP half then runs on the map's (B, H, W, C)
+    pixels alone, and one permute gives back (B, C, H, W)."""
 
     def __init__(self, dim, heads, mlp_hidden, mode, size, seeds):
         if mode not in ("window", "grid"):
@@ -331,14 +350,25 @@ class PartitionAttention(VitBlock):
         self.mode, self.size = mode, size
         self.pos = self.add_param("pos", T.zeros((size * size, dim), requires_grad=True))
 
+    def _check(self, shape):
+        if len(shape) != 4 or shape[1] != self.attn.dim:
+            raise ShapeError(f"{self.mode} attention expects (B, {self.attn.dim}, H, W) maps, got {shape}")
+        return shape
+
     def forward(self, x):
-        tokens = T.add_bcast(T._partition(x, self.size, self.mode), self.pos)
-        return T._unpartition(super().forward(tokens), self.size, self.mode, *x.shape)
+        b, c, h, w = self._check(x.shape)
+        tokens = self._attention_half(T.add_bcast(T._partition(x, self.size, self.mode), self.pos))
+        pixels = T._unpartition(tokens, self.size, self.mode, b, c, h, w, channels_last=True)
+        return T.permute(self._mlp_half(pixels), (0, 3, 1, 2))
 
     def profile(self, in_shape, path=""):
-        _, _, tokens = T._partition_shapes(self.size, self.mode, *in_shape)
-        entries, _ = super().profile(tokens, path)
-        return [(_join(path, "pos"), self.pos.size, 0)] + entries, in_shape
+        b, c, h, w = self._check(in_shape)
+        _, _, tokens = T._partition_shapes(self.size, self.mode, b, c, h, w)
+        pixels = (b, h, w, c)
+        entries = [(_join(path, "pos"), self.pos.size, 0)]
+        for name, shape in (("norm1", tokens), ("attn", tokens), ("norm2", pixels), ("mlp", pixels)):
+            entries += getattr(self, name).profile(shape, _join(path, name))[0]
+        return entries, in_shape
 
 
 class MBConv(Module):

@@ -23,6 +23,8 @@ that ``tensor.gelu`` uses, also on one CPU, while the calling thread
 renders the targets; numpy's generator releases the GIL for the bulk
 fill.  The noise generator is seeded from (seed, scenario) alone, so the
 stream, and with it the cube, is the same whichever thread draws it.
+The f64 cube and noise and the rendered output are each on an anonymous
+mapping of their own (``fileio.mapped_array``), not in malloc's heap.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 
 from .confmap import RANGE_RESOLUTION_M, Annotation, read_annotations, write_annotations
 from .errors import ConfigError, DataFormatError, UsageError
-from .fileio import BinaryReader, read_records
+from .fileio import BinaryReader, mapped_array, read_records
 from .tensor import _float_dtype, _run_parts
 
 SCENARIOS = ("PL", "CR", "CS", "HW")
@@ -167,7 +169,7 @@ def generate_scene(seed: int, scenario: str, cfg: SynthConfig = SynthConfig()) -
 
 def _noise(rng, shape, sigma):
     """`shape` standard normal f64 values from rng, scaled in place by sigma."""
-    noise = rng.standard_normal(shape)
+    noise = rng.standard_normal(out=mapped_array(shape, np.float64))
     noise *= sigma
     return noise
 
@@ -188,7 +190,7 @@ def render_ramap(scene: Scene, cfg: SynthConfig = SynthConfig(), dtype=np.float3
     annotations: list[Annotation] = []
 
     def targets():
-        cube = np.zeros(shape)
+        cube = mapped_array(shape, np.float64)
         for t in range(t_frames):
             for tgt in scene.targets:
                 range_now = tgt.range_m + tgt.speed_mps * t / FRAME_RATE_HZ
@@ -212,10 +214,11 @@ def render_ramap(scene: Scene, cfg: SynthConfig = SynthConfig(), dtype=np.float3
 
     draw = [(_noise, noise_rng, shape, cfg.noise_sigma)] if cfg.noise_sigma > 0 else []
     cube, *noise = _run_parts(lambda fn, *args: fn(*args), [(targets,)] + draw)
-    if not noise:
-        return cube.astype(dtype), annotations
-    out = np.empty(shape, dtype)
-    np.add(cube, noise[0], out=out)
+    out = mapped_array(shape, dtype)
+    if noise:
+        np.add(cube, noise[0], out=out)
+    else:
+        out[...] = cube
     return out, annotations
 
 

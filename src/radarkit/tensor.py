@@ -70,15 +70,18 @@ left alone.
 
 Window and grid partitioning are one reshape, permute, reshape of the map
 zero-padded to a multiple of the size P; the modes differ only in the
-permutation.  The reverse permutes back by its inverse and crops the padding.
+permutation.  The reverse permutes back by its inverse and crops the padding;
+it can also permute straight to channels-last pixels (B, H, W, C), which
+``layers.PartitionAttention`` runs its MLP half on.
 
 With ``set_debug_checks(True)`` every op checks that its output is finite
 and otherwise raises a ``UsageError`` naming the op and, inside a module
 call, the module's path from the outermost module being called
 (``trunk.blocks.0.window_attn.mlp.fc1: matmul produced non-finite values``).
 
-``matmul`` takes an optional bias over the last output axis and adds it in
-place to the fresh product, the same IEEE add as a separate ``add_bcast``.
+``matmul`` takes an optional bias over the last output axis, which each
+part of ``_gemm`` adds in place to its slice of the fresh product, the same
+IEEE add as a separate ``add_bcast``.
 ``gelu`` splits arrays of more than ``_GELU_SPLIT_MIN`` elements into one
 chunk per CPU the process may use.  ``_run_parts`` runs the first chunk,
 or product part, on the calling thread and the others on a thread pool
@@ -488,13 +491,14 @@ def _exact_cut(n, dtype) -> bool:
     return dtype == np.float32 or n % 16 == 0
 
 
-def _gemm(a, b):
-    """``a @ b`` with numpy's broadcasting of the leading axes, cut by
-    `_split` along the first leading axis longer than 1, else, where
-    `_exact_cut` allows, along the rows or the columns of the one product,
-    whichever are more.  No part cuts the summed axis, so each element is
-    the sum that one-thread OpenBLAS computes for the whole product, bit
-    for bit."""
+def _gemm(a, b, bias=None):
+    """``a @ b``, plus `bias` over the last output axis if given, with
+    numpy's broadcasting of the leading axes, cut by `_split` along the
+    first leading axis longer than 1, else, where `_exact_cut` allows, along
+    the rows or the columns of the one product, whichever are more.  No part
+    cuts the summed axis, so each element is the sum that one-thread
+    OpenBLAS computes for the whole product, bit for bit, and each part adds
+    its slice of the bias in place."""
     lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     (m, k), n = a.shape[-2:], b.shape[-1]
     axis = next((i for i, e in enumerate(lead) if e > 1), None)
@@ -507,18 +511,26 @@ def _gemm(a, b):
         extent, align = 1, 1
     ranges = _split(math.prod(lead) * m * k * n, extent, align)
     if len(ranges) == 1:
-        return a @ b
+        out = a @ b
+        if bias is not None:
+            out += bias
+        return out
     out = np.empty(lead + (m, n), dtype=np.result_type(a, b))
     a, b = (np.broadcast_to(op, lead + op.shape[-2:]) for op in (a, b))
 
     def part(lo, hi):
         if axis == "rows":
-            np.matmul(a[..., lo:hi, :], b, out=out[..., lo:hi, :])
+            o = out[..., lo:hi, :]
+            np.matmul(a[..., lo:hi, :], b, out=o)
         elif axis == "columns":
-            np.matmul(a, b[..., lo:hi], out=out[..., lo:hi])
+            o = out[..., lo:hi]
+            np.matmul(a, b[..., lo:hi], out=o)
         else:
             cut = (slice(None),) * axis + (slice(lo, hi),)
-            np.matmul(a[cut], b[cut], out=out[cut])
+            o = out[cut]
+            np.matmul(a[cut], b[cut], out=o)
+        if bias is not None:
+            o += bias[lo:hi] if axis == "columns" else bias
 
     _run_parts(part, ranges)
     return out
@@ -532,8 +544,9 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     """Batched ``a @ b`` with numpy broadcasting of the leading axes.
 
     A `bias` of shape ``(b.shape[-1],)`` is added in place to the product,
-    which is the same IEEE add as ``add_bcast(matmul(a, b), bias)`` without
-    a second output array; its gradient is summed over every other axis.
+    by each part of a split product to its own slice (``_gemm``), which is
+    the same IEEE add as ``add_bcast(matmul(a, b), bias)`` without a second
+    output array; its gradient is summed over every other axis.
     """
     inputs = (a, b) if bias is None else (a, b, bias)
     _same_dtype(*inputs)
@@ -544,11 +557,9 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     if bias is not None and bias.shape != (b.shape[-1],):
         raise ShapeError(f"bias must have shape ({b.shape[-1]},), got {bias.shape}")
     try:
-        out = _gemm(a.data, b.data)
+        out = _gemm(a.data, b.data, None if bias is None else bias.data)
     except ValueError as e:
         raise ShapeError(str(e)) from None
-    if bias is not None:
-        out += bias.data
 
     def grad_fn(g):
         if a.requires_grad:
@@ -949,6 +960,9 @@ def repeat(x: Tensor, axis: int, factor: int) -> Tensor:
 # from a split of the padded map to token blocks (B, nH, nW, P, P, C); the
 # split is (B,C,nH,P,nW,P) for windows and (B,C,P,nH,P,nW) for grid groups
 _PARTITION_PERMS = {"window": (0, 2, 4, 3, 5, 1), "grid": (0, 3, 5, 2, 4, 1)}
+# from token blocks to the channels-last split of the padded map:
+# (B,nH,P,nW,P,C) for windows and (B,P,nH,P,nW,C) for grid groups
+_CHANNELS_LAST_PERMS = {"window": (0, 1, 3, 2, 4, 5), "grid": (0, 3, 1, 4, 2, 5)}
 
 
 def _partition_shapes(p, mode, b, c, h, w):
@@ -975,15 +989,19 @@ def _partition(x: Tensor, p: int, mode: str) -> Tensor:
     return reshape(permute(reshape(x, split), perm), out)
 
 
-def _unpartition(tokens: Tensor, p: int, mode: str, b: int, c: int, h: int, w: int) -> Tensor:
-    """Exact inverse of ``_partition(x, p, mode)`` for x of shape (b,c,h,w)."""
+def _unpartition(tokens: Tensor, p: int, mode: str, b: int, c: int, h: int, w: int,
+                 channels_last: bool = False) -> Tensor:
+    """Exact inverse of ``_partition(x, p, mode)`` for x of shape (b,c,h,w);
+    with `channels_last`, the same pixels as (b,h,w,c), from the one permute."""
     (hp, wp), blocks, expected = _partition_shapes(p, mode, b, c, h, w)
     if tokens.shape != expected:
         raise ShapeError(f"token shape {tokens.shape} inconsistent with reverse target")
-    t = reshape(permute(reshape(tokens, blocks), np.argsort(_PARTITION_PERMS[mode])), (b, c, hp, wp))
-    if (hp, wp) != (h, w):
-        t = crop(t, [(0, b), (0, c), (0, h), (0, w)])
-    return t
+    if channels_last:
+        perm, padded, shape = _CHANNELS_LAST_PERMS[mode], (b, hp, wp, c), (b, h, w, c)
+    else:
+        perm, padded, shape = np.argsort(_PARTITION_PERMS[mode]), (b, c, hp, wp), (b, c, h, w)
+    t = reshape(permute(reshape(tokens, blocks), perm), padded)
+    return t if padded == shape else crop(t, [(0, n) for n in shape])
 
 
 def window_partition(x: Tensor, p: int) -> Tensor:

@@ -318,3 +318,16 @@ def test_short_read_names_file_and_offset(tmp_path, monkeypatch):
     path = _ramc(tmp_path)
     monkeypatch.setattr(fileio, "open", lambda *a: _ShortReads(builtins.open(*a)), raising=False)
     _raises_naming(path, read_sequence, "short read of payload at offset 26", f"got {CUBE.nbytes - 4}")
+
+
+@pytest.mark.parametrize("shape, dtype", [((2, 3, 4), np.float64), ((5, 7), "<f4")])
+def test_mapped_array_is_zeroed_writable_and_on_its_own_mapping(shape, dtype):
+    import mmap
+
+    a = fileio.mapped_array(shape, dtype)
+    assert a.shape == shape and a.dtype == np.dtype(dtype)
+    assert a.flags.writeable and a.flags.c_contiguous and a.flags.aligned
+    assert isinstance(a.base, mmap.mmap) and len(a.base) == a.nbytes
+    assert not a.any()
+    a[...] = 1
+    assert a.sum() == a.size

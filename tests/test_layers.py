@@ -6,6 +6,7 @@ import pytest
 from radarkit import tensor as T
 from radarkit.errors import ConfigError, ShapeError
 from radarkit.layers import (
+    BatchNorm2d,
     Conv2d,
     Conv3d,
     FramePairConv3d,
@@ -295,41 +296,97 @@ class TestMaxVitBlock:
 
 
 class TestPartitionAttention:
-    """Partition, add the position embedding, the pre-norm sub-block, reverse.
-    The reference is composed here from the child modules, so it does not
-    run VitBlock.forward, which PartitionAttention shares."""
+    """Partition, add the position embedding, the attention half, reverse to
+    channels-last pixels, then the MLP half on the map's pixels alone.  The
+    references are composed here from the child modules, so they do not run
+    VitBlock's halves, which PartitionAttention shares."""
 
     @staticmethod
-    def composed(sub, x):
+    def attention_half(sub, x):
+        """The partition's tokens after the attention half, padding included."""
         window = sub.mode == "window"
         t = (T.window_partition if window else T.grid_partition)(x, sub.size)
         t = T.add_bcast(t, sub.pos)
-        t = T.add(t, sub.attn(sub.norm1(t)))
+        return T.add(t, sub.attn(sub.norm1(t)))
+
+    @classmethod
+    def composed(cls, sub, x):
+        reverse = T.window_reverse if sub.mode == "window" else T.grid_reverse
+        m = T.permute(reverse(cls.attention_half(sub, x), sub.size, *x.shape), (0, 2, 3, 1))
+        m = T.add(m, sub.mlp(sub.norm2(m)))
+        return T.permute(m, (0, 3, 1, 2))
+
+    @classmethod
+    def composed_in_partition(cls, sub, x):
+        """The MLP half on the partition's tokens, padding included, before the reverse."""
+        t = cls.attention_half(sub, x)
         t = T.add(t, sub.mlp(sub.norm2(t)))
-        return (T.window_reverse if window else T.grid_reverse)(t, sub.size, *x.shape)
+        return (T.window_reverse if sub.mode == "window" else T.grid_reverse)(t, sub.size, *x.shape)
 
     @staticmethod
     def output_and_grads(fn, sub, x, upstream):
-        """Bytes of fn's output, of x's gradient and of every parameter
-        gradient, in named_params() order."""
+        """Fn's output, x's gradient and every parameter gradient, in
+        named_params() order."""
         x.zero_grad()
         for p in sub.params():
             p.zero_grad()
         T.reset_tape()
         out = fn(sub, x)
         T.backward(T.tsum(T.mul(out, upstream)))
-        return [out.data.tobytes(), x.grad.tobytes()] + [p.grad.tobytes() for _, p in sub.named_params()]
+        return [out.data, x.grad] + [p.grad for _, p in sub.named_params()]
+
+    @staticmethod
+    def make(mode, hw, dim=8):
+        sub = PartitionAttention(dim, 2, 20 * dim, mode, 4, SeedStream(7))
+        sub.pos.data[...] = T.uniform(sub.pos.shape, 8).data
+        return sub, uni((2, dim) + hw, 9, grad=True), uni((2, dim) + hw, 10)
 
     @pytest.mark.parametrize("mode", ["window", "grid"])
     @pytest.mark.parametrize("hw", [(8, 8), (6, 9)])
     def test_bitwise_equal_to_composed_reference(self, mode, hw):
-        sub = PartitionAttention(8, 2, 160, mode, 4, SeedStream(7))
-        sub.pos.data[...] = T.uniform(sub.pos.shape, 8).data
-        x = uni((2, 8) + hw, 9, grad=True)
-        upstream = uni(x.shape, 10)
+        sub, x, upstream = self.make(mode, hw)
         got = self.output_and_grads(lambda s, t: s(t), sub, x, upstream)
         want = self.output_and_grads(self.composed, sub, x, upstream)
-        assert got == want
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    @pytest.mark.parametrize("mode", ["window", "grid"])
+    @pytest.mark.parametrize("hw", [(8, 8), (6, 9)])
+    def test_mlp_off_the_padding_changes_only_its_gradients_rounding(self, mode, hw):
+        """Against the MLP half run on the padded partition (f64): the output
+        and every gradient outside norm2 and the MLP are the same bits; the
+        norm2 and MLP gradients sum the same terms over fewer tokens, in
+        another order.  The width is 16, as in the models: with an output
+        width that is not a multiple of 16 OpenBLAS rounds an f64 row
+        differently in a product of another row count (``_exact_cut``)."""
+        sub, x, upstream = self.make(mode, hw, dim=16)
+        got = self.output_and_grads(lambda s, t: s(t), sub, x, upstream)
+        want = self.output_and_grads(self.composed_in_partition, sub, x, upstream)
+        names = ["out", "x"] + [n for n, _ in sub.named_params()]
+        for name, a, b in zip(names, got, want):
+            if name.startswith(("norm2.", "mlp.")):
+                assert np.max(np.abs(a - b)) <= 1e-12, name
+            else:
+                assert a.tobytes() == b.tobytes(), name
+
+    def test_mlp_multiplies_the_map_pixels_only(self, monkeypatch):
+        """At (6, 9) with size 4 the padded partition holds 2 * 6 * 16 = 192
+        tokens (8 x 12), which the attention sees; fc1 multiplies the
+        2 * 54 = 108 pixels of the map, and ``profile`` counts the same."""
+        sub, x, _ = self.make("window", (6, 9))
+        rows = {}
+        for name, layer in (("attn.qkv", sub.attn.qkv), ("mlp.fc1", sub.mlp.fc1), ("mlp.fc2", sub.mlp.fc2)):
+
+            def recording(t, name=name, forward=layer.forward):
+                rows[name] = int(np.prod(t.shape[:-1]))
+                return forward(t)
+
+            monkeypatch.setattr(layer, "forward", recording)
+        with T.no_grad():
+            assert sub(x).shape == x.shape
+        assert rows == {"attn.qkv": 192, "mlp.fc1": 108, "mlp.fc2": 108}
+        macs = {name: m for name, _, m in sub.profile(x.shape)[0]}
+        assert macs["mlp.fc1"] == macs["mlp.fc2"] == 108 * 8 * 160
+        assert macs["attn"] == 2 * 6 * (3 * 16 * 8 * 8 + 2 * 16 * 16 * 8 + 16 * 8 * 8)
 
     def test_param_names_in_order(self):
         sub = PartitionAttention(8, 2, 160, "grid", 4, SeedStream(0))
@@ -368,6 +425,10 @@ LAYER_ERRORS = {
                   ShapeError, r"expected \(B, N, 4\) tokens, got \(1, 3, 6\)"),
     "partition-mode": (lambda: PartitionAttention(4, 2, 8, "diagonal", 2, SeedStream(0)),
                        ConfigError, "unknown partition mode 'diagonal'"),
+    "partition-rank": (lambda: PartitionAttention(8, 2, 16, "window", 4, SeedStream(0))(T.zeros((1, 8, 8))),
+                       ShapeError, r"window attention expects \(B, 8, H, W\) maps, got \(1, 8, 8\)"),
+    "partition-channels": (lambda: PartitionAttention(8, 2, 16, "grid", 2, SeedStream(0))(T.zeros((4, 3, 4, 4))),
+                           ShapeError, r"grid attention expects \(B, 8, H, W\) maps, got \(4, 3, 4, 4\)"),
     "patch-embed-resolution": (lambda: PatchEmbed(1, 4, 8, 8, 4, SeedStream(0))(T.zeros((1, 1, 8, 12))),
                                ShapeError, "does not match embed resolution"),
     "vit-upsample-tokens": (lambda: VitUpsample(4, 2, 1, 2, 2, SeedStream(0))(T.zeros((1, 5, 4))),
@@ -384,9 +445,11 @@ def test_layer_input_errors(case):
         call()
 
 
-# layers that multiply, each with an input shape its forward refuses:
-# (make layer, shape, phrase)
+# layers that multiply or keep statistics, each with an input shape its
+# forward refuses: (make layer, shape, phrase)
 PROFILE_LIKE_FORWARD = {
+    "batchnorm-channels": (lambda: BatchNorm2d(1), (2, 3, 4, 4), r"BatchNorm2d expects \(B, 1, H, W\)"),
+    "batchnorm-rank": (lambda: BatchNorm2d(3), (2, 3, 4), r"maps, got \(2, 3, 4\)"),
     "conv2d-channels": (lambda: Conv2d(3, 4, 3, SeedStream(0)), (1, 5, 8, 8), "channel mismatch"),
     "conv2d-rank": (lambda: Conv2d(3, 4, 3, SeedStream(0)), (1, 3, 8), "rank 4"),
     "conv3d-channels": (lambda: Conv3d(2, 3, (1, 3, 3), SeedStream(0)), (1, 4, 2, 6, 6), "channel mismatch"),
@@ -404,6 +467,9 @@ PROFILE_LIKE_FORWARD = {
     "patch-embed-rank": (lambda: PatchEmbed(1, 4, 8, 8, 4, SeedStream(0)), (1, 8, 8), "embed resolution"),
     "vit-upsample-tokens": (lambda: VitUpsample(4, 2, 1, 2, 2, SeedStream(0)), (1, 5, 4), "token count"),
     "vit-upsample-width": (lambda: VitUpsample(4, 2, 1, 2, 2, SeedStream(0)), (1, 4, 6), "Linear expects"),
+    "partition-rank": (lambda: PartitionAttention(8, 2, 16, "window", 4, SeedStream(0)), (1, 8, 8), "maps, got"),
+    "partition-channels": (lambda: PartitionAttention(8, 2, 16, "grid", 4, SeedStream(0)), (4, 16, 3, 5),
+                           "maps, got"),
 }
 
 
@@ -416,6 +482,19 @@ def test_profile_refuses_like_forward(case):
     with pytest.raises(ShapeError) as profiled:
         layer.profile(shape)
     assert str(profiled.value) == str(forward.value)
+
+
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("shape", [(2, 3, 4, 4), (2, 1, 4), (1, 1, 2, 4, 4)])
+def test_batchnorm_refusal_keeps_running_statistics(shape, training):
+    bn = BatchNorm2d(1)
+    bn.set_training(training)
+    bn._buffers["running_mean"][...] = 0.25
+    bn._buffers["running_var"][...] = 2.0
+    before = {k: (v.shape, v.tobytes()) for k, v in bn._buffers.items()}
+    with pytest.raises(ShapeError, match=r"BatchNorm2d expects \(B, 1, H, W\) maps"):
+        bn(T.zeros(shape))
+    assert {k: (v.shape, v.tobytes()) for k, v in bn._buffers.items()} == before
 
 
 class TestVitPieces:

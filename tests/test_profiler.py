@@ -139,7 +139,7 @@ class TestMacCounts:
 
 
 REFERENCE_COUNTS = {
-    "radarformer-ref": (6_354_419, 119_801_155_584),
+    "radarformer-ref": (6_354_419, 112_959_197_184),
     "cnn2d-ref": (2_595_331, 49_745_494_016),
     "transformer2d-ref": (21_880_115, 10_997_465_088),
     "radarformer-tiny": (69_523, 94_699_520),

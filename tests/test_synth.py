@@ -10,6 +10,7 @@ import pytest
 from radarkit import synth
 from radarkit.confmap import RANGE_RESOLUTION_M
 from radarkit.errors import ConfigError, DataFormatError, UsageError
+from radarkit.fileio import mapped_array
 from radarkit.synth import (
     CHIRP_INDICES,
     CHIRPS_PER_FRAME,
@@ -213,6 +214,23 @@ class TestRenderEqualsLoops:
         with pytest.raises(MemoryError, match="cannot draw"):
             render_ramap(scene, SMALL)
         assert len(summed) == SMALL.frames * len(scene.targets)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.08])
+    def test_clip_sized_arrays_are_mapped(self, sigma, monkeypatch):
+        """The f64 cube, the f64 noise and the output each come from
+        `mapped_array`, so none of them is left in malloc's heap."""
+        made = []
+
+        def mapped(shape, dtype):
+            made.append((tuple(shape), np.dtype(dtype)))
+            return mapped_array(shape, dtype)
+
+        monkeypatch.setattr(synth, "mapped_array", mapped)
+        cfg = SynthConfig(height=16, width=16, frames=2, noise_sigma=sigma)
+        cube, _ = render_ramap(generate_scene(1, "PL", cfg), cfg)
+        f64 = [((2, 2, 4, 16, 16), np.dtype(np.float64))] * (2 if sigma else 1)
+        assert sorted(made[:-1], key=str) == f64
+        assert made[-1] == (cube.shape, np.dtype(np.float32))
 
     def test_no_draw_without_noise(self, monkeypatch):
         monkeypatch.setattr(synth, "_noise", None)

@@ -560,6 +560,25 @@ class TestGemmSplit:
             assert (hi - lo) * macs >= extent * T._VIEW_GEMM_MIN_MACS
             assert hi - lo >= (1 if case.startswith("batch") else 2)
 
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_bias_in_parts_bitwise_equal_to_whole(self, case, dtype, cpus, monkeypatch, fresh_pool):
+        """Each part adds its slice of the bias to its own output: the bits
+        of ``a @ b + bias`` on one thread."""
+        a_shape, a_t, b_shape, b_t = self.CASES[case]
+        r = rng(66)
+        a, b = _operand(r, a_shape, dtype, a_t), _operand(r, b_shape, dtype, b_t)
+        bias = r.standard_normal(b_shape[-1]).astype(dtype)
+        assert T._one_blas_thread()
+        want = a @ b + bias
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        log = self._record_parts(monkeypatch)
+        got = T._gemm(a, b, bias)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        [(_, _, ranges)] = log
+        assert len(ranges) == cpus
+
     def test_parts_keep_the_small_matrix_minimum(self, monkeypatch, fresh_pool):
         """With 16 CPUs a 2**24 multiply-add product runs in 8 parts, not 16:
         each keeps ``_VIEW_GEMM_MIN_MACS`` (2**21)."""
