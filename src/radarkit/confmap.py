@@ -31,6 +31,7 @@ pass looks up its class's kappa once and calls the kernel's body,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,8 +209,11 @@ def decode_confmap(confmap, floor: float = 0.3, ols_threshold: float = 0.3) -> l
 # ---------------------------------------------------------------------------
 # line-oriented annotation / detection files
 #
-# annotations: "frame_id class_id range_bin azimuth_bin"
-# detections:  same four fields plus confidence with 6 decimal digits
+# annotations: "frame_id class_id range_bin azimuth_bin", class_id a CLASS_NAMES index
+# detections:  same four fields plus a finite confidence with 6 decimal digits
+#
+# The readers refuse any other class id or confidence with a DataFormatError
+# naming the file and line.
 
 
 def write_annotations(path, annotations) -> None:
@@ -218,8 +222,22 @@ def write_annotations(path, annotations) -> None:
             fh.write(f"{a.frame_id} {a.class_id} {a.range_bin} {a.azimuth_bin}\n")
 
 
+def _class_id(word: str) -> int:
+    class_id = int(word)
+    if not 0 <= class_id < len(CLASS_NAMES):
+        raise ValueError(f"class id {class_id} outside 0..{len(CLASS_NAMES) - 1}")
+    return class_id
+
+
+def _confidence(word: str) -> float:
+    confidence = float(word)
+    if not math.isfinite(confidence):
+        raise ValueError(f"confidence {word!r} is not finite")
+    return confidence
+
+
 def read_annotations(path) -> list[Annotation]:
-    return [Annotation(*v) for _, v in read_records(path, (int, int, int, int))]
+    return [Annotation(*v) for _, v in read_records(path, (int, _class_id, int, int))]
 
 
 def write_detections(path, detections) -> None:
@@ -231,5 +249,5 @@ def write_detections(path, detections) -> None:
 
 
 def read_detections(path) -> list[Detection]:
-    records = read_records(path, (int, int, int, int, float))
+    records = read_records(path, (int, _class_id, int, int, _confidence))
     return [Detection(v[1], v[2], v[3], v[4], frame_id=v[0]) for _, v in records]

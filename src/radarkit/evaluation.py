@@ -141,25 +141,3 @@ def evaluate(detections, annotations, categories=None, frame_ids=None, threshold
         if frames:
             result.per_category[tag] = _pool(frames, thresholds)[:2]
     return result
-
-
-def format_report(result: EvalResult) -> str:
-    lines = [f"{'category':>10s} {'AP':>8s} {'AR':>8s}"]
-    lines.append(f"{'Total':>10s} {result.ap_total:8.4f} {result.ar_total:8.4f}")
-    for tag in CATEGORIES:
-        if tag in result.per_category:
-            ap, ar = result.per_category[tag]
-            lines.append(f"{tag:>10s} {ap:8.4f} {ar:8.4f}")
-    return "\n".join(lines)
-
-
-def write_report_kv(result: EvalResult, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"total.ap = {result.ap_total:.6f}\n")
-        fh.write(f"total.ar = {result.ar_total:.6f}\n")
-        for tag, (ap, ar) in sorted(result.per_category.items()):
-            fh.write(f"{tag}.ap = {ap:.6f}\n")
-            fh.write(f"{tag}.ar = {ar:.6f}\n")
-        for thr, row in sorted(result.per_threshold.items()):
-            fh.write(f"threshold.{thr:.2f}.ap = {row['ap']:.6f}\n")
-            fh.write(f"threshold.{thr:.2f}.ar = {row['ar']:.6f}\n")

@@ -2,9 +2,10 @@
 
 The rule: every length read from a file is checked against the file size
 before anything is read or allocated, and every decode or conversion
-error is caught.  Each failure is a ``DataFormatError`` naming the file
-and the field, with its offset (bytes needed, bytes left) or its line.
-Binary files are streamed from the open file, never held whole.
+error is caught, as is an OSError from opening the file.  Each failure is
+a ``DataFormatError`` naming the file and the field, with its offset
+(bytes needed, bytes left) or its line.  Binary files are streamed from
+the open file, never held whole.
 """
 
 import math
@@ -27,10 +28,15 @@ def mapped_array(shape, dtype) -> np.ndarray:
     size in each process."""
     dtype = np.dtype(dtype)
     buf = mmap.mmap(-1, dtype.itemsize * math.prod(shape))
-    if hasattr(mmap, "MADV_HUGEPAGE"):
-        # as numpy advises its own large allocations
-        buf.madvise(mmap.MADV_HUGEPAGE)
     return np.ndarray(shape, dtype, buffer=buf)
+
+
+def _open(path):
+    """`path` opened for binary reading; an OSError is a DataFormatError naming it."""
+    try:
+        return open(path, "rb")
+    except OSError as e:
+        raise DataFormatError(f"{path}: cannot open: {e.strerror}") from None
 
 
 class BinaryReader(AbstractContextManager):
@@ -39,7 +45,7 @@ class BinaryReader(AbstractContextManager):
 
     def __init__(self, path, magic: bytes, versions):
         self.path, self.pos = path, 0
-        self._fh = open(path, "rb")
+        self._fh = _open(path)
         try:
             self.size = os.fstat(self._fh.fileno()).st_size
             if (head := self.take(len(magic), "magic")) != magic:
@@ -103,7 +109,7 @@ def read_records(path, fields, header=None):
     """Yield (line number, values) for each non-blank line of an ASCII
     file, converting its whitespace-separated words with one callable per
     entry of `fields`; when `header` is given, line 1 must be it."""
-    with open(path, "rb") as fh:
+    with _open(path) as fh:
         lines = fh.read().splitlines() or [b""]
     for lineno, raw in enumerate(lines, 1):
         try:

@@ -294,8 +294,6 @@ def write_dataset(directory, sequences) -> DatasetManifest:
 
 def read_manifest(directory) -> DatasetManifest:
     path = Path(directory) / _MANIFEST_NAME
-    if not path.exists():
-        raise DataFormatError(f"{path}: manifest not found")
     entries = []
     first_line = {}
     for lineno, v in read_records(path, (str, str, str, int, str, str, str, str), _MANIFEST_HEADER):

@@ -14,9 +14,7 @@ from radarkit.evaluation import (
     CATEGORIES,
     OLS_THRESHOLDS,
     evaluate,
-    format_report,
     match_frame,
-    write_report_kv,
 )
 
 from oracles import greedy_match_scalar, match_frame_best_assignment
@@ -270,15 +268,3 @@ class TestEvaluate:
         assert res.per_category["PL"] == (1.0, 1.0)
         assert res.per_category["HW"] == (0.0, 0.0)
         assert res.ar_total == 0.5
-
-    def test_report_outputs(self, tmp_path):
-        gts = [gt(0, 10, 10, 0)]
-        dets = [det(0, 10, 10, 0.9, 0)]
-        res = evaluate(dets, gts, categories={0: "CS"})
-        text = format_report(res)
-        assert "Total" in text and "CS" in text
-        path = tmp_path / "eval.kv"
-        write_report_kv(res, path)
-        content = path.read_text()
-        assert "total.ap = 1.000000" in content
-        assert "threshold.0.70.ap = 1.000000" in content

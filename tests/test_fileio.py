@@ -281,6 +281,21 @@ class TestRegressions:
         path.write_bytes(b"\n".join(lines))
         _raises_naming(path, FORMATS[name][1], f"{path.name}:2")
 
+    @pytest.mark.parametrize("name, line, message", [
+        ("det", b"0 0 5 5 nan", "confidence 'nan' is not finite"),
+        ("det", b"0 0 5 5 inf", "confidence 'inf' is not finite"),
+        ("det", b"0 0 5 5 -inf", "confidence '-inf' is not finite"),
+        ("det", b"0 3 5 5 0.5", "class id 3 outside 0..2"),
+        ("ann", b"0 7 5 5", "class id 7 outside 0..2"),
+        ("ann", b"0 -1 5 5", "class id -1 outside 0..2"),
+    ])
+    def test_value_outside_its_domain_names_line(self, tmp_path, name, line, message):
+        path = FORMATS[name][0](tmp_path)
+        lines = path.read_bytes().split(b"\n")
+        lines[1] = line
+        path.write_bytes(b"\n".join(lines))
+        _raises_naming(path, FORMATS[name][1], f"{path.name}:2: malformed field: {message}")
+
     @pytest.mark.parametrize("edits", [
         {"heads = 2": "heads = 0"},
         {"variant = radarformer": "variant = transformer2d", "patch_size = 4": "patch_size = 0"},
@@ -318,6 +333,12 @@ def test_short_read_names_file_and_offset(tmp_path, monkeypatch):
     path = _ramc(tmp_path)
     monkeypatch.setattr(fileio, "open", lambda *a: _ShortReads(builtins.open(*a)), raising=False)
     _raises_naming(path, read_sequence, "short read of payload at offset 26", f"got {CUBE.nbytes - 4}")
+
+
+@pytest.mark.parametrize("name", sorted(FORMATS))
+def test_missing_file_names_path(tmp_path, name):
+    path = tmp_path / ("manifest.txt" if name == "manifest" else f"missing.{name}")
+    _raises_naming(path, FORMATS[name][1], "cannot open: No such file or directory")
 
 
 @pytest.mark.parametrize("shape, dtype", [((2, 3, 4), np.float64), ((5, 7), "<f4")])

@@ -19,8 +19,8 @@ setting; set the count in the environment:
 It covers synthetic rendering and RAMC files written and read back, ConfMap
 decoding and AP/AR, checkpoint bytes and the models loaded back from them,
 an eval-mode forward of a model as built and as reloaded, parameter names,
-the parameters of a small 3-D hourglass in f32 and f64, per-layer profiles,
-the rows of ``compare_report``, the output and gradients of conv2d and
+the parameters of a small 3-D hourglass in f32 and f64, per-layer profiles
+at each model's input shape and at one other, the output and gradients of conv2d and
 conv3d over a batch of two, and the forward output, loss, every gradient
 and the tape node count of a training step.  Array hashes include dtype
 and shape.  It uses only the public API plus ``tensor.active_tape`` and each
@@ -48,7 +48,7 @@ from radarkit.models import (
     REFERENCE_NAMES, Hourglass3d, ModelConfig, build_model, build_reference, config_to_text, load_checkpoint,
     reference_config, save_checkpoint,
 )
-from radarkit.profiler import compare_report, profile_layers
+from radarkit.profiler import profile_layers
 from radarkit.synth import SCENARIOS, SynthConfig, generate_scene, read_sequence, render_ramap, write_sequence
 
 CHECKPOINT_CONFIGS = ("radarformer-ref", "cnn2d-ref", "transformer2d-ref", "radarformer-tiny")
@@ -196,14 +196,15 @@ def profiles() -> None:
 
 
 def reports() -> None:
-    """compare_report rows (name, GMACs, params) of radarformer-tiny and a
-    small 3-D hourglass at one 8-frame 32x32 cube, without timing."""
+    """profile_layers rows of radarformer-tiny and a small 3-D hourglass at
+    one 8-frame 32x32 cube, which is not the hourglass's default shape."""
     models = {
         "radarformer-tiny": build_reference("radarformer-tiny", dtype=np.float32),
         "hourglass3d-small": Hourglass3d(chirps=4, base=4, bottleneck_width=8, bottleneck_depth=2),
     }
-    rows = compare_report(models, (1, 2, 8, 4, 32, 32))
-    show("compare_report tiny hourglass3d-small", [(r.name, r.gmacs, r.params_m) for r in rows])
+    for name, model in models.items():
+        rows = profile_layers(model, (1, 2, 8, 4, 32, 32))
+        show(f"profile_layers {name} 8x32x32", [tuple(row.__dict__.values()) for row in rows])
 
 
 def batched_convs(seed=107) -> None:
