@@ -547,10 +547,18 @@ class TemporalUpsample(Module):
             for i in range(stages)
         ]
 
+    def _check(self, shape):
+        """The (B, C, H, W) map of `shape`, else ShapeError; ``forward`` and
+        ``profile`` both refuse by it."""
+        channels = self.convs[0].w.shape[1]
+        if len(shape) != 4 or shape[1] != channels:
+            raise ShapeError(f"temporal upsampling expects (B, {channels}, H, W) maps, got {shape}")
+        return shape
+
     def forward(self, y, skips):
         if len(skips) != self.stages:
             raise ShapeError(f"expected {self.stages} skip tensors, got {len(skips)}")
-        b, c, h, w = y.shape
+        b, c, h, w = self._check(y.shape)
         x = T.reshape(y, (b, c, 1, h, w))
         for i, conv in enumerate(self.convs):
             x = T.repeat(x, axis=2, factor=2)
@@ -564,7 +572,7 @@ class TemporalUpsample(Module):
         return x
 
     def profile(self, in_shape, path=""):
-        b, c, h, w = in_shape
+        b, c, h, w = self._check(in_shape)
         entries = []
         s = (b, c, 1, h, w)
         for i, conv in enumerate(self.convs):

@@ -7,13 +7,18 @@ pad, crop, repeat), window/grid partitioning for local and dilated
 attention, and a fused binary cross-entropy head.
 
 Every op records a node on the active per-thread tape when gradients are
-enabled and any input requires them.  ``backward(loss)`` replays the tape
-once in reverse; nodes are recorded in creation order, which is already a
-topological order.  It takes the nodes off the tape and frees as it goes:
-each node hands its output's gradient to its grad_fn and clears it from
-the output, and is dropped, with the arrays its grad_fn saved, once it has
-run.  So only leaves (tensors no recorded op produced: parameters and
-inputs) and the loss keep ``.grad``.  A tensor takes the dtype it is
+enabled and any input requires them: its output's gradient slot
+(``_Grad``: shape and gradient), its grad_fn and one link per input, which
+is the input's slot, the input itself if it is a leaf (made by no recorded
+op: parameters and inputs) that requires grad, else None.  So whether an
+input gets a gradient is decided when the op records.  A grad_fn returns
+one gradient per input, or None, and closes over the arrays, shapes and
+flags it reads, never over a tensor, so the tape keeps no op's input or
+output alive.  ``backward(loss)`` replays the tape once in reverse (creation
+order is a topological order) and alone writes gradients into the links.
+It frees as it goes: each node's gradient is taken out of its slot, and the
+node, with the arrays its grad_fn saved, is dropped once it has run.  So
+only leaves and the loss keep ``.grad``.  A tensor takes the dtype it is
 created with or else the thread's default, which only ``using_dtype`` sets:
 float64, the default and the precision of the gradient and oracle tests, or
 float32, the fast mode at scale.  Any other dtype is a ``ConfigError``.
@@ -215,24 +220,34 @@ def reset_tape() -> None:
     _tls().tape.reset()
 
 
-class _Node:
-    __slots__ = ("out", "grad_fn")
+class _Grad:
+    """A recorded op output's gradient slot, held by the tape in place of the output."""
 
-    def __init__(self, out, grad_fn):
-        self.out = out
-        self.grad_fn = grad_fn
+    __slots__ = ("shape", "grad")
+
+    def __init__(self, shape):
+        self.shape, self.grad = shape, None
+
+
+class _Node:
+    __slots__ = ("slot", "inputs", "grad_fn")
+
+    def __init__(self, slot, inputs, grad_fn):
+        self.slot, self.inputs, self.grad_fn = slot, inputs, grad_fn
 
 
 class Tensor:
-    """Contiguous row-major buffer plus optional gradient of the same shape."""
+    """Contiguous row-major buffer plus optional gradient of the same shape;
+    an op output's gradient lives in its tape slot ``_slot``."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "_slot")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         dt = default_dtype() if dtype is None else _float_dtype(dtype)
         self.data = np.asarray(data, dtype=dt, order="C")
         self.requires_grad = bool(requires_grad)
         self.grad = None
+        self._slot = None
 
     @property
     def shape(self):
@@ -257,11 +272,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    def accumulate_grad(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
 
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
@@ -317,9 +327,11 @@ def _make(out_data, inputs, grad_fn) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = out_data
     out.requires_grad = req
-    out.grad = None
+    out.grad = out._slot = None
     if req:
-        st.tape.record(_Node(out, grad_fn))
+        out._slot = _Grad(out_data.shape)
+        links = tuple((t._slot or t) if t.requires_grad else None for t in inputs)
+        st.tape.record(_Node(out._slot, links, grad_fn))
     return out
 
 
@@ -351,10 +363,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"add requires identical shapes, got {a.shape} vs {b.shape}")
 
     def grad_fn(g):
-        if a.requires_grad:
-            a.accumulate_grad(g)
-        if b.requires_grad:
-            b.accumulate_grad(g)
+        return g, g
 
     return _make(a.data + b.data, (a, b), grad_fn)
 
@@ -363,14 +372,12 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     _same_dtype(a, b)
     if a.shape != b.shape:
         raise ShapeError(f"mul requires identical shapes, got {a.shape} vs {b.shape}")
+    ad, bd = a.data, b.data
 
     def grad_fn(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * b.data)
-        if b.requires_grad:
-            b.accumulate_grad(g * a.data)
+        return g * bd, g * ad
 
-    return _make(a.data * b.data, (a, b), grad_fn)
+    return _make(ad * bd, (a, b), grad_fn)
 
 
 def add_bcast(x: Tensor, b: Tensor) -> Tensor:
@@ -380,10 +387,7 @@ def add_bcast(x: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"bias shape {b.shape} does not broadcast into {x.shape}")
 
     def grad_fn(g):
-        if x.requires_grad:
-            x.accumulate_grad(g)
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g, b.shape))
+        return g, g
 
     return _make(x.data + b.data, (x, b), grad_fn)
 
@@ -392,8 +396,7 @@ def scale(x: Tensor, c: float) -> Tensor:
     c = float(c)
 
     def grad_fn(g):
-        if x.requires_grad:
-            x.accumulate_grad(g * c)
+        return (g * c,)
 
     return _make(x.data * x.data.dtype.type(c), (x,), grad_fn)
 
@@ -404,8 +407,7 @@ def affine_const(x: Tensor, a: np.ndarray, b: np.ndarray) -> Tensor:
         raise ShapeError("affine constants must broadcast into x")
 
     def grad_fn(g):
-        if x.requires_grad:
-            x.accumulate_grad(g * a)
+        return (g * a,)
 
     return _make(x.data * a + b, (x,), grad_fn)
 
@@ -546,7 +548,8 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     A `bias` of shape ``(b.shape[-1],)`` is added in place to the product,
     by each part of a split product to its own slice (``_gemm``), which is
     the same IEEE add as ``add_bcast(matmul(a, b), bias)`` without a second
-    output array; its gradient is summed over every other axis.
+    output array; its gradient is summed over every other axis.  The
+    backward keeps and multiplies only what an operand's gradient needs.
     """
     inputs = (a, b) if bias is None else (a, b, bias)
     _same_dtype(*inputs)
@@ -561,15 +564,14 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     except ValueError as e:
         raise ShapeError(str(e)) from None
 
+    bt = np.swapaxes(b.data, -1, -2) if a.requires_grad else None
+    at = np.swapaxes(a.data, -1, -2) if b.requires_grad else None
+    biased = bias is not None
+
     def grad_fn(g):
-        if a.requires_grad:
-            ga = _gemm(g, np.swapaxes(b.data, -1, -2))
-            a.accumulate_grad(_unbroadcast(ga, a.shape))
-        if b.requires_grad:
-            gb = _gemm(np.swapaxes(a.data, -1, -2), g)
-            b.accumulate_grad(_unbroadcast(gb, b.shape))
-        if bias is not None and bias.requires_grad:
-            bias.accumulate_grad(_unbroadcast(g, bias.shape))
+        ga = None if bt is None else _gemm(g, bt)
+        gb = None if at is None else _gemm(at, g)
+        return (ga, gb, g) if biased else (ga, gb)
 
     return _make(out, inputs, grad_fn)
 
@@ -678,26 +680,28 @@ def _conv(x: Tensor, w: Tensor, bias, op: str) -> Tensor:
     if bias is not None and bias.shape != (Cout,):
         raise ShapeError(f"bias must have shape ({Cout},)")
     inputs = (x, w) if bias is None else (x, w, bias)
-    kernel, spatial_axes = w.shape[2:], tuple(range(2, x.ndim))
+    kernel, spatial_axes, w_shape = w.shape[2:], tuple(range(2, x.ndim)), w.shape
     out = _correlate(x.data, w.data, None if bias is None else bias.data)
+    # the weight gradient rebuilds the columns of the whole output from x,
+    # the bytes the forward multiplied; the input gradient reads w
+    xd = x.data if w.requires_grad else None
+    wd = w.data if x.requires_grad else None
+    biased = bias is not None
 
-    # keeps x, not its columns: the weight gradient rebuilds the columns of
-    # the whole output from x.data, the same bytes the forward multiplied
     def grad_fn(g):
-        if w.requires_grad:
+        gx = gw = None
+        if xd is not None:
             # (Cout, B*N) @ (B*N, C*prod(kernel)); both operands are views of
             # g and the columns when B = 1
             g2 = np.moveaxis(g, 1, -1).reshape(-1, Cout)
-            cm = _im2col(np.pad(x.data, _same_pads(kernel)), kernel)[0].swapaxes(0, 1).reshape(-1, len(g2))
-            gw = _gemm(g2.T, _view_or_copy(cm.T, Cout, len(g2), len(cm)))
+            cm = _im2col(np.pad(xd, _same_pads(kernel)), kernel)[0].swapaxes(0, 1).reshape(-1, len(g2))
+            gw = _gemm(g2.T, _view_or_copy(cm.T, Cout, len(g2), len(cm))).reshape(w_shape)
             del cm  # before the input gradient builds columns of its own
-            w.accumulate_grad(gw.reshape(w.shape))
-        if bias is not None and bias.requires_grad:
-            bias.accumulate_grad(g.sum(axis=(0,) + spatial_axes))
-        if x.requires_grad:
+        if wd is not None:
             # a copy: a 1x1 kernel's view would reach BLAS transposed and round differently
-            w_rot = np.flip(w.data, axis=spatial_axes).swapaxes(0, 1)
-            x.accumulate_grad(_correlate(g, np.ascontiguousarray(w_rot)))
+            w_rot = np.flip(wd, axis=spatial_axes).swapaxes(0, 1)
+            gx = _correlate(g, np.ascontiguousarray(w_rot))
+        return (gx, gw, g.sum(axis=(0,) + spatial_axes)) if biased else (gx, gw)
 
     return _make(out, inputs, grad_fn)
 
@@ -733,9 +737,8 @@ def softmax(x: Tensor, axis: int) -> Tensor:
     y = e / e.sum(axis=axis, keepdims=True)
 
     def grad_fn(g):
-        if x.requires_grad:
-            dot = (g * y).sum(axis=axis, keepdims=True)
-            x.accumulate_grad(y * (g - dot))
+        dot = (g * y).sum(axis=axis, keepdims=True)
+        return (y * (g - dot),)
 
     return _make(y, (x,), grad_fn)
 
@@ -758,18 +761,14 @@ def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes, eps: float) -> Tenso
     var = (xc * xc).mean(axis=axes, keepdims=True)
     inv = 1.0 / np.sqrt(var + x.data.dtype.type(eps))
     y0 = xc * inv
-    out = gamma.data * y0 + beta.data
+    gd = gamma.data
+    out = gd * y0 + beta.data
 
     def grad_fn(g):
-        if beta.requires_grad:
-            beta.accumulate_grad(_unbroadcast(g, beta.shape))
-        if gamma.requires_grad:
-            gamma.accumulate_grad(_unbroadcast(g * y0, gamma.shape))
-        if x.requires_grad:
-            gy = g * gamma.data
-            m1 = gy.mean(axis=axes, keepdims=True)
-            m2 = (gy * y0).mean(axis=axes, keepdims=True)
-            x.accumulate_grad(inv * (gy - m1 - y0 * m2))
+        gy = g * gd
+        m1 = gy.mean(axis=axes, keepdims=True)
+        m2 = (gy * y0).mean(axis=axes, keepdims=True)
+        return inv * (gy - m1 - y0 * m2), g * y0, g
 
     return _make(out, (x, gamma, beta), grad_fn)
 
@@ -778,8 +777,7 @@ def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
 
     def grad_fn(g):
-        if x.requires_grad:
-            x.accumulate_grad(g * mask)
+        return (g * mask,)
 
     return _make(np.where(mask, x.data, x.data.dtype.type(0)), (x,), grad_fn)
 
@@ -805,12 +803,12 @@ def gelu(x: Tensor) -> Tensor:
     phi_cdf = np.empty(x.shape, dtype=x.data.dtype)
     out = np.empty_like(phi_cdf)
     n = _cpus() if x.size > _GELU_SPLIT_MIN else 1
-    _run_parts(_gelu_into, list(zip(*(np.array_split(a.reshape(-1), n) for a in (x.data, phi_cdf, out)))))
+    xd = x.data
+    _run_parts(_gelu_into, list(zip(*(np.array_split(a.reshape(-1), n) for a in (xd, phi_cdf, out)))))
 
     def grad_fn(g):
-        if x.requires_grad:
-            pdf = x.data.dtype.type(_INV_SQRT_2PI) * np.exp(-0.5 * x.data * x.data)
-            x.accumulate_grad(g * (phi_cdf + x.data * pdf))
+        pdf = xd.dtype.type(_INV_SQRT_2PI) * np.exp(-0.5 * xd * xd)
+        return (g * (phi_cdf + xd * pdf),)
 
     return _make(out, (x,), grad_fn)
 
@@ -829,8 +827,7 @@ def sigmoid(x: Tensor) -> Tensor:
     y = np.clip(_logistic(x.data), fi.tiny, 1.0 - fi.epsneg).astype(dt, copy=False)
 
     def grad_fn(g):
-        if x.requires_grad:
-            x.accumulate_grad(g * y * (1.0 - y))
+        return (g * y * (1.0 - y),)
 
     return _make(y, (x,), grad_fn)
 
@@ -841,13 +838,10 @@ def sigmoid(x: Tensor) -> Tensor:
 
 def tsum(x: Tensor, axis=None) -> Tensor:
     axis = None if axis is None else _axis(axis, x.ndim)
+    shape = x.shape
 
     def grad_fn(g):
-        if x.requires_grad:
-            if axis is None:
-                x.accumulate_grad(np.broadcast_to(g, x.shape).copy())
-            else:
-                x.accumulate_grad(np.broadcast_to(np.expand_dims(g, axis), x.shape).copy())
+        return (np.broadcast_to(g if axis is None else np.expand_dims(g, axis), shape),)
 
     out = x.data.sum(axis=axis)
     return _make(np.asarray(out, dtype=x.data.dtype), (x,), grad_fn)
@@ -867,8 +861,7 @@ def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
     n = logits.size
 
     def grad_fn(g):
-        if logits.requires_grad:
-            logits.accumulate_grad(g * (_logistic(z) - t) / n)
+        return (g * (_logistic(z) - t) / n,)
 
     return _make(out, (logits,), grad_fn)
 
@@ -881,10 +874,10 @@ def reshape(x: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
     if int(np.prod(shape, dtype=np.int64)) != x.size:
         raise ShapeError(f"reshape {x.shape} -> {shape} changes element count")
+    x_shape = x.shape
 
     def grad_fn(g):
-        if x.requires_grad:
-            x.accumulate_grad(g.reshape(x.shape))
+        return (g.reshape(x_shape),)
 
     return _make(x.data.reshape(shape), (x,), grad_fn)
 
@@ -896,8 +889,7 @@ def permute(x: Tensor, axes) -> Tensor:
     inv = np.argsort(axes)
 
     def grad_fn(g):
-        if x.requires_grad:
-            x.accumulate_grad(np.ascontiguousarray(g.transpose(inv)))
+        return (np.ascontiguousarray(g.transpose(inv)),)
 
     return _make(np.ascontiguousarray(x.data.transpose(axes)), (x,), grad_fn)
 
@@ -912,8 +904,7 @@ def pad(x: Tensor, pads) -> Tensor:
     sl = tuple(slice(a, a + n) for (a, _), n in zip(pads, x.shape))
 
     def grad_fn(g):
-        if x.requires_grad:
-            x.accumulate_grad(g[sl])
+        return (g[sl],)
 
     return _make(np.pad(x.data, pads), (x,), grad_fn)
 
@@ -926,13 +917,12 @@ def crop(x: Tensor, bounds) -> Tensor:
     for (a, b), n in zip(bounds, x.shape):
         if not (0 <= a < b <= n):
             raise ShapeError(f"invalid crop {bounds} for shape {x.shape}")
-    sl = tuple(slice(a, b) for a, b in bounds)
+    sl, x_shape = tuple(slice(a, b) for a, b in bounds), x.shape
 
     def grad_fn(g):
-        if x.requires_grad:
-            gx = np.zeros(x.shape, dtype=g.dtype)
-            gx[sl] = g
-            x.accumulate_grad(gx)
+        gx = np.zeros(x_shape, dtype=g.dtype)
+        gx[sl] = g
+        return (gx,)
 
     return _make(np.ascontiguousarray(x.data[sl]), (x,), grad_fn)
 
@@ -944,11 +934,10 @@ def repeat(x: Tensor, axis: int, factor: int) -> Tensor:
     if factor < 1:
         raise ShapeError("repeat factor must be >= 1")
 
+    split = x.shape[:axis + 1] + (factor,) + x.shape[axis + 1:]
+
     def grad_fn(g):
-        if x.requires_grad:
-            shp = list(x.shape)
-            shp.insert(axis + 1, factor)
-            x.accumulate_grad(g.reshape(shp).sum(axis=axis + 1))
+        return (g.reshape(split).sum(axis=axis + 1),)
 
     return _make(np.ascontiguousarray(np.repeat(x.data, factor, axis=axis)), (x,), grad_fn)
 
@@ -1032,10 +1021,13 @@ def backward(loss: Tensor) -> None:
 
     A leaf is a requires_grad tensor that no recorded op produced:
     parameters and inputs.  ``loss.grad`` is set to one.  The nodes are
-    taken off the active tape and run in reverse; each op output's gradient
-    is read and reset to None before its node runs, and the node, with the
-    arrays its grad_fn saved, is dropped after it, so memory is freed as the
-    pass goes and op outputs end with ``.grad = None``.
+    taken off the active tape and run in reverse; each node's gradient is
+    taken out of its slot, and its grad_fn returns one per input.  Only
+    this code writes a gradient: it sums each over its broadcast axes
+    (``_unbroadcast``) and adds it in place into the input's link, a first
+    one into ``np.zeros``, which turns -0.0 into +0.0; a None link or
+    gradient gets nothing.  The node, with the arrays its grad_fn saved, is
+    dropped after it runs, so memory is freed as the pass goes.
 
     The tape is consumed even if a grad_fn raises, so a failed pass cannot
     be replayed onto its partial gradients; calling backward again before
@@ -1056,15 +1048,21 @@ def backward(loss: Tensor) -> None:
         raise UsageError("tape is empty; nothing to differentiate")
     nodes, tape.nodes = tape.nodes, []
     loss.grad = np.ones((), dtype=loss.data.dtype)
+    if loss._slot is not None:
+        loss._slot.grad = loss.grad
     try:
         while nodes:
             node = nodes.pop()
-            g = node.out.grad
+            g, node.slot.grad = node.slot.grad, None
             if g is None:
                 continue
-            if node.out is not loss:
-                node.out.grad = None
-            node.grad_fn(g)
+            for dst, gi in zip(node.inputs, node.grad_fn(g)):
+                if dst is not None and gi is not None:
+                    gi = _unbroadcast(gi, dst.shape)
+                    if dst.grad is None:
+                        dst.grad = np.zeros(dst.shape, gi.dtype)
+                    dst.grad += gi
+            gi = None  # so the last input gradient dies before the next grad_fn runs
     finally:
         nodes.clear()
         tape._spent = True

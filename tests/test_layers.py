@@ -484,6 +484,17 @@ def test_profile_refuses_like_forward(case):
     assert str(profiled.value) == str(forward.value)
 
 
+@pytest.mark.parametrize("shape", [(1, 4, 1, 8, 8), (1, 3, 8, 8)])
+def test_temporal_upsample_refuses_like_forward(shape):
+    up = TemporalUpsample(4, 3, 2, SeedStream(0))
+    skips = [T.zeros((1, 4, 2, 8, 8)), T.zeros((1, 4, 4, 8, 8))]
+    with T.no_grad(), pytest.raises(ShapeError, match=r"expects \(B, 4, H, W\) maps") as forward:
+        up(T.zeros(shape), skips)
+    with pytest.raises(ShapeError) as profiled:
+        up.profile(shape)
+    assert str(profiled.value) == str(forward.value)
+
+
 @pytest.mark.parametrize("training", [True, False])
 @pytest.mark.parametrize("shape", [(2, 3, 4, 4), (2, 1, 4), (1, 1, 2, 4, 4)])
 def test_batchnorm_refusal_keeps_running_statistics(shape, training):

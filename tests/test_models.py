@@ -255,17 +255,27 @@ class TestPrecisionChoice:
         assert T.default_dtype() is np.float64
 
     @pytest.mark.parametrize("variant", models.VARIANTS)
-    def test_f32_step_hands_every_tensor_f32_gradients(self, variant, monkeypatch):
+    def test_f32_step_hands_every_tensor_f32_gradients(self, variant):
         model = build_model(toy_config(variant), dtype=np.float32)
         cube = T.uniform((1, 2, 4, 2, 16, 16), 4, -1.0, 1.0, requires_grad=True, dtype=np.float32)
         received = []
-        accumulate = T.Tensor.accumulate_grad
-        monkeypatch.setattr(T.Tensor, "accumulate_grad",
-                            lambda t, g: received.append((t.dtype, g.dtype)) or accumulate(t, g))
+
+        def recording(grad_fn):
+            def wrapped(g):
+                grads = grad_fn(g)
+                received.extend(gi.dtype for gi in grads if gi is not None)
+                return grads
+            return wrapped
+
         T.reset_tape()
         logits = model.forward_logits(cube)
-        T.backward(T.bce_with_logits(logits, np.full(logits.shape, 0.5)))
-        assert received and set(received) == {(np.dtype(np.float32), np.dtype(np.float32))}
+        loss = T.bce_with_logits(logits, np.full(logits.shape, 0.5))
+        for node in T.active_tape().nodes:
+            node.grad_fn = recording(node.grad_fn)
+        T.backward(loss)
+        assert received and set(received) == {np.dtype(np.float32)}
+        leaves = [cube, *model.params()]
+        assert {p.grad.dtype for p in leaves} == {np.dtype(np.float32)}
 
     @pytest.mark.parametrize("dtype", [np.int32, np.float16])
     def test_non_float_dtype_rejected(self, dtype):
@@ -290,6 +300,29 @@ class TestPrecisionChoice:
         assert opened == []
         load_checkpoint(path, dtype=np.float32)
         assert len(opened) == 1
+
+
+@pytest.mark.parametrize("name", [*models.VARIANTS, "hourglass3d"])
+def test_tape_holds_gradient_slots_not_tensors(name):
+    if name == "hourglass3d":
+        model = Hourglass3d(chirps=2, base=4, bottleneck_width=8, bottleneck_depth=1, dtype=np.float64)
+        shape = (1, 2, 4, 2, 8, 8)
+    else:
+        model, shape = build_model(toy_config(name)), (1, 2, 4, 2, 16, 16)
+    T.reset_tape()
+    out = model.forward(T.uniform(shape, 5, requires_grad=True))
+    nodes = T.active_tape().nodes
+    assert nodes
+    for node in nodes:
+        for cell in node.grad_fn.__closure__ or ():
+            held = cell.cell_contents
+            for value in held if isinstance(held, (tuple, list)) else (held,):
+                assert not isinstance(value, T.Tensor), node.grad_fn.__qualname__
+        for link in node.inputs:
+            leaf = isinstance(link, T.Tensor) and link._slot is None and link.requires_grad
+            assert link is None or leaf or isinstance(link, T._Grad)
+    T.backward(T.tsum(out))
+    assert all(p.grad is not None for p in model.params())
 
 
 class TestCheckpoint:

@@ -380,7 +380,7 @@ class TestConvSlabs:
 
 
 def _as_accumulated(g):
-    """What ``Tensor.accumulate_grad`` stores for a first gradient g."""
+    """What ``backward`` stores for a first gradient g."""
     return np.zeros_like(g) + g
 
 
