@@ -93,9 +93,12 @@ or product part, on the calling thread and the others on a thread pool
 created on first use, and returns their results when all have finished;
 scipy's ``erf`` and BLAS release the GIL.  Each element gets the same
 operations in the same order either way, so the split changes no bit.
-gelu's input gradient is computed in the input's dtype, on one thread:
-splitting it as well saved no measurable step time.  ``_run_parts`` is the
-only way onto the pool; ``synth.render_ramap`` draws its noise there too.
+When gelu records, its parts also fill the slope Phi(x) + x*pdf(x), in the
+input's dtype and in the ops of the exact derivative, and its tape node
+keeps that slope alone, so the backward is one multiply.  When it does not
+record, it builds Phi in the output itself and multiplies by x in place.
+``_run_parts`` is the only way onto the pool; ``synth.render_ramap`` draws
+its noise there too.
 """
 
 from __future__ import annotations
@@ -317,13 +320,19 @@ def _same_dtype(*ts):
     return dt
 
 
+def _records(inputs) -> bool:
+    """Whether an op on `inputs` records a node: grad mode is on and some
+    input requires grad."""
+    return _tls().grad_enabled and any(t.requires_grad for t in inputs)
+
+
 def _make(out_data, inputs, grad_fn) -> Tensor:
     st = _tls()
     if st.debug_checks and not np.all(np.isfinite(out_data)):
         op = grad_fn.__qualname__.split(".", 1)[0]
         where = f"{_module_path(st.modules)}: " if st.modules else ""
         raise UsageError(f"{where}{op} produced non-finite values")
-    req = st.grad_enabled and any(t.requires_grad for t in inputs)
+    req = _records(inputs)
     out = Tensor.__new__(Tensor)
     out.data = out_data
     out.requires_grad = req
@@ -732,9 +741,9 @@ def _axis(ax: int, ndim: int) -> int:
 def softmax(x: Tensor, axis: int) -> Tensor:
     """Max-stabilized softmax along `axis`; slices sum to 1."""
     axis = _axis(axis, x.ndim)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = x.data - x.data.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
 
     def grad_fn(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
@@ -789,26 +798,42 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 _GELU_SPLIT_MIN = 1 << 20
 
 
-def _gelu_into(x, phi_cdf, out):
-    """Fill phi_cdf with 0.5*(1+erf(x/sqrt(2))) and out with x*phi_cdf."""
-    np.multiply(x, x.dtype.type(1.0 / _SQRT2), out=phi_cdf)
-    erf(phi_cdf, out=phi_cdf)
-    phi_cdf += 1.0
-    phi_cdf *= 0.5
-    np.multiply(x, phi_cdf, out=out)
+def _phi_into(x, out):
+    """Fill out with the standard normal CDF 0.5*(1+erf(x/sqrt(2)))."""
+    np.multiply(x, x.dtype.type(1.0 / _SQRT2), out=out)
+    erf(out, out=out)
+    out += 1.0
+    out *= 0.5
+
+
+def _gelu_into(x, out, slope=None):
+    """Fill out with x*Phi(x) and, if given, slope with Phi(x) + x*pdf(x)."""
+    if slope is None:
+        _phi_into(x, out)
+        out *= x
+        return
+    _phi_into(x, slope)
+    np.multiply(x, slope, out=out)
+    # x * (c * exp(-0.5 * x * x)) with one buffer: IEEE products commute
+    x_pdf = np.multiply(x, -0.5)
+    x_pdf *= x
+    np.exp(x_pdf, out=x_pdf)
+    x_pdf *= x.dtype.type(_INV_SQRT_2PI)
+    x_pdf *= x
+    slope += x_pdf
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact erf form: 0.5*x*(1+erf(x/sqrt(2)))."""
-    phi_cdf = np.empty(x.shape, dtype=x.data.dtype)
-    out = np.empty_like(phi_cdf)
+    """Exact erf form: 0.5*x*(1+erf(x/sqrt(2))).  When it records, the
+    forward's parts also fill its slope, the one array the backward reads."""
+    out = np.empty(x.shape, dtype=x.data.dtype)
+    slope = np.empty_like(out) if _records((x,)) else None
+    bufs = (x.data, out) if slope is None else (x.data, out, slope)
     n = _cpus() if x.size > _GELU_SPLIT_MIN else 1
-    xd = x.data
-    _run_parts(_gelu_into, list(zip(*(np.array_split(a.reshape(-1), n) for a in (xd, phi_cdf, out)))))
+    _run_parts(_gelu_into, list(zip(*(np.array_split(a.reshape(-1), n) for a in bufs))))
 
     def grad_fn(g):
-        pdf = xd.dtype.type(_INV_SQRT_2PI) * np.exp(-0.5 * xd * xd)
-        return (g * (phi_cdf + xd * pdf),)
+        return (g * slope,)
 
     return _make(out, (x,), grad_fn)
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -753,6 +754,25 @@ class TestGeluSplit:
         for a, b in zip(inline, split):
             assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_no_grad_equals_grad_mode(self, dtype, cpus, monkeypatch, fresh_pool):
+        # without a tape gelu allocates its output alone: no CDF, no slope
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        n = T._GELU_SPLIT_MIN + 1
+        y, _ = self._run(n, dtype)
+        x = T.from_array(rng(n).standard_normal(n) * 3.0, True, dtype)
+        with T.no_grad():
+            tracemalloc.start()
+            try:
+                out = T.gelu(x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert not out.requires_grad
+        assert out.data.tobytes() == y.tobytes()
+        assert peak < 1.5 * y.nbytes
+
     def test_tiny_forward_creates_no_pool(self, fresh_pool):
         model = build_reference("radarformer-tiny", dtype=np.float32)
         model.set_training(False)
@@ -765,7 +785,8 @@ class TestGeluGradTolerance:
     """The f32 input gradient of gelu, against the exact f64 gradient of the
     same f32 x and output gradient g: |gx32 - gx64| <= 4 eps32 |g| (1 + |x| pdf(x)).
     The bound is relative to |g| and not to |gx64|: where phi + x*pdf cancels
-    (x << 0), the f32 phi_cdf that the forward saves rounds to 0."""
+    (x << 0), the f32 slope that the forward saves adds x*pdf to a phi that
+    rounds to 0."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_f32_within_bound_of_exact_f64(self, seed):
@@ -894,6 +915,15 @@ class TestSoftmax:
     def test_axis_out_of_bounds(self):
         with pytest.raises(ShapeError):
             T.softmax(T.zeros((2, 2)), axis=5)
+
+    @pytest.mark.parametrize("axis", [-1, 1])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bytes_equal_three_array_formula(self, dtype, axis):
+        x = (rng(47).standard_normal((3, 5, 4, 7)) * 4.0).astype(dtype)
+        e = np.exp(x - x.max(axis=axis, keepdims=True))
+        want = e / e.sum(axis=axis, keepdims=True)
+        got = T.softmax(T.from_array(x, dtype=dtype), axis=axis).data
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestNormalize:
